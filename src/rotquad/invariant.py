@@ -54,7 +54,8 @@ from .maps import (
     Power,
     RadialProfile,
     RadialTwist,
-    eval_map,
+    compile_map,
+    eval_map,  # unused here; kept as the name perfbench's tracer wraps
     fixed_residual,
     iterate_spec,
     rigid_rotation_angle,
@@ -167,19 +168,20 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
 def _normalized_views(spec: MapSpec, x1: SpherePoint, x2: SpherePoint):
     """Chart map and image-of-map view in the x1 -> 0, x2 -> inf chart."""
     h = mobius_normalize(x1, x2)
+    to_chart = compile_map(Identity(), then=h)
+    to_image = compile_map(spec, then=h)
 
     def chart(z: complex) -> complex:
-        image = apply_mobius(h, as_sphere_point(z))
-        if image.is_infinity:
+        w = to_chart(z)
+        if w is None:
             raise PointOnLoop("path passes through the second puncture")
-        return image.value
+        return w
 
     def mapped(z: complex) -> complex:
-        q = eval_map(spec, as_sphere_point(z))
-        image = apply_mobius(h, q)
-        if image.is_infinity:
+        w = to_image(z)
+        if w is None:
             raise PointOnLoop("image path passes through the second puncture")
-        return image.value
+        return w
 
     return chart, mapped
 
@@ -225,6 +227,23 @@ def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
     return forward, base
 
 
+def _loop_winding(forward: list[complex], base: list[complex], tol: Tolerances) -> int:
+    """Winding of the loop (forward path) * (base path reversed) around 0."""
+    loop = dedupe_consecutive(forward + base[::-1], closed=True)
+    if len(loop) < 3:
+        return 0
+    return winding_number(Polyline(tuple(loop), closed=True), 0j, tol)
+
+
+def _lift_turns(forward: list[complex], base: list[complex], tol: Tolerances) -> int:
+    """Whole turns between the arguments swept by the two paths."""
+    turns = (path_turns(forward) - path_turns(base)) / TAU
+    nearest = round(turns)
+    if abs(turns - nearest) > tol.winding_snap:
+        raise NonIntegerWinding(f"argument difference {turns!r} is not close to an integer")
+    return int(nearest)
+
+
 def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
     """The invariant as the class of the loop (image of beta) * (beta reversed).
 
@@ -235,11 +254,7 @@ def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    forward, base = _refined_paths(spec, t, beta, tol)
-    loop = dedupe_consecutive(forward + base[::-1], closed=True)
-    if len(loop) < 3:
-        return 0
-    return winding_number(Polyline(tuple(loop), closed=True), 0j, tol)
+    return _loop_winding(*_refined_paths(spec, t, beta, tol), tol)
 
 
 def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -251,12 +266,13 @@ def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
+    return _lift_turns(*_refined_paths(spec, t, beta, tol), tol)
+
+
+def _loop_and_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances) -> tuple[int, int]:
+    """rf_loop and rf_lift of a distinct tuple, read off one refinement."""
     forward, base = _refined_paths(spec, t, beta, tol)
-    turns = (path_turns(forward) - path_turns(base)) / TAU
-    nearest = round(turns)
-    if abs(turns - nearest) > tol.winding_snap:
-        raise NonIntegerWinding(f"argument difference {turns!r} is not close to an integer")
-    return int(nearest)
+    return _loop_winding(forward, base, tol), _lift_turns(forward, base, tol)
 
 
 def rf_trace(trace: IsotopyTrace, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -338,11 +354,13 @@ def rf_blowup(
     start = y4.value * 1e-6
     beta = [start + (y4.value - start) * (j / n_pre) for j in range(n_pre + 1)]
 
+    to_image = compile_map(iterated)
+
     def mapped(z: complex) -> complex:
-        image = eval_map(iterated, as_sphere_point(z))
-        if image.is_infinity:
+        w = to_image(z)
+        if w is None:
             raise PointOnLoop("iterated image escapes the chart")
-        return image.value
+        return w
 
     forward = refine_path_view(beta, mapped, closed=False, tol=tol)
     turns = (path_turns(forward) - path_turns(beta)) / TAU
@@ -503,19 +521,18 @@ class RfEvaluator:
     """Caching evaluator with deterministic retry on degenerate geometry.
 
     Each value is computed by the loop method and cross-checked by the
-    lift method; tuples with a point at infinity in the path slots are
-    conjugated to a finite chart first.  Degenerate geometry (a path or
-    loop grazing a marked point, a non-integer winding) triggers a retry
-    with the next path variant and a small deterministic jitter; if all
-    attempts fail the computation is reported inconclusive, never passed.
+    lift method, both read off one refinement of the paths; tuples with a
+    point at infinity in the path slots are conjugated to a finite chart
+    first.  Degenerate geometry (a path or loop grazing a marked point, a
+    non-integer winding) triggers a retry with the next path variant and a
+    small deterministic jitter; if all attempts fail the computation is
+    reported inconclusive, never passed.
     """
 
-    def __init__(self, spec: MapSpec, tol: Tolerances = DEFAULT_TOL, seed: int = 0,
-                 cross_check: bool = True):
+    def __init__(self, spec: MapSpec, tol: Tolerances = DEFAULT_TOL, seed: int = 0):
         self.spec = spec
         self.tol = tol
         self.seed = seed
-        self.cross_check = cross_check
         self._cache: dict[tuple, int] = {}
 
     def value(self, x1, x2, x3, x4) -> int:
@@ -545,13 +562,11 @@ class RfEvaluator:
                     y3.value, y4.value, avoid=(y1, y2), variant=attempt,
                     jitter=jitter, tol=self.tol,
                 )
-                value = rf_loop(spec, tuple_, beta, self.tol)
-                if self.cross_check:
-                    check = rf_lift(spec, tuple_, beta, self.tol)
-                    if check != value:
-                        raise InconclusiveComputation(
-                            f"loop and lift methods disagree: {value} vs {check}"
-                        )
+                value, check = _loop_and_lift(spec, tuple_, beta, self.tol)
+                if check != value:
+                    raise InconclusiveComputation(
+                        f"loop and lift methods disagree: {value} vs {check}"
+                    )
                 self._cache[key] = value
                 return value
             except (PointOnLoop, DegenerateCrossing, NonIntegerWinding,
@@ -872,8 +887,7 @@ def verify_rf_identities(
         y1, y2, y3, y4 = pts2
         t2 = MarkedTuple(y1, y2, y3, y4)
         beta = connecting_path(y3.value, y4.value, avoid=(y1, y2), tol=tol)
-        a = rf_loop(spec2, t2, beta, tol)
-        b = rf_lift(spec2, t2, beta, tol)
+        a, b = _loop_and_lift(spec2, t2, beta, tol)
         values = [a, b]
         try:
             trace = synthesize_twist_trace(spec, MarkedTuple(x1, x2, x3, x4), tol=tol)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from cmath import isfinite
 from dataclasses import dataclass
 
 from .errors import NotFixed
@@ -206,37 +207,117 @@ def invert_spec(spec: MapSpec) -> MapSpec:
     raise TypeError(f"not a map spec: {spec!r}")
 
 
+# ---------------------------------------------------------------------------
+# compiled evaluation
+#
+# A spec is compiled once into a chain of steps on bare coordinates: a finite
+# complex number, or None for the point at infinity.  Each step does the
+# floating-point operations of the SpherePoint-level definitions (apply_mobius,
+# the twist formula) in the same order, so images are bit-identical to them;
+# only the per-node set-up (inverse charts, inverse specs, attribute lookups)
+# is hoisted out of the per-point work.  Like SpherePoint, a step rejects a
+# non-finite coordinate with ValueError.
+
+_TAU_I = 1j * TAU
+
+
+def _non_finite(w: complex) -> ValueError:
+    return ValueError(f"finite coordinates required, got {w!r}")
+
+
+def _mobius_step(h: MobiusTransform):
+    """apply_mobius(h, .) on coordinates."""
+    a, b, c, d = h.a, h.b, h.c, h.d
+    at_infinity = None if c == 0 else a / c
+
+    def step(z):
+        if z is None:
+            if at_infinity is not None and not isfinite(at_infinity):
+                raise _non_finite(at_infinity)
+            return at_infinity
+        den = c * z + d
+        if den == 0:
+            return None
+        w = (a * z + b) / den
+        if not isfinite(w):
+            raise _non_finite(w)
+        return w
+
+    return step
+
+
+def _twist_step(profile: RadialProfile):
+    """The radial twist z -> e^{2 pi i rho(|z|)} z on coordinates."""
+    rho = profile.value
+
+    def step(z):
+        if z is None or z == 0:
+            return z
+        ang = rho(abs(z)) % 1.0
+        if ang == 0.0:
+            return z
+        w = z * cmath.exp(_TAU_I * ang)
+        if not isfinite(w):
+            raise _non_finite(w)
+        return w
+
+    return step
+
+
+def _repeat_step(steps: list, n: int):
+    def step(z):
+        for _ in range(n):
+            for s in steps:
+                z = s(z)
+        return z
+
+    return step
+
+
+def _steps(spec: MapSpec) -> list:
+    """The spec as steps to apply in order, first step first."""
+    if isinstance(spec, Identity):
+        return []
+    if isinstance(spec, RadialTwist):
+        return [_twist_step(spec.profile)]
+    if isinstance(spec, MobiusConjugate):
+        return [_mobius_step(spec.h), *_steps(spec.inner), _mobius_step(spec.h.inverse())]
+    if isinstance(spec, Compose):
+        return [s for part in reversed(spec.parts) for s in _steps(part)]
+    if isinstance(spec, Inverse):
+        return _steps(invert_spec(spec.inner))
+    if isinstance(spec, Power):
+        base = _steps(spec.inner if spec.q > 0 else invert_spec(spec.inner))
+        return [_repeat_step(base, abs(spec.q))]
+    raise TypeError(f"not a map spec: {spec!r}")
+
+
+def compile_map(spec: MapSpec, then: MobiusTransform | None = None):
+    """The homeomorphism as a function on coordinates (None is infinity).
+
+    With ``then``, the function is the chart change ``then`` after the map.
+    The images are bit-identical to ``eval_map``; a non-finite input or
+    intermediate coordinate raises ValueError.
+    """
+    steps = _steps(spec)
+    if then is not None:
+        steps.append(_mobius_step(then))
+    steps = tuple(steps)
+
+    def run(z):
+        if z is not None and not isfinite(z):
+            raise _non_finite(z)
+        for step in steps:
+            z = step(z)
+        return z
+
+    return run
+
+
 def eval_map(spec: MapSpec, p) -> SpherePoint:
     """Evaluate the homeomorphism at a point of the extended plane."""
-    p = as_sphere_point(p)
-    if isinstance(spec, Identity):
-        return p
-    if isinstance(spec, RadialTwist):
-        if p.is_infinity:
-            return p
-        z = p.value
-        if z == 0:
-            return p
-        ang = spec.profile.value(abs(z)) % 1.0
-        if ang == 0.0:
-            return p
-        return SpherePoint(z * cmath.exp(1j * TAU * ang))
-    if isinstance(spec, MobiusConjugate):
-        q = apply_mobius(spec.h, p)
-        r = eval_map(spec.inner, q)
-        return apply_mobius(spec.h.inverse(), r)
-    if isinstance(spec, Compose):
-        for part in reversed(spec.parts):
-            p = eval_map(part, p)
-        return p
-    if isinstance(spec, Inverse):
-        return eval_map(invert_spec(spec.inner), p)
-    if isinstance(spec, Power):
-        base = spec.inner if spec.q > 0 else invert_spec(spec.inner)
-        for _ in range(abs(spec.q)):
-            p = eval_map(base, p)
-        return p
-    raise TypeError(f"not a map spec: {spec!r}")
+    w = compile_map(spec)(as_sphere_point(p).z)
+    return INFINITY if w is None else SpherePoint(w)
 
 
 def fixed_residual(spec: MapSpec, p: SpherePoint) -> float:

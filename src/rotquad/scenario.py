@@ -174,7 +174,7 @@ def map_from_json(obj) -> MapSpec:
 # ---------------------------------------------------------------------------
 # tolerance overrides
 
-_TOL_FIELDS = {f.name for f in dc_fields(Tolerances)}
+_TOL_TYPES = {f.name: type(f.default) for f in dc_fields(Tolerances)}
 
 
 def tolerances_from_json(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
@@ -182,9 +182,15 @@ def tolerances_from_json(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
         return base
     if not isinstance(obj, dict):
         raise ScenarioError(f"tolerances must be a dict of overrides, got {obj!r}")
-    unknown = set(obj) - _TOL_FIELDS
+    unknown = obj.keys() - _TOL_TYPES.keys()
     if unknown:
         raise ScenarioError(f"unknown tolerance fields {sorted(unknown)!r}")
+    for name, value in obj.items():
+        # a float field also takes a JSON integer
+        integral = _TOL_TYPES[name] is int
+        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+            kind = "an integer" if integral else "a number"
+            raise ScenarioError(f"tolerance {name!r} must be {kind}, got {value!r}")
     return replace(base, **obj)
 
 
@@ -271,14 +277,20 @@ def scenario_from_json(obj) -> Scenario:
         points = {nm: point_from_json(p) for nm, p in obj["points"].items()}
     except AttributeError as exc:
         raise ScenarioError("'points' must be a name -> point object") from exc
-    paths = {
-        nm: polyline_from_json(p) for nm, p in obj.get("paths", {}).items()
-    }
+    raw_paths = obj.get("paths", {})
+    if not isinstance(raw_paths, dict):
+        raise ScenarioError(f"'paths' must be a name -> path object, got {raw_paths!r}")
+    paths = {nm: polyline_from_json(p) for nm, p in raw_paths.items()}
+    raw_tuples = obj.get("tuples", [])
+    if not (isinstance(raw_tuples, (list, tuple))
+            and all(isinstance(t, (list, tuple)) and all(isinstance(nm, str) for nm in t)
+                    for t in raw_tuples)):
+        raise ScenarioError(f"'tuples' must be a list of lists of point names, got {raw_tuples!r}")
     return Scenario(
         name=str(obj.get("name", "scenario")),
         map_spec=map_from_json(obj["map"]),
         points=points,
-        tuples=tuple(tuple(t) for t in obj.get("tuples", ())),
+        tuples=tuple(tuple(t) for t in raw_tuples),
         paths=paths,
         method=obj.get("method", "all"),
         seed=int(obj.get("seed", 0)),

@@ -8,6 +8,7 @@ from rotquad import (
     Compose,
     Identity,
     INFINITY,
+    InconclusiveComputation,
     IsotopyTrace,
     MarkedTuple,
     MixedCoincidence,
@@ -134,6 +135,35 @@ def test_evaluator_rejects_unfixed_points():
     ev = RfEvaluator(golden_twist_spec(1))
     with pytest.raises(NotFixed):
         ev.value(0j, INFINITY, 1.5 + 0j, 3 + 0j)
+
+
+def test_evaluator_refines_once_per_value(monkeypatch):
+    import rotquad.invariant as invariant
+
+    calls = []
+    real = invariant.refine_path_view
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariant, "refine_path_view", counting)
+    ev = RfEvaluator(golden_twist_spec(2))
+    assert ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j) == 2
+    assert len(calls) == 2  # the image path and the path itself
+    assert ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j) == 2
+    assert len(calls) == 2  # a cached value costs nothing
+    assert ev.value(0j, INFINITY, 3 + 0j, 4j) == 0
+    assert len(calls) == 4
+
+
+def test_evaluator_cross_checks_loop_against_lift(monkeypatch):
+    import rotquad.invariant as invariant
+
+    real = invariant._lift_turns
+    monkeypatch.setattr(invariant, "_lift_turns", lambda *a, **k: real(*a, **k) + 1)
+    with pytest.raises(InconclusiveComputation, match="disagree"):
+        RfEvaluator(golden_twist_spec(2)).value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
 
 
 def test_identity_suite_all_pass_on_twist():

@@ -19,6 +19,7 @@ from rotquad import (
     RadialProfile,
     RadialTwist,
     SpherePoint,
+    apply_mobius,
     as_sphere_point,
     differential_rotation,
     eval_map,
@@ -30,9 +31,10 @@ from rotquad import (
 from rotquad.catalog import (
     double_blowup_spec,
     golden_twist_spec,
+    identity_scenarios,
     quarter_turn_blowup_spec,
 )
-from rotquad.maps import fixed_residual, twist_budget
+from rotquad.maps import compile_map, fixed_residual, twist_budget
 
 RAMP = RadialProfile(((1.0, 0.0), (2.0, 1.0)))
 
@@ -297,3 +299,106 @@ def test_twist_is_modulus_preserving_bijection_on_circles(profile, z):
     w = eval_map(RadialTwist(profile), SpherePoint(z)).value
     assert abs(abs(w) - abs(z)) < 1e-9 * max(1.0, abs(z))
     assert w != 0
+
+
+# ---------------------------------------------------------------------------
+# compiled evaluation is bit-identical to the tree-walking definition
+
+
+def _reference_eval(spec, p: SpherePoint) -> SpherePoint:
+    """The definition of each node, walked recursively on SpherePoints."""
+    if isinstance(spec, Identity):
+        return p
+    if isinstance(spec, RadialTwist):
+        if p.is_infinity or p.value == 0:
+            return p
+        ang = spec.profile.value(abs(p.value)) % 1.0
+        if ang == 0.0:
+            return p
+        return SpherePoint(p.value * cmath.exp(1j * math.tau * ang))
+    if isinstance(spec, MobiusConjugate):
+        inner = _reference_eval(spec.inner, apply_mobius(spec.h, p))
+        return apply_mobius(spec.h.inverse(), inner)
+    if isinstance(spec, Compose):
+        for part in reversed(spec.parts):
+            p = _reference_eval(part, p)
+        return p
+    if isinstance(spec, Inverse):
+        return _reference_eval(invert_spec(spec.inner), p)
+    if isinstance(spec, Power):
+        base = spec.inner if spec.q > 0 else invert_spec(spec.inner)
+        for _ in range(abs(spec.q)):
+            p = _reference_eval(base, p)
+        return p
+    raise TypeError(spec)
+
+
+def _wrapped(spec):
+    return (spec, Inverse(spec), Power(-2, spec), Power(3, spec))
+
+
+_CATALOG_SPECS = tuple(sc.map_spec for sc in identity_scenarios())
+_ALL_SPECS = tuple(w for spec in _CATALOG_SPECS for w in _wrapped(spec))
+
+
+def _conjugate_poles(spec):
+    """Points sent to infinity by the chart of some Mobius node."""
+    if isinstance(spec, MobiusConjugate):
+        h = spec.h
+        if h.c != 0:
+            yield -h.d / h.c
+        yield from _conjugate_poles(spec.inner)
+    elif isinstance(spec, (Inverse, Power)):
+        yield from _conjugate_poles(spec.inner)
+    elif isinstance(spec, Compose):
+        for part in spec.parts:
+            yield from _conjugate_poles(part)
+
+
+def _assert_same_image(spec, p: SpherePoint):
+    try:
+        expect = _reference_eval(spec, p)
+    except ValueError:
+        with pytest.raises(ValueError):
+            eval_map(spec, p)
+        return
+    got = eval_map(spec, p)
+    assert got == expect
+    direct = compile_map(spec)(p.z)
+    assert (direct is None) if expect.is_infinity else direct == expect.value
+
+
+@given(st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False))
+@settings(max_examples=60, deadline=None)
+def test_compiled_evaluation_is_bit_identical(z):
+    p = SpherePoint(z)
+    for spec in _ALL_SPECS:
+        _assert_same_image(spec, p)
+
+
+def test_compiled_evaluation_at_zero_infinity_and_poles():
+    for spec in _ALL_SPECS:
+        for p in (SpherePoint(0j), INFINITY, *map(SpherePoint, _conjugate_poles(spec))):
+            _assert_same_image(spec, p)
+
+
+def test_compiled_evaluation_rejects_overflow():
+    # |h(z)| overflows the float range, as a SpherePoint would refuse to hold
+    spec = MobiusConjugate(MobiusTransform(1e300, 0, 0, 1), golden_twist_spec(1))
+    with pytest.raises(ValueError):
+        _reference_eval(spec, SpherePoint(1e10 + 0j))
+    with pytest.raises(ValueError):
+        eval_map(spec, SpherePoint(1e10 + 0j))
+    with pytest.raises(ValueError):
+        compile_map(spec)(1e10 + 0j)
+    with pytest.raises(ValueError):
+        compile_map(golden_twist_spec(1))(complex(math.inf, 0.0))
+
+
+def test_compile_with_a_chart_change_applies_it_last():
+    h = MobiusTransform(1, -0.5, 1, -3)
+    spec = golden_twist_spec(2)
+    for z in (0.7 + 0.2j, 1.5 - 0.5j, 3 + 0j):
+        expect = apply_mobius(h, eval_map(spec, SpherePoint(z)))
+        got = compile_map(spec, then=h)(z)
+        assert (got is None) if expect.is_infinity else got == expect.value

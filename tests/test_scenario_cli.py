@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,8 @@ from rotquad.scenario import (
     tolerances_from_json,
 )
 from rotquad.algebra import quadratic_table
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +137,21 @@ def test_cli_compute_validation_exit(tmp_path, capsys):
     assert main(["compute", str(bad)]) == 2
     err = capsys.readouterr().err
     assert "NotFixed" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tuples", 5),
+    ("tolerances", {"max_refine_points": "big"}),
+    ("paths", [1, 2]),
+])
+def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
+    blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
+    blob[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(blob))
+    assert main(["compute", str(bad)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ScenarioError:") and "\n" not in err
 
 
 def test_cli_missing_file_is_validation_error(tmp_path):
