@@ -64,7 +64,7 @@ from .invariant import (
 )
 from .maps import Compose
 from .report import PASS, Report, _fmt_value, make_record
-from .scenario import Scenario, load_scenario
+from .scenario import Scenario, load_scenario, tolerances_from_json
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -128,10 +128,9 @@ def _effective_seed(args, scenario: Scenario | None) -> int:
 
 
 def _scenario_tol(scenario: Scenario, args):
-    tol = scenario.tolerances
-    if args.tol_winding is not None:
-        tol = dataclasses.replace(tol, winding_snap=args.tol_winding)
-    return tol
+    if args.tol_winding is None:
+        return scenario.tolerances
+    return tolerances_from_json({"winding_snap": args.tol_winding}, scenario.tolerances)
 
 
 def _emit(report: Report, args, verbose_records: bool) -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from cmath import isfinite
 from dataclasses import dataclass
 
 from .errors import (
@@ -64,8 +65,8 @@ class SpherePoint:
     def __post_init__(self):
         if self.z is not None:
             z = complex(self.z)
-            if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-                raise ValueError(f"finite coordinates required, got {z!r}")
+            if not isfinite(z):
+                raise _non_finite(z)
             object.__setattr__(self, "z", z)
 
     @property
@@ -84,6 +85,10 @@ class SpherePoint:
 
 
 INFINITY = SpherePoint(None)
+
+
+def _non_finite(w: complex) -> ValueError:
+    return ValueError(f"finite coordinates required, got {w!r}")
 
 
 def as_sphere_point(value) -> SpherePoint:
@@ -131,24 +136,39 @@ class MobiusTransform:
             self.c * other.b + self.d * other.d,
         )
 
-    def __call__(self, p) -> SpherePoint:
-        return apply_mobius(self, as_sphere_point(p))
-
 
 MOBIUS_IDENTITY = MobiusTransform(1, 0, 0, 1)
 
 
+def mobius_step(h: MobiusTransform):
+    """h as a function on bare coordinates: a complex number, None for infinity.
+
+    The pole goes exactly to None and infinity to a/c.  Like SpherePoint, a
+    non-finite image raises ValueError.
+    """
+    a, b, c, d = h.a, h.b, h.c, h.d
+    at_infinity = None if c == 0 else a / c
+
+    def step(z):
+        if z is None:
+            if at_infinity is not None and not isfinite(at_infinity):
+                raise _non_finite(at_infinity)
+            return at_infinity
+        den = c * z + d
+        if den == 0:
+            return None
+        w = (a * z + b) / den
+        if not isfinite(w):
+            raise _non_finite(w)
+        return w
+
+    return step
+
+
 def apply_mobius(h: MobiusTransform, p: SpherePoint) -> SpherePoint:
     """Evaluate h on the extended plane, with exact pole/infinity handling."""
-    if p.is_infinity:
-        if h.c == 0:
-            return INFINITY
-        return SpherePoint(h.a / h.c)
-    z = p.value
-    den = h.c * z + h.d
-    if den == 0:
-        return INFINITY
-    return SpherePoint((h.a * z + h.b) / den)
+    w = mobius_step(h)(p.z)
+    return INFINITY if w is None else SpherePoint(w)
 
 
 def mobius_normalize(x1: SpherePoint, x2: SpherePoint) -> MobiusTransform:
@@ -201,6 +221,10 @@ class Polyline:
             yield a, b
         if self.closed:
             yield verts[-1], verts[0]
+
+    def passes_within(self, p: complex, eps: float) -> bool:
+        """Whether some edge comes within eps of the point p."""
+        return any(point_segment_distance(p, a, b) <= eps for a, b in self.edges())
 
     def reversed_(self) -> "Polyline":
         return Polyline(self.vertices[::-1], self.closed)
@@ -256,13 +280,18 @@ def winding_number(loop: Polyline, p: complex, tol: Tolerances = DEFAULT_TOL) ->
     if not loop.closed:
         raise ValueError("winding number needs a closed polyline")
     p = complex(p)
-    for a, b in loop.edges():
-        if point_segment_distance(p, a, b) <= tol.eps_edge:
-            raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
+    if loop.passes_within(p, tol.eps_edge):
+        raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
     total = 0.0
     for a, b in loop.edges():
         total += _phase_step(a - p, b - p)
-    turns = total / TAU
+    return snap_turns(total, tol)
+
+
+def snap_turns(angle: float, tol: Tolerances) -> int:
+    """An angle in radians as whole turns; NonIntegerWinding unless it is
+    within ``tol.winding_snap`` of an integer number of turns."""
+    turns = angle / TAU
     nearest = round(turns)
     if abs(turns - nearest) > tol.winding_snap:
         raise NonIntegerWinding(f"angle sum {turns!r} turns is not close to an integer")
@@ -333,9 +362,10 @@ def refine_path_view(
     swings to a very different radius can hide whole turns while its
     endpoint phases agree, and the phase test alone would accept it.  The
     result is then homotopic, as a polyline in the punctured plane, to the
-    true image curve.  Raises PointOnLoop when the image hits the origin
-    or escapes past the chart (the source ran into a pole),
-    SamplingFailure when the point budget runs out.
+    true image curve.  ``view`` returns a complex number, or None for the
+    point at infinity.  Raises PointOnLoop when the image hits the origin
+    or escapes past the chart (None, or a magnitude past 1e100: the source
+    ran into a pole), SamplingFailure when the point budget runs out.
     """
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
@@ -345,6 +375,8 @@ def refine_path_view(
 
     def evaluate(z: complex) -> complex:
         w = view(z)
+        if w is None:
+            raise PointOnLoop("image path passes through the chart pole")
         w = complex(w)
         if w == 0:
             raise PointOnLoop("image path passes through the chart origin")

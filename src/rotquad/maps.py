@@ -19,11 +19,14 @@ from .errors import NotFixed
 from .geometry import (
     DEFAULT_TOL,
     INFINITY,
+    MOBIUS_IDENTITY,
     MobiusTransform,
     SpherePoint,
     Tolerances,
+    _non_finite,
     apply_mobius,
     as_sphere_point,
+    mobius_step,
 )
 
 TAU = math.tau
@@ -211,39 +214,15 @@ def invert_spec(spec: MapSpec) -> MapSpec:
 # compiled evaluation
 #
 # A spec is compiled once into a chain of steps on bare coordinates: a finite
-# complex number, or None for the point at infinity.  Each step does the
-# floating-point operations of the SpherePoint-level definitions (apply_mobius,
-# the twist formula) in the same order, so images are bit-identical to them;
-# only the per-node set-up (inverse charts, inverse specs, attribute lookups)
-# is hoisted out of the per-point work.  Like SpherePoint, a step rejects a
-# non-finite coordinate with ValueError.
+# complex number, or None for the point at infinity.  A Mobius node is
+# geometry.mobius_step, the one implementation of the Mobius formula (and the
+# one apply_mobius wraps); a twist step does the floating-point operations of
+# the twist formula in a fixed order.  Only the per-node set-up (inverse
+# charts, inverse specs, attribute lookups) is hoisted out of the per-point
+# work.  Like SpherePoint, a step rejects a non-finite coordinate with
+# ValueError.
 
 _TAU_I = 1j * TAU
-
-
-def _non_finite(w: complex) -> ValueError:
-    return ValueError(f"finite coordinates required, got {w!r}")
-
-
-def _mobius_step(h: MobiusTransform):
-    """apply_mobius(h, .) on coordinates."""
-    a, b, c, d = h.a, h.b, h.c, h.d
-    at_infinity = None if c == 0 else a / c
-
-    def step(z):
-        if z is None:
-            if at_infinity is not None and not isfinite(at_infinity):
-                raise _non_finite(at_infinity)
-            return at_infinity
-        den = c * z + d
-        if den == 0:
-            return None
-        w = (a * z + b) / den
-        if not isfinite(w):
-            raise _non_finite(w)
-        return w
-
-    return step
 
 
 def _twist_step(profile: RadialProfile):
@@ -281,7 +260,7 @@ def _steps(spec: MapSpec) -> list:
     if isinstance(spec, RadialTwist):
         return [_twist_step(spec.profile)]
     if isinstance(spec, MobiusConjugate):
-        return [_mobius_step(spec.h), *_steps(spec.inner), _mobius_step(spec.h.inverse())]
+        return [mobius_step(spec.h), *_steps(spec.inner), mobius_step(spec.h.inverse())]
     if isinstance(spec, Compose):
         return [s for part in reversed(spec.parts) for s in _steps(part)]
     if isinstance(spec, Inverse):
@@ -301,7 +280,7 @@ def compile_map(spec: MapSpec, then: MobiusTransform | None = None):
     """
     steps = _steps(spec)
     if then is not None:
-        steps.append(_mobius_step(then))
+        steps.append(mobius_step(then))
     steps = tuple(steps)
 
     def run(z):
@@ -330,26 +309,39 @@ def fixed_residual(spec: MapSpec, p: SpherePoint) -> float:
     return abs(image.value - p.value)
 
 
-def _axis_profile(spec: MapSpec) -> RadialProfile | None:
-    """Reduce spec to a single twist profile about the 0-inf axis, if possible."""
+def twist_chart(spec: MapSpec) -> tuple[MobiusTransform, RadialProfile] | None:
+    """Reduce spec to (chart H, profile) with spec = H^{-1} o twist o H, if possible."""
     if isinstance(spec, Identity):
-        return RadialProfile(((1.0, 0.0),))
+        return MOBIUS_IDENTITY, RadialProfile(((1.0, 0.0),))
     if isinstance(spec, RadialTwist):
-        return spec.profile
+        return MOBIUS_IDENTITY, spec.profile
+    if isinstance(spec, MobiusConjugate):
+        inner = twist_chart(spec.inner)
+        if inner is None:
+            return None
+        h0, prof = inner
+        return h0.compose(spec.h), prof
     if isinstance(spec, Inverse):
-        inner = _axis_profile(spec.inner)
-        return None if inner is None else inner.negated()
+        inner = twist_chart(spec.inner)
+        if inner is None:
+            return None
+        return inner[0], inner[1].negated()
     if isinstance(spec, Power):
-        inner = _axis_profile(spec.inner)
-        return None if inner is None else inner.scaled(spec.q)
+        inner = twist_chart(spec.inner)
+        if inner is None:
+            return None
+        return inner[0], inner[1].scaled(spec.q)
     if isinstance(spec, Compose):
-        total = None
-        for part in spec.parts:
-            prof = _axis_profile(part)
-            if prof is None:
-                return None
-            total = prof if total is None else total.added(prof)
-        return total
+        reduced = [twist_chart(part) for part in spec.parts]
+        if any(r is None for r in reduced):
+            return None
+        charts = {r[0] for r in reduced}
+        if len(charts) != 1:
+            return None
+        total = reduced[0][1]
+        for _, prof in reduced[1:]:
+            total = total.added(prof)
+        return reduced[0][0], total
     return None
 
 
@@ -375,9 +367,9 @@ def iterate_spec(spec: MapSpec, n: int) -> MapSpec:
     if isinstance(spec, Power):
         return iterate_spec(spec.inner, spec.q * n)
     if isinstance(spec, Compose):
-        prof = _axis_profile(spec)
-        if prof is not None:
-            return RadialTwist(prof.scaled(n), spec.marks)
+        reduced = twist_chart(spec)
+        if reduced is not None and reduced[0] == MOBIUS_IDENTITY:
+            return RadialTwist(reduced[1].scaled(n), spec.marks)
         if n < 0:
             return Power(-n, invert_spec(spec))
         return Power(n, spec)
@@ -406,22 +398,6 @@ def twist_budget(spec: MapSpec) -> float:
     raise TypeError(f"not a map spec: {spec!r}")
 
 
-def _collect_candidates(spec: MapSpec, tol: Tolerances) -> list[SpherePoint]:
-    """Structurally known fixed points plus declared marks, in spec coordinates."""
-    out: list[SpherePoint] = list(spec.marks)
-    if isinstance(spec, RadialTwist):
-        out.extend((SpherePoint(0j), INFINITY))
-    elif isinstance(spec, MobiusConjugate):
-        back = spec.h.inverse()
-        out.extend(apply_mobius(back, q) for q in _collect_candidates(spec.inner, tol))
-    elif isinstance(spec, (Inverse, Power)):
-        out.extend(_collect_candidates(spec.inner, tol))
-    elif isinstance(spec, Compose):
-        for part in spec.parts:
-            out.extend(_collect_candidates(part, tol))
-    return out
-
-
 def fixed_points(spec: MapSpec, extra=(), tol: Tolerances = DEFAULT_TOL) -> list[SpherePoint]:
     """Declared and structural fixed points, each validated against eval_map.
 
@@ -434,15 +410,18 @@ def fixed_points(spec: MapSpec, extra=(), tol: Tolerances = DEFAULT_TOL) -> list
         res = fixed_residual(spec, m)
         if res >= tol.fixed_tol:
             raise NotFixed(m, res)
+    walked = list(_walk_points(spec))
     must_hold = set()
-    for node_mark in _walk_marks(spec):
+    for node_mark, is_mark in walked:
+        if not is_mark:
+            continue
         res = fixed_residual(spec, node_mark)
         if res >= tol.fixed_tol:
             raise NotFixed(node_mark, res)
         must_hold.add(node_mark)
 
     seen: list[SpherePoint] = []
-    for cand in _collect_candidates(spec, tol) + declared:
+    for cand in [p for p, _ in walked] + declared:
         if cand in seen:
             continue
         if cand in must_hold or fixed_residual(spec, cand) < tol.fixed_tol:
@@ -450,18 +429,23 @@ def fixed_points(spec: MapSpec, extra=(), tol: Tolerances = DEFAULT_TOL) -> list
     return seen
 
 
-def _walk_marks(spec: MapSpec):
-    """Every declared mark, transported to the outermost coordinates."""
-    yield from spec.marks
-    if isinstance(spec, MobiusConjugate):
+def _walk_points(spec: MapSpec):
+    """Every declared mark and twist axis point, transported to the
+    outermost coordinates, as (point, is_mark) pairs."""
+    for m in spec.marks:
+        yield m, True
+    if isinstance(spec, RadialTwist):
+        yield SpherePoint(0j), False
+        yield INFINITY, False
+    elif isinstance(spec, MobiusConjugate):
         back = spec.h.inverse()
-        for m in _walk_marks(spec.inner):
-            yield apply_mobius(back, m)
+        for q, is_mark in _walk_points(spec.inner):
+            yield apply_mobius(back, q), is_mark
     elif isinstance(spec, (Inverse, Power)):
-        yield from _walk_marks(spec.inner)
+        yield from _walk_points(spec.inner)
     elif isinstance(spec, Compose):
         for part in spec.parts:
-            yield from _walk_marks(part)
+            yield from _walk_points(part)
 
 
 def _structural_rotation(

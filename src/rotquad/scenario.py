@@ -9,6 +9,7 @@ numbers are [re, im] pairs and the point at infinity is the string "inf".
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from fractions import Fraction
 
@@ -112,31 +113,26 @@ def _marks_from_json(obj) -> tuple[SpherePoint, ...]:
 
 def map_to_json(spec: MapSpec) -> dict:
     if isinstance(spec, Identity):
-        return {"type": "identity"}
-    if isinstance(spec, RadialTwist):
+        out = {"type": "identity"}
+    elif isinstance(spec, RadialTwist):
         out = {"type": "radial_twist", "profile": profile_to_json(spec.profile)}
-        if spec.marks:
-            out["marks"] = _marks_to_json(spec.marks)
-        return out
-    if isinstance(spec, MobiusConjugate):
+    elif isinstance(spec, MobiusConjugate):
         out = {
             "type": "mobius_conjugate",
             "h": mobius_to_json(spec.h),
             "inner": map_to_json(spec.inner),
         }
-        if spec.marks:
-            out["marks"] = _marks_to_json(spec.marks)
-        return out
-    if isinstance(spec, Compose):
+    elif isinstance(spec, Compose):
         out = {"type": "compose", "parts": [map_to_json(p) for p in spec.parts]}
-        if spec.marks:
-            out["marks"] = _marks_to_json(spec.marks)
-        return out
-    if isinstance(spec, Inverse):
-        return {"type": "inverse", "inner": map_to_json(spec.inner)}
-    if isinstance(spec, Power):
-        return {"type": "power", "q": spec.q, "inner": map_to_json(spec.inner)}
-    raise ScenarioError(f"unknown map node {type(spec).__name__}")
+    elif isinstance(spec, Inverse):
+        out = {"type": "inverse", "inner": map_to_json(spec.inner)}
+    elif isinstance(spec, Power):
+        out = {"type": "power", "q": spec.q, "inner": map_to_json(spec.inner)}
+    else:
+        raise ScenarioError(f"unknown map node {type(spec).__name__}")
+    if spec.marks:
+        out["marks"] = _marks_to_json(spec.marks)
+    return out
 
 
 def map_from_json(obj) -> MapSpec:
@@ -144,28 +140,23 @@ def map_from_json(obj) -> MapSpec:
         raise ScenarioError(f"a map node must be a dict with a 'type', got {obj!r}")
     kind = obj["type"]
     try:
+        marks = _marks_from_json(obj.get("marks"))
         if kind == "identity":
-            return Identity()
+            return Identity(marks)
         if kind == "radial_twist":
-            return RadialTwist(
-                profile_from_json(obj["profile"]),
-                marks=_marks_from_json(obj.get("marks")),
-            )
+            return RadialTwist(profile_from_json(obj["profile"]), marks)
         if kind == "mobius_conjugate":
-            return MobiusConjugate(
-                mobius_from_json(obj["h"]),
-                map_from_json(obj["inner"]),
-                marks=_marks_from_json(obj.get("marks")),
-            )
+            return MobiusConjugate(mobius_from_json(obj["h"]), map_from_json(obj["inner"]), marks)
         if kind == "compose":
-            return Compose(
-                tuple(map_from_json(p) for p in obj["parts"]),
-                marks=_marks_from_json(obj.get("marks")),
-            )
+            return Compose(tuple(map_from_json(p) for p in obj["parts"]), marks)
         if kind == "inverse":
-            return Inverse(map_from_json(obj["inner"]))
+            return Inverse(map_from_json(obj["inner"]), marks)
         if kind == "power":
-            return Power(int(obj["q"]), map_from_json(obj["inner"]))
+            q = obj["q"]
+            if isinstance(q, bool) or not (
+                    isinstance(q, int) or isinstance(q, float) and q.is_integer()):
+                raise ScenarioError(f"a power exponent must be an integer, got {q!r}")
+            return Power(int(q), map_from_json(obj["inner"]), marks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {kind!r} map node: {exc}") from exc
     raise ScenarioError(f"unknown map type {kind!r}")
@@ -175,6 +166,8 @@ def map_from_json(obj) -> MapSpec:
 # tolerance overrides
 
 _TOL_TYPES = {f.name: type(f.default) for f in dc_fields(Tolerances)}
+# the least value of each integer field; float fields are finite and non-negative
+_TOL_INT_MIN = {"max_refine_points": 1, "jitter_attempts": 0}
 
 
 def tolerances_from_json(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
@@ -191,6 +184,15 @@ def tolerances_from_json(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
         if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
             kind = "an integer" if integral else "a number"
             raise ScenarioError(f"tolerance {name!r} must be {kind}, got {value!r}")
+        if integral and value < _TOL_INT_MIN[name]:
+            raise ScenarioError(
+                f"tolerance {name!r} must be at least {_TOL_INT_MIN[name]}, got {value!r}")
+        if not integral and (isinstance(value, float) and not math.isfinite(value) or value < 0):
+            raise ScenarioError(f"tolerance {name!r} must be finite and non-negative, got {value!r}")
+        # every angle sum lies within one half of an integer, so a snap of
+        # 0.5 or more would accept any sum as a whole number of turns
+        if name == "winding_snap" and not 0 < value < 0.5:
+            raise ScenarioError(f"tolerance 'winding_snap' must lie in (0, 0.5), got {value!r}")
     return replace(base, **obj)
 
 

@@ -227,6 +227,13 @@ def test_refine_rejects_sample_at_origin():
         refine_path_view([-1 + 0j, 1 + 0j], lambda z: z, closed=False, tol=DEFAULT_TOL)
 
 
+def test_refine_rejects_sample_at_the_pole():
+    # a view returns None for the point at infinity: the source hit the pole
+    view = lambda z: None if z == 0.5 else 1 / (z - 0.5)
+    with pytest.raises(PointOnLoop):
+        refine_path_view([0j, 1 + 0j], view, closed=False, tol=DEFAULT_TOL)
+
+
 # ---------------------------------------------------------------------------
 # property checks
 

@@ -8,7 +8,9 @@ import pytest
 
 from rotquad import (
     INFINITY,
+    Inverse,
     Polyline,
+    Power,
     ScenarioError,
     load_scenario,
     save_scenario,
@@ -20,6 +22,8 @@ from rotquad.cli import main
 from rotquad.scenario import (
     g_from_json,
     g_to_json,
+    map_from_json,
+    map_to_json,
     table_from_json,
     table_to_json,
     tolerances_from_json,
@@ -36,6 +40,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 def test_scenario_json_round_trip():
     sc = golden_twist_scenario(2)
     assert scenario_from_json(scenario_to_json(sc)) == sc
+    # declared marks survive on every node type
+    for spec in (Inverse(sc.map_spec, marks=(0j,)), Power(2, sc.map_spec, marks=(INFINITY,))):
+        assert map_from_json(map_to_json(spec)) == spec
 
 
 def test_all_catalog_scenarios_round_trip():
@@ -74,8 +81,10 @@ def test_infinity_and_polyline_codecs():
 
 
 def test_tolerance_overrides():
-    base = tolerances_from_json({"winding_snap": 0.5})
-    assert base.winding_snap == 0.5
+    base = tolerances_from_json({"winding_snap": 0.25})
+    assert base.winding_snap == 0.25
+    with pytest.raises(ScenarioError):
+        tolerances_from_json({"winding_snap": 0.5})
     with pytest.raises(ScenarioError):
         tolerances_from_json({"no_such_knob": 1.0})
 
@@ -143,6 +152,14 @@ def test_cli_compute_validation_exit(tmp_path, capsys):
     ("tuples", 5),
     ("tolerances", {"max_refine_points": "big"}),
     ("paths", [1, 2]),
+    ("map", {"type": "power", "q": 2.7, "inner": {"type": "identity"}}),
+    ("map", {"type": "power", "q": True, "inner": {"type": "identity"}}),
+    ("tolerances", {"winding_snap": 0.6}),
+    ("tolerances", {"winding_snap": 0}),
+    ("tolerances", {"jitter_attempts": -1}),
+    ("tolerances", {"max_refine_points": 0}),
+    ("tolerances", {"eps_edge": -1e-9}),
+    ("tolerances", {"fixed_tol": float("inf")}),
 ])
 def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
     blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
@@ -150,6 +167,14 @@ def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(blob))
     assert main(["compute", str(bad)]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ScenarioError:") and "\n" not in err
+
+
+@pytest.mark.parametrize("snap", ["0.6", "0", "nan"])
+def test_cli_tol_winding_out_of_range_exits_2(capsys, snap):
+    args = ["compute", str(SCENARIOS / "twist-by-1.json"), "--tol-winding", snap]
+    assert main(args) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ScenarioError:") and "\n" not in err
 
