@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .errors import (
     CoincidentPoints,
     DegenerateCrossing,
+    GeometryFailure,
     InconclusiveComputation,
     MixedCoincidence,
     NonIntegerWinding,

@@ -17,10 +17,10 @@ import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import NotFixed, ParseError, RelationViolated
+from .errors import ParseError, RelationViolated
 from .geometry import DEFAULT_TOL, Tolerances, as_sphere_point
 from .invariant import RfEvaluator
-from .maps import MapSpec, fixed_residual
+from .maps import MapSpec, require_fixed
 
 FLOAT_EQ_TOL = 1e-9
 
@@ -523,10 +523,7 @@ def rf_table(
         raise ValueError("need at least four points")
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
-    for p in pts:
-        res = fixed_residual(spec, p)
-        if res >= tol.fixed_tol:
-            raise NotFixed(p, res)
+    require_fixed(spec, pts, tol)
     ev = RfEvaluator(spec, tol, seed)
     labels = tuple(range(len(pts)))
     values = {}

@@ -40,15 +40,12 @@ from .algebra import (
 from .catalog import homomorphism_pairs, identity_scenarios
 from .errors import (
     CoincidentPoints,
-    DegenerateCrossing,
+    GeometryFailure,
     InconclusiveComputation,
     MixedCoincidence,
-    NonIntegerWinding,
     NotFixed,
     ParseError,
-    PointOnLoop,
     RelationViolated,
-    SamplingFailure,
     ScenarioError,
     TangentCondition,
 )
@@ -248,7 +245,7 @@ def cmd_compute(args) -> int:
         for pname, path in _matching_paths(scenario, t):
             try:
                 v = rf_loop(scenario.map_spec, t, path, tol)
-            except (PointOnLoop, DegenerateCrossing, NonIntegerWinding, SamplingFailure):
+            except GeometryFailure:
                 report.add(make_record(
                     f"declared_path[{pname}]", label, "declared path value", (), None))
                 continue
@@ -543,8 +540,7 @@ def main(argv=None) -> int:
             MixedCoincidence, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SamplingFailure, NonIntegerWinding, InconclusiveComputation,
-            TangentCondition, PointOnLoop, DegenerateCrossing) as exc:
+    except (GeometryFailure, InconclusiveComputation, TangentCondition) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

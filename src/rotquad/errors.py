@@ -9,22 +9,28 @@ class CoincidentPoints(RotquadError):
     """Two marked points that must be distinct coincide."""
 
 
-class PointOnLoop(RotquadError):
+class GeometryFailure(RotquadError):
+    """The chosen paths or loops cannot carry the computation, or their
+    sampling ran out of budget.  Evaluators retry these with another path
+    and report the value inconclusive when every attempt fails."""
+
+
+class PointOnLoop(GeometryFailure):
     """A reference point sits on (or within tolerance of) a loop edge,
     so the winding number is undefined."""
 
 
-class NonIntegerWinding(RotquadError):
+class NonIntegerWinding(GeometryFailure):
     """An accumulated angle failed to land near an integer multiple of a
     full turn.  Signals numerical trouble, never a legitimate value."""
 
 
-class DegenerateCrossing(RotquadError):
+class DegenerateCrossing(GeometryFailure):
     """Two segments touch at an endpoint, overlap collinearly, or cross
     too close to parallel for the sign to be trusted."""
 
 
-class SamplingFailure(RotquadError):
+class SamplingFailure(GeometryFailure):
     """Adaptive refinement exhausted its point budget."""
 
 

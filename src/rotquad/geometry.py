@@ -347,6 +347,59 @@ def segment_crossing(
     return 1 if denom > 0 else -1
 
 
+def bisect_path(
+    vertices: list[complex],
+    evaluate,
+    accept,
+    closed: bool,
+    tol: Tolerances,
+    stuck: Exception,
+) -> list[complex]:
+    """Map a polyline through ``evaluate``, bisecting edges until ``accept``.
+
+    The first vertex is evaluated, then each edge (and the wrap edge when
+    ``closed``) is bisected on the actual segment until ``accept(wa, wb)``
+    holds for the images of every sub-segment's endpoints.  Returns the
+    accepted images in order; a closed result does not repeat its first
+    point.  Raises SamplingFailure when more than ``tol.max_refine_points``
+    sub-segments are accepted, and ``stuck`` when a sub-segment is still
+    rejected after 60 bisections.
+    """
+    budget = tol.max_refine_points
+    out = [evaluate(vertices[0])]
+    edge_list = list(zip(vertices, vertices[1:]))
+    if closed:
+        edge_list.append((vertices[-1], vertices[0]))
+
+    for edge_index, (a, b) in enumerate(edge_list):
+        wa = out[-1]
+        wb = out[0] if (closed and edge_index == len(edge_list) - 1) else evaluate(b)
+        # Stack of sub-segments still to emit, nearest first.
+        stack = [(a, b, wa, wb, 0)]
+        while stack:
+            sa, sb, swa, swb, depth = stack.pop()
+            if accept(swa, swb):
+                budget -= 1
+                if budget < 0:
+                    raise SamplingFailure("refinement budget exhausted")
+                out.append(swb)
+                continue
+            if depth > 60:
+                raise stuck
+            mid = 0.5 * (sa + sb)
+            wm = evaluate(mid)
+            stack.append((mid, sb, wm, swb, depth + 1))
+            stack.append((sa, mid, swa, wm, depth + 1))
+    if closed:
+        out.pop()  # the wrap edge ends where the sequence began
+    return out
+
+
+def _tame_step(w0: complex, w1: complex) -> bool:
+    """Chord shorter than 0.8 of the smaller endpoint radius, phase step below pi/2."""
+    return abs(w1 - w0) < 0.8 * min(abs(w0), abs(w1)) and abs(_phase_step(w0, w1)) < math.pi / 2
+
+
 def refine_path_view(
     vertices,
     view,
@@ -360,18 +413,21 @@ def refine_path_view(
     seen from the origin AND are close together relative to their distance
     from the origin.  The second condition matters: a segment whose image
     swings to a very different radius can hide whole turns while its
-    endpoint phases agree, and the phase test alone would accept it.  The
-    result is then homotopic, as a polyline in the punctured plane, to the
-    true image curve.  ``view`` returns a complex number, or None for the
-    point at infinity.  Raises PointOnLoop when the image hits the origin
-    or escapes past the chart (None, or a magnitude past 1e100: the source
-    ran into a pole), SamplingFailure when the point budget runs out.
+    endpoint phases agree, and the phase test alone would accept it.  Both
+    tests read only the endpoints of a sub-segment, so an image that wraps
+    a whole turn between two vertices passes unseen: the result is
+    homotopic, as a polyline in the punctured plane, to the true image
+    curve only when the vertices are as dense as ``invariant._seeds``
+    makes them (at one seed per edge the identity battery returned wrong
+    integers).  ``view`` returns a complex number, or None for the point
+    at infinity.  Raises PointOnLoop when the image hits the origin or
+    escapes past the chart (None, or a magnitude past 1e100: the source
+    ran into a pole), SamplingFailure when the point budget runs out or an
+    edge cannot be refined.
     """
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
         raise ValueError("need at least two vertices")
-
-    budget = tol.max_refine_points
 
     def evaluate(z: complex) -> complex:
         w = view(z)
@@ -384,34 +440,8 @@ def refine_path_view(
             raise PointOnLoop("image path escapes the chart (source hits a pole)")
         return w
 
-    out = [evaluate(verts[0])]
-    edge_list = list(zip(verts, verts[1:]))
-    if closed:
-        edge_list.append((verts[-1], verts[0]))
-
-    for edge_index, (a, b) in enumerate(edge_list):
-        wa = out[-1]
-        wb = out[0] if (closed and edge_index == len(edge_list) - 1) else evaluate(b)
-        # Stack of sub-segments still to emit, nearest first.
-        stack = [(a, b, wa, wb, 0)]
-        while stack:
-            sa, sb, swa, swb, depth = stack.pop()
-            chord = abs(swb - swa)
-            if chord < 0.8 * min(abs(swa), abs(swb)) and abs(_phase_step(swa, swb)) < math.pi / 2:
-                budget -= 1
-                if budget < 0:
-                    raise SamplingFailure("refinement budget exhausted")
-                out.append(swb)
-                continue
-            if depth > 60:
-                raise SamplingFailure("edge cannot be refined further")
-            mid = 0.5 * (sa + sb)
-            wm = evaluate(mid)
-            stack.append((mid, sb, wm, swb, depth + 1))
-            stack.append((sa, mid, swa, wm, depth + 1))
-    if closed:
-        out.pop()  # the wrap edge ends where the sequence began
-    return out
+    return bisect_path(verts, evaluate, _tame_step, closed, tol,
+                       SamplingFailure("edge cannot be refined further"))
 
 
 def dedupe_consecutive(points, closed: bool = False) -> list[complex]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PointOnLoop, SamplingFailure
+from .errors import PointOnLoop
 from .geometry import (
     DEFAULT_TOL,
     Polyline,
@@ -18,6 +18,7 @@ from .geometry import (
     Tolerances,
     apply_mobius,  # unused here; kept as the name perfbench's tracer wraps
     as_sphere_point,
+    bisect_path,
     dedupe_consecutive,
     mobius_normalize,
     mobius_step,
@@ -115,7 +116,6 @@ def resample_under(
     distance to every protected point, so each image chord is homotopic to
     the true image arc in the complement of the protected set.
     """
-    verts = [complex(v) for v in vertices]
 
     def ok(w0: complex, w1: complex) -> bool:
         step = abs(w1 - w0)
@@ -126,32 +126,8 @@ def resample_under(
                 return False
         return True
 
-    budget = tol.max_refine_points
-    out = [complex(f(verts[0]))]
-    edge_list = list(zip(verts, verts[1:]))
-    if closed:
-        edge_list.append((verts[-1], verts[0]))
-    for edge_index, (a, b) in enumerate(edge_list):
-        wa = out[-1]
-        wb = out[0] if (closed and edge_index == len(edge_list) - 1) else complex(f(b))
-        stack = [(a, b, wa, wb, 0)]
-        while stack:
-            sa, sb, swa, swb, depth = stack.pop()
-            if ok(swa, swb):
-                budget -= 1
-                if budget < 0:
-                    raise SamplingFailure("resampling budget exhausted")
-                out.append(swb)
-                continue
-            if depth > 60:
-                raise PointOnLoop("image path cannot be separated from a marked point")
-            mid = 0.5 * (sa + sb)
-            wm = complex(f(mid))
-            stack.append((mid, sb, wm, swb, depth + 1))
-            stack.append((sa, mid, swa, wm, depth + 1))
-    if closed:
-        out.pop()
-    return out
+    return bisect_path([complex(v) for v in vertices], lambda z: complex(f(z)), ok, closed, tol,
+                       PointOnLoop("image path cannot be separated from a marked point"))
 
 
 def homeo_invariance_check(pair: MarkedPathPair, f, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -17,13 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DegenerateCrossing,
+    GeometryFailure,
     InconclusiveComputation,
     MixedCoincidence,
-    NonIntegerWinding,
     NotFixed,
     PointOnLoop,
-    SamplingFailure,
     ScenarioError,
     TangentCondition,
 )
@@ -56,6 +54,7 @@ from .maps import (
     eval_map,  # unused here; kept as the name perfbench's tracer wraps
     fixed_residual,
     iterate_spec,
+    require_fixed,
     rigid_rotation_angle,
     twist_budget,
     twist_chart,
@@ -138,13 +137,6 @@ def _require_distinct(t: MarkedTuple):
     return kind
 
 
-def _validate_fixed(spec: MapSpec, points, tol: Tolerances):
-    for p in points:
-        res = fixed_residual(spec, p)
-        if res >= tol.fixed_tol:
-            raise NotFixed(p, res)
-
-
 def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol: Tolerances):
     if beta.closed:
         raise ValueError("the connecting path must be open")
@@ -165,35 +157,34 @@ def _densify(vertices, per_edge: int) -> list[complex]:
     polyline is unchanged.
     """
     verts = [complex(v) for v in vertices]
-    if per_edge <= 1:
-        return verts
     out = [verts[0]]
     for a, b in zip(verts, verts[1:]):
-        step = (b - a) / per_edge
-        out.extend(a + step * j for j in range(1, per_edge))
+        out.extend(a + (b - a) * (j / per_edge) for j in range(1, per_edge))
         out.append(b)
     return out
 
 
+def _seeds(vertices, spec: MapSpec, tol: Tolerances) -> list[complex]:
+    """The vertices densified to the seed count the refinement needs.
+
+    No edge may wrap an exact integer number of image turns between
+    consecutive seeds: such a wrap leaves the endpoint phases equal and the
+    subdivision criterion would never fire.  32 seeds per potential turn
+    bounds the per-seed wrap well under half a turn even when the twisting
+    concentrates on a short parameter interval.
+    """
+    n_edges = max(1, len(vertices) - 1)
+    per_edge = int(min(tol.max_refine_points // (4 * n_edges),
+                       32 * (2 + math.ceil(twist_budget(spec)))))
+    return _densify(vertices, per_edge)
+
+
 def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
-    _validate_fixed(spec, t.points, tol)
+    require_fixed(spec, t.points, tol)
     _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
     # the chart x1 -> 0, x2 -> inf
     h = mobius_normalize(t.x1, t.x2)
-    # Seed the refinement with enough samples per edge that no edge can
-    # wrap an exact integer number of image turns between consecutive
-    # seeds: such a wrap leaves the endpoint phases equal and the
-    # subdivision criterion would never fire.  32 seeds per potential turn
-    # bounds the per-seed wrap well under half a turn even when the
-    # twisting concentrates on a short parameter interval.
-    n_edges = max(1, len(beta.vertices) - 1)
-    per_edge = int(
-        min(
-            tol.max_refine_points // (4 * n_edges),
-            32 * (2 + math.ceil(twist_budget(spec))),
-        )
-    )
-    seeds = _densify(beta.vertices, per_edge)
+    seeds = _seeds(beta.vertices, spec, tol)
     forward = refine_path_view(seeds, compile_map(spec, then=h), closed=False, tol=tol)
     base = refine_path_view(seeds, mobius_step(h), closed=False, tol=tol)
     return forward, base
@@ -293,7 +284,7 @@ def rf_blowup(
     x4 = as_sphere_point(x4)
     if len({p, x2, x4}) != 3:
         raise ValueError("p, x2, x4 must be pairwise distinct")
-    _validate_fixed(spec, (p, x2, x4), tol)
+    require_fixed(spec, (p, x2, x4), tol)
     if rigid_rotation_angle(spec, p, tol) is None:
         raise TangentCondition(
             f"the germ at {p!r} is not an exact rigid rotation; "
@@ -313,14 +304,7 @@ def rf_blowup(
     y4 = apply_mobius(h, x4)
     assert not y4.is_infinity and y4.value != 0
 
-    # The image spiral can wrap an exact integer number of turns, which
-    # endpoint-phase refinement cannot see; seed the sampling densely
-    # enough that no segment's true image can turn more than a fraction
-    # of a half turn.
-    budget = twist_budget(iterated)
-    n_pre = int(min(tol.max_refine_points // 4, 32 * (2 + math.ceil(budget))))
-    start = y4.value * 1e-6
-    beta = [start + (y4.value - start) * (j / n_pre) for j in range(n_pre + 1)]
+    beta = _seeds([y4.value * 1e-6, y4.value], iterated, tol)
 
     forward = refine_path_view(beta, compile_map(iterated), closed=False, tol=tol)
     turns = (path_turns(forward) - path_turns(beta)) / TAU
@@ -339,7 +323,7 @@ def rf_double_blowup(spec: MapSpec, p1, p2, tol: Tolerances = DEFAULT_TOL) -> fl
     p2 = as_sphere_point(p2)
     if p1 == p2:
         raise ValueError("p1 and p2 must be distinct")
-    _validate_fixed(spec, (p1, p2), tol)
+    require_fixed(spec, (p1, p2), tol)
     h = mobius_normalize(p1, p2)
     normalized = spec if h == MOBIUS_IDENTITY else MobiusConjugate(h.inverse(), spec)
     inner = rigid_rotation_angle(normalized, SpherePoint(0j), tol)
@@ -393,7 +377,7 @@ def rf_periodic(
     if q < 1:
         raise ValueError("the period must be positive")
     power = iterate_spec(spec, q)
-    _validate_fixed(power, t.points, tol)
+    require_fixed(power, t.points, tol)
     return Fraction(rf_loop(power, t, beta, tol), q)
 
 
@@ -448,24 +432,23 @@ _PRECHART_ANCHORS = (
 )
 
 
-def _prechart(spec: MapSpec, points):
+def _prechart(spec: MapSpec, t: MarkedTuple) -> tuple[MapSpec, MarkedTuple]:
     """Conjugate with 1/(z-c) when a path endpoint sits at infinity.
 
     The invariant is unchanged under simultaneous conjugation of the map
     and the points, and the connecting-path machinery needs finite
     endpoints.  No-op when the third and fourth points are finite.
     """
-    pts = [as_sphere_point(p) for p in points]
-    if not (pts[2].is_infinity or pts[3].is_infinity):
-        return spec, pts
-    finite = [p.value for p in pts if not p.is_infinity]
+    if not (t.x3.is_infinity or t.x4.is_infinity):
+        return spec, t
+    finite = [p.value for p in t.points if not p.is_infinity]
     scale = max([abs(z) for z in finite] + [1.0])
     for anchor in _PRECHART_ANCHORS:
         c = anchor * scale
         if all(abs(z - c) > 1e-3 * scale for z in finite):
             m = MobiusTransform(0, 1, 1, -c)
             moved = MobiusConjugate(m.inverse(), spec)
-            return moved, [apply_mobius(m, p) for p in pts]
+            return moved, MarkedTuple(*(apply_mobius(m, p) for p in t.points))
     raise ScenarioError("could not find a chart anchor clear of the marked points")
 
 
@@ -499,9 +482,8 @@ class RfEvaluator:
         key = t.points
         if key in self._cache:
             return self._cache[key]
-        spec, pts = _prechart(self.spec, t.points)
-        y1, y2, y3, y4 = pts
-        tuple_ = MarkedTuple(y1, y2, y3, y4)
+        spec, moved = _prechart(self.spec, t)
+        y1, y2, y3, y4 = moved.points
         last_error: Exception | None = None
         for attempt in range(self.tol.jitter_attempts + 1):
             rng = random.Random(f"{self.seed}|{key!r}|{attempt}")
@@ -514,15 +496,14 @@ class RfEvaluator:
                     y3.value, y4.value, avoid=(y1, y2), variant=attempt,
                     jitter=jitter, tol=self.tol,
                 )
-                value, check = _loop_and_lift(spec, tuple_, beta, self.tol)
+                value, check = _loop_and_lift(spec, moved, beta, self.tol)
                 if check != value:
                     raise InconclusiveComputation(
                         f"loop and lift methods disagree: {value} vs {check}"
                     )
                 self._cache[key] = value
                 return value
-            except (PointOnLoop, DegenerateCrossing, NonIntegerWinding,
-                    SamplingFailure, ScenarioError) as err:
+            except (GeometryFailure, ScenarioError) as err:
                 last_error = err
         raise InconclusiveComputation(
             f"no admissible geometry after {self.tol.jitter_attempts + 1} attempts: "
@@ -552,7 +533,7 @@ def synthesize_twist_trace(
     """
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
-    _validate_fixed(spec, t.points, tol)
+    require_fixed(spec, t.points, tol)
     reduced = twist_chart(spec)
     if reduced is None:
         raise ScenarioError("no canonical isotopy known for this map")
@@ -623,9 +604,9 @@ def verify_rf_identities(
         raise ScenarioError("the identity suite needs at least five marked points")
     if len(set(pts)) != len(pts):
         raise ScenarioError("marked points must be pairwise distinct")
-    _validate_fixed(spec, pts, tol)
+    require_fixed(spec, pts, tol)
     if g_spec is not None:
-        _validate_fixed(g_spec, pts, tol)
+        require_fixed(g_spec, pts, tol)
 
     names = _label(pts)
     x1, x2, x3, x4, w = pts[:5]
@@ -635,8 +616,7 @@ def verify_rf_identities(
     def run(name, inputs, relation, probe):
         try:
             values, ok, residual = probe()
-        except (InconclusiveComputation, PointOnLoop, DegenerateCrossing,
-                NonIntegerWinding, SamplingFailure, ScenarioError):
+        except (InconclusiveComputation, GeometryFailure, ScenarioError):
             records.append(make_record(name, inputs, relation, (), None))
         else:
             records.append(make_record(name, inputs, relation, values, ok, residual))
@@ -780,12 +760,10 @@ def verify_rf_identities(
         )
 
     def probe_beta_independence():
-        spec2, pts2 = _prechart(spec, (x1, x2, x3, x4))
-        y1, y2, y3, y4 = pts2
-        t2 = MarkedTuple(y1, y2, y3, y4)
+        spec2, t2 = _prechart(spec, MarkedTuple(x1, x2, x3, x4))
         values = []
         for variant in (0, 2, 4):
-            beta = connecting_path(y3.value, y4.value, avoid=(y1, y2),
+            beta = connecting_path(t2.x3.value, t2.x4.value, avoid=(t2.x1, t2.x2),
                                    variant=variant, tol=tol)
             values.append(rf_loop(spec2, t2, beta, tol))
         ok = len(set(values)) == 1
@@ -799,10 +777,8 @@ def verify_rf_identities(
     )
 
     def probe_methods():
-        spec2, pts2 = _prechart(spec, (x1, x2, x3, x4))
-        y1, y2, y3, y4 = pts2
-        t2 = MarkedTuple(y1, y2, y3, y4)
-        beta = connecting_path(y3.value, y4.value, avoid=(y1, y2), tol=tol)
+        spec2, t2 = _prechart(spec, MarkedTuple(x1, x2, x3, x4))
+        beta = connecting_path(t2.x3.value, t2.x4.value, avoid=(t2.x1, t2.x2), tol=tol)
         a, b = _loop_and_lift(spec2, t2, beta, tol)
         values = [a, b]
         try:

@@ -309,6 +309,14 @@ def fixed_residual(spec: MapSpec, p: SpherePoint) -> float:
     return abs(image.value - p.value)
 
 
+def require_fixed(spec: MapSpec, points, tol: Tolerances) -> None:
+    """Raise NotFixed for the first of points that spec moves by fixed_tol or more."""
+    for p in points:
+        res = fixed_residual(spec, p)
+        if res >= tol.fixed_tol:
+            raise NotFixed(p, res)
+
+
 def twist_chart(spec: MapSpec) -> tuple[MobiusTransform, RadialProfile] | None:
     """Reduce spec to (chart H, profile) with spec = H^{-1} o twist o H, if possible."""
     if isinstance(spec, Identity):
@@ -406,19 +414,10 @@ def fixed_points(spec: MapSpec, extra=(), tol: Tolerances = DEFAULT_TOL) -> list
     happens not to fix are dropped silently.
     """
     declared = list(_marks_tuple(extra))
-    for m in declared:
-        res = fixed_residual(spec, m)
-        if res >= tol.fixed_tol:
-            raise NotFixed(m, res)
     walked = list(_walk_points(spec))
-    must_hold = set()
-    for node_mark, is_mark in walked:
-        if not is_mark:
-            continue
-        res = fixed_residual(spec, node_mark)
-        if res >= tol.fixed_tol:
-            raise NotFixed(node_mark, res)
-        must_hold.add(node_mark)
+    marks = [p for p, is_mark in walked if is_mark]
+    require_fixed(spec, declared + marks, tol)
+    must_hold = set(marks)
 
     seen: list[SpherePoint] = []
     for cand in [p for p, _ in walked] + declared:
@@ -546,9 +545,7 @@ def differential_rotation(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> fl
     approximate.
     """
     p = as_sphere_point(p)
-    res = fixed_residual(spec, p)
-    if res >= tol.fixed_tol:
-        raise NotFixed(p, res)
+    require_fixed(spec, (p,), tol)
     angle = _structural_rotation(spec, p, rigid_only=False, tol=tol)
     if angle is None:
         angle = _fd_rotation(spec, p)
@@ -558,7 +555,5 @@ def differential_rotation(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> fl
 def rigid_rotation_angle(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> float | None:
     """The exact local angle when the germ at p is a rigid rotation, else None."""
     p = as_sphere_point(p)
-    res = fixed_residual(spec, p)
-    if res >= tol.fixed_tol:
-        raise NotFixed(p, res)
+    require_fixed(spec, (p,), tol)
     return _structural_rotation(spec, p, rigid_only=True, tol=tol)

@@ -11,10 +11,14 @@ from rotquad import (
     DEFAULT_TOL,
     INFINITY,
     CoincidentPoints,
+    DegenerateCrossing,
+    GeometryFailure,
+    InconclusiveComputation,
     MobiusTransform,
     NonIntegerWinding,
     PointOnLoop,
     Polyline,
+    SamplingFailure,
     SpherePoint,
     Tolerances,
     apply_mobius,
@@ -232,6 +236,28 @@ def test_refine_rejects_sample_at_the_pole():
     view = lambda z: None if z == 0.5 else 1 / (z - 0.5)
     with pytest.raises(PointOnLoop):
         refine_path_view([0j, 1 + 0j], view, closed=False, tol=DEFAULT_TOL)
+
+
+def test_geometry_failures_share_one_base():
+    for cls in (PointOnLoop, DegenerateCrossing, NonIntegerWinding, SamplingFailure):
+        assert issubclass(cls, GeometryFailure)
+    assert not issubclass(InconclusiveComputation, GeometryFailure)
+
+
+@pytest.mark.parametrize(
+    "view, tol, reason",
+    [
+        # the hidden full turn needs bisection, but only one chord is allowed
+        (lambda z: z * cmath.exp(1j * math.tau * (z.real - 1.0)), Tolerances(max_refine_points=1),
+         "budget exhausted"),
+        # a phase jump of pi at Re z = 1.5 survives every bisection
+        (lambda z: z if z.real < 1.5 else -z, DEFAULT_TOL, "cannot be refined"),
+    ],
+    ids=["budget", "depth"],
+)
+def test_refine_failure_is_a_sampling_failure(view, tol, reason):
+    with pytest.raises(SamplingFailure, match=reason):
+        refine_path_view([1 + 0j, 2 + 0j], view, closed=False, tol=tol)
 
 
 # ---------------------------------------------------------------------------

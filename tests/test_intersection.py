@@ -13,7 +13,9 @@ from rotquad import (
     Polyline,
     RadialProfile,
     RadialTwist,
+    SamplingFailure,
     SpherePoint,
+    Tolerances,
     algebraic_intersection,
     apply_mobius,
     eval_map,
@@ -22,6 +24,7 @@ from rotquad import (
     segment_crossing,
     signed_crossing_sum,
 )
+from rotquad.intersection import resample_under
 
 from helpers import circle, jittered_segment, loop_path_instance, wobbly_loop
 
@@ -185,6 +188,18 @@ def test_homeo_invariance_of_pairing():
 
     h = MobiusTransform(1, 0.4 - 0.2j, 0, 1)  # affine shift
     assert homeo_invariance_check(pair, lambda z: apply_mobius(h, SpherePoint(z)).value)
+
+
+def test_resample_under_budget_runs_out():
+    # the chord from -1 to 1 passes 0.1j too closely and must be bisected
+    with pytest.raises(SamplingFailure, match="budget exhausted"):
+        resample_under([-1 + 0j, 1 + 0j], lambda z: z, (0.1j,), tol=Tolerances(max_refine_points=1))
+    assert len(resample_under([-1 + 0j, 1 + 0j], lambda z: z, (0.1j,))) > 2
+
+
+def test_resample_under_rejects_image_through_a_protected_point():
+    with pytest.raises(PointOnLoop, match="cannot be separated"):
+        resample_under([-1 + 0j, 1 + 0j], lambda z: z, (0j,))
 
 
 def test_mobius_winding_invariance():

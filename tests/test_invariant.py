@@ -1,5 +1,6 @@
 """The four-point invariant: exactness, symmetry, traces, blow-ups, periodics."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from rotquad import (
     connecting_path,
     eval_map,
     iterate_spec,
+    path_turns,
     rf_blowup,
     rf_double_blowup,
     rf_lift,
@@ -44,6 +46,8 @@ from rotquad.catalog import (
     quarter_turn_blowup_spec,
     sqrt2_blowup_spec,
 )
+from rotquad.geometry import DEFAULT_TOL, refine_path_view
+from rotquad.maps import compile_map, twist_budget
 from rotquad.report import PASS
 
 AXIS_TUPLE = MarkedTuple(0j, INFINITY, 0.5 + 0j, 3 + 0j)
@@ -284,6 +288,26 @@ def test_blowup_bound_tightens_and_extrapolation_marks_itself():
     extr = rf_blowup(spec, 0j, INFINITY, 3 + 0j, n_iters=2000, extrapolate=True)
     assert extr.extrapolated
     assert abs(extr.value - exact) <= extr.error_bound
+
+
+def _inline_seeded_blowup(spec, n_iters: int) -> float:
+    """rf_blowup at p = 0, x2 = infinity, x4 = 3 (the identity chart), with
+    the radial path seeded inline as it was before the shared seed rule."""
+    iterated = iterate_spec(spec, n_iters)
+    y4 = 3 + 0j
+    n = int(min(DEFAULT_TOL.max_refine_points // 4, 32 * (2 + math.ceil(twist_budget(iterated)))))
+    start = y4 * 1e-6
+    beta = [start + (y4 - start) * (j / n) for j in range(n + 1)]
+    forward = refine_path_view(beta, compile_map(iterated), closed=False, tol=DEFAULT_TOL)
+    return (path_turns(forward) - path_turns(beta)) / math.tau / n_iters
+
+
+@pytest.mark.parametrize("spec", [sqrt2_blowup_spec(), quarter_turn_blowup_spec()],
+                         ids=["sqrt2", "quarter"])
+@pytest.mark.parametrize("n_iters", [250, 2000])
+def test_blowup_estimate_is_bit_identical_to_inline_seeding(spec, n_iters):
+    est = rf_blowup(spec, 0j, INFINITY, 3 + 0j, n_iters)
+    assert est.value == _inline_seeded_blowup(spec, n_iters)
 
 
 def test_blowup_validation():

@@ -213,6 +213,15 @@ def test_fixed_points_rejects_bogus_declaration():
     f = golden_twist_spec(1)  # rho(1.5) = 0.5, genuinely moved
     with pytest.raises(NotFixed):
         fixed_points(f, extra=(SpherePoint(1.5 + 0j),))
+    # declared marks are checked before node marks; the first moved one is named
+    bogus = RadialTwist(f.profile, marks=(1.25 + 0j,))
+    with pytest.raises(NotFixed) as err:
+        fixed_points(bogus, extra=(SpherePoint(1.5 + 0j),))
+    assert err.value.point == SpherePoint(1.5 + 0j)
+    assert err.value.residual == fixed_residual(bogus, SpherePoint(1.5 + 0j))
+    with pytest.raises(NotFixed) as err:
+        fixed_points(bogus)
+    assert err.value.point == SpherePoint(1.25 + 0j)
 
 
 # ---------------------------------------------------------------------------
