@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Print a SHA-256 digest of every report the command line writes.
 
-Runs ``rotquad compute --method all --out`` on each ``scenarios/*.json`` and
-``rotquad verify --out`` (the built-in battery) in a temporary directory,
-using the ``src/`` tree next to this script, and prints one
-``<sha256>  <report>`` line per report.  The catalog scenarios hold no
+Runs ``rotquad compute --method all`` on each ``scenarios/*.json`` and
+``rotquad verify`` (the built-in battery) in a temporary directory, using
+the ``src/`` tree next to this script, with both ``--out`` and ``--csv``,
+and prints one ``<sha256>  <report>`` line per written file (the JSON
+report, then its CSV table).  The catalog scenarios hold no
 mixed tuple, so one more scenario is written to the temporary directory
 from ``catalog.sqrt2_blowup_spec()`` with points 0, infinity and 3 and the
 four mixed patterns; its report carries the blow-up estimates as ``repr``
@@ -13,7 +14,8 @@ the same values print identical lines:
 
     python3 scripts/report_digests.py > digests.txt
 
-and diff the output of two checkouts.  Exits 1 if a command writes no report.
+and diff the output of two checkouts.  Exits 1 if a command writes no report
+or no CSV table.
 """
 
 import hashlib
@@ -37,14 +39,15 @@ def _write_blowup_scenario(path: Path) -> None:
     save_scenario(Scenario("sqrt2-blowup", sqrt2_blowup_spec(), points, tuples), path)
 
 
-def _report_digest(args, out: Path) -> str | None:
+def _report_digests(args, out: Path) -> tuple[str | None, str | None]:
+    """Digests of the JSON report and the CSV table of one run (None if unwritten)."""
+    table = out.with_suffix(".csv")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("ROTQUAD_SEED", None)
-    subprocess.run([sys.executable, "-m", "rotquad", *args, "--out", str(out)],
+    subprocess.run([sys.executable, "-m", "rotquad", *args, "--out", str(out), "--csv", str(table)],
                    env=env, stdout=subprocess.DEVNULL, check=False)
-    if not out.is_file():
-        return None
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return tuple(hashlib.sha256(f.read_bytes()).hexdigest() if f.is_file() else None
+                 for f in (out, table))
 
 
 def main() -> int:
@@ -57,12 +60,13 @@ def main() -> int:
         _write_blowup_scenario(blowup)
         runs.append((["compute", str(blowup), "--method", "all"], "compute/sqrt2-blowup.json"))
         for i, (args, label) in enumerate(runs):
-            digest = _report_digest(args, Path(tmp) / f"{i}.json")
-            if digest is None:
-                print(f"no report written: {label}", file=sys.stderr)
-                missing += 1
-                continue
-            print(f"{digest}  {label}", flush=True)
+            digests = _report_digests(args, Path(tmp) / f"{i}.json")
+            for digest, name in zip(digests, (label, label.removesuffix(".json") + ".csv")):
+                if digest is None:
+                    print(f"no report written: {name}", file=sys.stderr)
+                    missing += 1
+                    continue
+                print(f"{digest}  {name}", flush=True)
     return 1 if missing else 0
 
 

@@ -382,20 +382,20 @@ def _random_cyclic_g(rng, labels) -> dict:
     return {(u, v): sym[(u, v)] + shift[u] - shift[v] for u in labels for v in labels}
 
 
-def _table_scenarios(scenario: Scenario | None):
-    if scenario is not None:
-        return [scenario]
-    return [sc for sc in identity_scenarios() if sc.name in TABLE_SCENARIO_NAMES]
+def _build_tables(scenario, seed_override, args) -> list[tuple[str, FunctionTable]]:
+    """(name, invariant table) of the given scenario, or else of each built-in
+    table scenario; built once per verify run for the two table suites."""
+    scenarios = [scenario] if scenario is not None else [
+        sc for sc in identity_scenarios() if sc.name in TABLE_SCENARIO_NAMES]
+    tables = []
+    for sc in scenarios:
+        seed = sc.seed if seed_override is None else seed_override
+        pts = [sc.points[k] for k in sorted(sc.points)]
+        tables.append((sc.name, rf_table(sc.map_spec, pts, _scenario_tol(sc, args), seed)))
+    return tables
 
 
-def _build_table(sc: Scenario, seed_override, args) -> FunctionTable:
-    tol = _scenario_tol(sc, args)
-    seed = sc.seed if seed_override is None else seed_override
-    pts = [sc.points[k] for k in sorted(sc.points)]
-    return rf_table(sc.map_spec, pts, tol, seed)
-
-
-def _suite_f_symmetry(scenario, seed_override, args) -> list:
+def _suite_f_symmetry(tables, seed_override) -> list:
     records = []
     rng = random.Random(20 if seed_override is None else seed_override)
     labels = tuple(range(5))
@@ -423,23 +423,22 @@ def _suite_f_symmetry(scenario, seed_override, args) -> list:
         "a single-entry perturbation must break the symmetry",
         (sym.passed,), not sym.passed))
 
-    for sc in _table_scenarios(scenario):
-        table = _build_table(sc, seed_override, args)
+    for name, table in tables:
         sym = verify_triple_symmetry(table)
         records.append(make_record(
-            "triple_symmetry", f"invariant table of {sc.name}",
+            "triple_symmetry", f"invariant table of {name}",
             "triple at permuted tuple = matrix transport, all 24 sigma",
             (sym.checked,), sym.passed))
         rel = check_relations(table)
         records.append(make_record(
-            "table_relations", f"invariant table of {sc.name}",
+            "table_relations", f"invariant table of {name}",
             "cyclic sum, swap signs, splitting",
             tuple(r.passed for r in rel.values()),
             all(r.passed for r in rel.values())))
     return records
 
 
-def _suite_decompose(scenario, seed_override, args) -> list:
+def _suite_decompose(tables, seed_override) -> list:
     records = []
 
     q = quadratic_table(range(5))
@@ -459,13 +458,12 @@ def _suite_decompose(scenario, seed_override, args) -> list:
             "decompose_round_trip", f"normalized random g-table {i}",
             "decompose(build(g)) = g exactly", (g1 == g0,), g1 == g0))
 
-    for sc in _table_scenarios(scenario):
-        table = _build_table(sc, seed_override, args)
+    for name, table in tables:
         try:
             g = decompose_g(table)
         except RelationViolated:
             records.append(make_record(
-                "decompose_invariant_table", f"invariant table of {sc.name}",
+                "decompose_invariant_table", f"invariant table of {name}",
                 "a two-variable table reproduces every entry", (), False))
             continue
         rebuilt = build_f_from_g(g, table.labels)
@@ -473,7 +471,7 @@ def _suite_decompose(scenario, seed_override, args) -> list:
             rebuilt(t) == table(t) for t in table.distinct_tuples()
         )
         records.append(make_record(
-            "decompose_invariant_table", f"invariant table of {sc.name}",
+            "decompose_invariant_table", f"invariant table of {name}",
             "a two-variable table reproduces every entry",
             (len(g), ok), ok))
     return records
@@ -493,16 +491,18 @@ def cmd_verify(args) -> int:
         "seed": "per-scenario" if seed_override is None else seed_override,
     })
 
+    tables = None  # built when the first table suite runs
     for suite in suites:
         if suite == "rf-symmetries":
             scenarios = [scenario] if scenario else list(identity_scenarios())
             report.extend(_suite_rf_symmetries(scenarios, seed_override, args))
         elif suite == "theta":
             report.extend(_suite_theta())
-        elif suite == "f-symmetry":
-            report.extend(_suite_f_symmetry(scenario, seed_override, args))
-        elif suite == "decompose":
-            report.extend(_suite_decompose(scenario, seed_override, args))
+        else:
+            if tables is None:
+                tables = _build_tables(scenario, seed_override, args)
+            table_suite = _suite_f_symmetry if suite == "f-symmetry" else _suite_decompose
+            report.extend(table_suite(tables, seed_override))
 
     _emit(report, args, verbose_records=False)
     return EXIT_OK if report.failures == 0 else EXIT_CHECK_FAILED

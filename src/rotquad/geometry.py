@@ -253,15 +253,23 @@ def _phase_step(w0: complex, w1: complex) -> float:
     """Signed angle from w0 to w1 as seen from the origin, in (-pi, pi].
 
     Computed from the two phases to avoid overflow in w1/w0 when the
-    magnitudes differ by hundreds of orders.
+    magnitudes differ by hundreds of orders.  cmath.phase raises on a phase
+    that underflows to zero; math.atan2 agrees elsewhere and returns it.
     """
     if w1 == w0:
         return 0.0
-    return math.remainder(cmath.phase(w1) - cmath.phase(w0), TAU)
+    try:
+        return math.remainder(cmath.phase(w1) - cmath.phase(w0), TAU)
+    except OverflowError:
+        return math.remainder(math.atan2(w1.imag, w1.real) - math.atan2(w0.imag, w0.real), TAU)
 
 
-def path_turns(points) -> float:
-    """Total accumulated argument along a point sequence, in radians."""
+def path_turns(points, centre: complex = 0j) -> float:
+    """Total argument about ``centre`` accumulated along a point sequence, in
+    radians: the exact turning of the polyline through them, whose straight
+    edges each subtend their signed angle at a centre they miss."""
+    if centre:
+        points = [w - centre for w in points]
     total = 0.0
     for w0, w1 in zip(points, points[1:]):
         total += _phase_step(w0, w1)
@@ -269,23 +277,15 @@ def path_turns(points) -> float:
 
 
 def winding_number(loop: Polyline, p: complex, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Winding number of a closed polyline around p.
-
-    Each straight edge contributes the signed angle it subtends at p; a
-    closed traversal therefore sums to very nearly an integer number of
-    full turns.  The sum must land within ``tol.winding_snap`` of an
-    integer or NonIntegerWinding is raised, and p must stay at least
-    ``tol.eps_edge`` away from every edge.
-    """
+    """Winding number of a closed polyline around p: its ``path_turns``
+    about p, wrap edge included, in whole turns (``snap_turns``).  p must
+    stay at least ``tol.eps_edge`` away from every edge."""
     if not loop.closed:
         raise ValueError("winding number needs a closed polyline")
     p = complex(p)
     if loop.passes_within(p, tol.eps_edge):
         raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
-    total = 0.0
-    for a, b in loop.edges():
-        total += _phase_step(a - p, b - p)
-    return snap_turns(total, tol)
+    return snap_turns(path_turns(loop.vertices + loop.vertices[:1], p), tol)
 
 
 def snap_turns(angle: float, tol: Tolerances) -> int:
@@ -351,31 +351,23 @@ def bisect_path(
     vertices: list[complex],
     evaluate,
     accept,
-    closed: bool,
     tol: Tolerances,
     stuck: Exception,
 ) -> list[complex]:
-    """Map a polyline through ``evaluate``, bisecting edges until ``accept``.
+    """Map an open polyline through ``evaluate``, bisecting edges until ``accept``.
 
-    The first vertex is evaluated, then each edge (and the wrap edge when
-    ``closed``) is bisected on the actual segment until ``accept(wa, wb)``
-    holds for the images of every sub-segment's endpoints.  Returns the
-    accepted images in order; a closed result does not repeat its first
-    point.  Raises SamplingFailure when more than ``tol.max_refine_points``
-    sub-segments are accepted, and ``stuck`` when a sub-segment is still
-    rejected after 60 bisections.
+    Each edge is bisected on the actual segment until ``accept(wa, wb)``
+    holds for the images of every sub-segment's endpoints; returns the
+    images of the vertices and of the inserted points, in order.  Raises
+    SamplingFailure when more than ``tol.max_refine_points`` sub-segments
+    are accepted, and ``stuck`` when one is still rejected after 60
+    bisections.
     """
     budget = tol.max_refine_points
     out = [evaluate(vertices[0])]
-    edge_list = list(zip(vertices, vertices[1:]))
-    if closed:
-        edge_list.append((vertices[-1], vertices[0]))
-
-    for edge_index, (a, b) in enumerate(edge_list):
-        wa = out[-1]
-        wb = out[0] if (closed and edge_index == len(edge_list) - 1) else evaluate(b)
+    for a, b in zip(vertices, vertices[1:]):
         # Stack of sub-segments still to emit, nearest first.
-        stack = [(a, b, wa, wb, 0)]
+        stack = [(a, b, out[-1], evaluate(b), 0)]
         while stack:
             sa, sb, swa, swb, depth = stack.pop()
             if accept(swa, swb):
@@ -390,8 +382,6 @@ def bisect_path(
             wm = evaluate(mid)
             stack.append((mid, sb, wm, swb, depth + 1))
             stack.append((sa, mid, swa, wm, depth + 1))
-    if closed:
-        out.pop()  # the wrap edge ends where the sequence began
     return out
 
 
@@ -403,27 +393,24 @@ def _tame_step(w0: complex, w1: complex) -> bool:
 def refine_path_view(
     vertices,
     view,
-    closed: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[complex]:
-    """Map a polyline through ``view``, subdividing until the image is tame.
+    """Map an open polyline through ``view``, subdividing until the image is tame.
 
     Each straight source edge is bisected (points taken on the actual
-    segment) until consecutive image points subtend an angle below pi/2 as
-    seen from the origin AND are close together relative to their distance
-    from the origin.  The second condition matters: a segment whose image
-    swings to a very different radius can hide whole turns while its
-    endpoint phases agree, and the phase test alone would accept it.  Both
-    tests read only the endpoints of a sub-segment, so an image that wraps
-    a whole turn between two vertices passes unseen: the result is
-    homotopic, as a polyline in the punctured plane, to the true image
-    curve only when the vertices are as dense as ``invariant._seeds``
-    makes them (at one seed per edge the identity battery returned wrong
-    integers).  ``view`` returns a complex number, or None for the point
-    at infinity.  Raises PointOnLoop when the image hits the origin or
-    escapes past the chart (None, or a magnitude past 1e100: the source
-    ran into a pole), SamplingFailure when the point budget runs out or an
-    edge cannot be refined.
+    segment) until consecutive image points subtend less than pi/2 at the
+    origin and their chord is short against their radii (the phase test
+    alone misses an image that swings out and back).  Both tests read only
+    a sub-segment's endpoints, so a whole turn between two vertices passes
+    unseen: the result is homotopic to the true image curve in the
+    punctured plane only when the vertices are as dense as
+    ``invariant._seeds`` makes them.  A Mobius image needs none of this:
+    its turning is an exact angle sum over the source vertices
+    (``path_turns``).  ``view`` returns a complex number, or None for the
+    point at infinity.  Raises PointOnLoop when the image hits the origin
+    or escapes the chart (None, or a magnitude past 1e100: the source ran
+    into a pole), SamplingFailure when the point budget runs out or an edge
+    cannot be refined.
     """
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
@@ -440,7 +427,7 @@ def refine_path_view(
             raise PointOnLoop("image path escapes the chart (source hits a pole)")
         return w
 
-    return bisect_path(verts, evaluate, _tame_step, closed, tol,
+    return bisect_path(verts, evaluate, _tame_step, tol,
                        SamplingFailure("edge cannot be refined further"))
 
 

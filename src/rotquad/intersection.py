@@ -2,15 +2,17 @@
 
 Two independent realizations of the same pairing: a literal signed count of
 transverse segment crossings, and the winding number of a closed loop around
-the origin in the chart that sends the puncture pair to (0, infinity).  The
-two must always agree; the test suite enforces it on random corpora.
+the origin in the chart h that sends the puncture pair (x1, x2) to (0,
+infinity), read exactly as its winding around x1 minus its winding around x2
+(arg h(z) = arg(z - x1) - arg(z - x2) + const).  The two must always agree;
+the test suite enforces it on random corpora.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import PointOnLoop
+from .errors import CoincidentPoints, PointOnLoop
 from .geometry import (
     DEFAULT_TOL,
     Polyline,
@@ -20,9 +22,7 @@ from .geometry import (
     as_sphere_point,
     bisect_path,
     dedupe_consecutive,
-    mobius_normalize,
-    mobius_step,
-    refine_path_view,
+    refine_path_view,  # unused here; kept as the name perfbench's tracer wraps
     segment_crossing,
     winding_number,
 )
@@ -89,25 +89,24 @@ def loop_class(
 ) -> int:
     """Homotopy class of a closed loop in the sphere punctured at x1 and x2.
 
-    Measured as the winding number around 0 after the normalizing chart;
-    equals the pairing of gamma against any transverse path from x1 to x2.
-    A loop whose image degenerates to a point has class 0.
+    The winding number around 0 after the normalizing chart, read exactly as
+    gamma's winding around x1 minus that around x2 (a point at infinity adds
+    nothing); equals the pairing of gamma against any transverse path from
+    x1 to x2.  Raises CoincidentPoints for x1 == x2.
     """
     if not gamma.closed:
         raise ValueError("loop_class needs a closed polyline")
-    view = mobius_step(mobius_normalize(x1, x2))
-    image = refine_path_view(gamma.vertices, view, closed=True, tol=tol)
-    image = dedupe_consecutive(image, closed=True)
-    if len(image) < 3:
-        return 0
-    return winding_number(Polyline(tuple(image), closed=True), 0j, tol)
+    x1, x2 = as_sphere_point(x1), as_sphere_point(x2)
+    if x1 == x2:
+        raise CoincidentPoints(f"cannot normalize a coincident pair {x1}, {x2}")
+    return sum(sign * winding_number(gamma, p.value, tol)
+               for sign, p in ((1, x1), (-1, x2)) if not p.is_infinity)
 
 
 def resample_under(
     vertices,
     f,
     protected: tuple[complex, ...],
-    closed: bool = False,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[complex]:
     """Image of a polyline under f, subdivided until chords are trustworthy.
@@ -126,7 +125,7 @@ def resample_under(
                 return False
         return True
 
-    return bisect_path([complex(v) for v in vertices], lambda z: complex(f(z)), ok, closed, tol,
+    return bisect_path([complex(v) for v in vertices], lambda z: complex(f(z)), ok, tol,
                        PointOnLoop("image path cannot be separated from a marked point"))
 
 

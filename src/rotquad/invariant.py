@@ -41,7 +41,7 @@ from .geometry import (
     path_turns,
     refine_path_view,
     snap_turns,
-    winding_number,
+    winding_number,  # unused here; kept as the name perfbench's tracer wraps
 )
 from .intersection import loop_class
 from .maps import (
@@ -180,27 +180,32 @@ def _seeds(vertices, spec: MapSpec, tol: Tolerances) -> list[complex]:
 
 
 def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
+    """The refined image path in the chart h (x1 -> 0, x2 -> inf), the path's
+    own exact turning there (arg h(z) = arg(z - x1) - arg(z - x2) + const, a
+    point at infinity adding nothing), and the path's ends h(x3), h(x4)."""
     require_fixed(spec, t.points, tol)
     _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
-    # the chart x1 -> 0, x2 -> inf
     h = mobius_normalize(t.x1, t.x2)
-    seeds = _seeds(beta.vertices, spec, tol)
-    forward = refine_path_view(seeds, compile_map(spec, then=h), closed=False, tol=tol)
-    base = refine_path_view(seeds, mobius_step(h), closed=False, tol=tol)
-    return forward, base
+    forward = refine_path_view(_seeds(beta.vertices, spec, tol), compile_map(spec, then=h), tol=tol)
+    base = sum(sign * path_turns(beta.vertices, p.value)
+               for sign, p in ((1, t.x1), (-1, t.x2)) if not p.is_infinity)
+    at = mobius_step(h)
+    return forward, base, (at(t.x3.value), at(t.x4.value))
 
 
-def _loop_winding(forward: list[complex], base: list[complex], tol: Tolerances) -> int:
-    """Winding of the loop (forward path) * (base path reversed) around 0."""
-    loop = dedupe_consecutive(forward + base[::-1], closed=True)
-    if len(loop) < 3:
-        return 0
-    return winding_number(Polyline(tuple(loop), closed=True), 0j, tol)
+def _loop_winding(forward: list[complex], base: float, ends, tol: Tolerances) -> int:
+    """Winding around 0 of the loop (image path) * (path reversed): the image
+    path joined to the path's ends by straight edges, less the path's exact
+    turning.  The path avoids x1, so only the image side is checked."""
+    image = Polyline(tuple(dedupe_consecutive([ends[0], *forward, ends[1]])))
+    if image.passes_within(0j, tol.eps_edge):
+        raise PointOnLoop("reference point 0j lies on a loop edge")
+    return snap_turns(path_turns(image.vertices) - base, tol)
 
 
-def _lift_turns(forward: list[complex], base: list[complex], tol: Tolerances) -> int:
-    """Whole turns between the arguments swept by the two paths."""
-    return snap_turns(path_turns(forward) - path_turns(base), tol)
+def _lift_turns(forward: list[complex], base: float, tol: Tolerances) -> int:
+    """Whole turns between the arguments swept by the image path and the path."""
+    return snap_turns(path_turns(forward) - base, tol)
 
 
 def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -225,13 +230,14 @@ def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    return _lift_turns(*_refined_paths(spec, t, beta, tol), tol)
+    forward, base, _ = _refined_paths(spec, t, beta, tol)
+    return _lift_turns(forward, base, tol)
 
 
 def _loop_and_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances) -> tuple[int, int]:
     """rf_loop and rf_lift of a distinct tuple, read off one refinement."""
-    forward, base = _refined_paths(spec, t, beta, tol)
-    return _loop_winding(forward, base, tol), _lift_turns(forward, base, tol)
+    forward, base, ends = _refined_paths(spec, t, beta, tol)
+    return _loop_winding(forward, base, ends, tol), _lift_turns(forward, base, tol)
 
 
 def rf_trace(trace: IsotopyTrace, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -306,7 +312,7 @@ def rf_blowup(
 
     beta = _seeds([y4.value * 1e-6, y4.value], iterated, tol)
 
-    forward = refine_path_view(beta, compile_map(iterated), closed=False, tol=tol)
+    forward = refine_path_view(beta, compile_map(iterated), tol=tol)
     turns = (path_turns(forward) - path_turns(beta)) / TAU
     return BlowupEstimate(turns / n_iters, 2.0 / n_iters, n_iters)
 
@@ -456,7 +462,7 @@ class RfEvaluator:
     """Caching evaluator with deterministic retry on degenerate geometry.
 
     Each value is computed by the loop method and cross-checked by the
-    lift method, both read off one refinement of the paths; tuples with a
+    lift method, both read off one refinement; tuples with a
     point at infinity in the path slots are conjugated to a finite chart
     first.  Degenerate geometry (a path or loop grazing a marked point, a
     non-integer winding) triggers a retry with the next path variant and a

@@ -9,7 +9,7 @@ numbers are [re, im] pairs and the point at infinity is the string "inf".
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, field, fields as dc_fields, replace
 from fractions import Fraction
 
@@ -41,6 +41,20 @@ METHODS = ("loop", "lift", "trace", "all")
 # primitive codecs
 
 
+def _finite(obj, what: str) -> float:
+    """A JSON number as a float; not a string, boolean, NaN, infinity or huge integer."""
+    if type(obj) not in (int, float) or not abs(obj) <= sys.float_info.max:
+        raise ScenarioError(f"{what} must be a finite number, got {obj!r}")
+    return float(obj)
+
+
+def _integer(obj, what: str) -> int:
+    """A JSON integer (an integral float counts, a boolean does not)."""
+    if type(obj) is not int and not (type(obj) is float and obj.is_integer()):
+        raise ScenarioError(f"{what} must be an integer, got {obj!r}")
+    return int(obj)
+
+
 def complex_to_json(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -48,7 +62,7 @@ def complex_to_json(z: complex) -> list[float]:
 def complex_from_json(obj) -> complex:
     if not (isinstance(obj, (list, tuple)) and len(obj) == 2):
         raise ScenarioError(f"expected [re, im], got {obj!r}")
-    return complex(float(obj[0]), float(obj[1]))
+    return complex(_finite(obj[0], "a real part"), _finite(obj[1], "an imaginary part"))
 
 
 def point_to_json(p: SpherePoint):
@@ -78,7 +92,8 @@ def profile_to_json(profile: RadialProfile) -> list[list[float]]:
 def profile_from_json(obj) -> RadialProfile:
     if not (isinstance(obj, list) and obj):
         raise ScenarioError(f"a profile needs [[radius, value], ...], got {obj!r}")
-    return RadialProfile(tuple((float(r), float(v)) for r, v in obj))
+    return RadialProfile(tuple((_finite(r, "a profile radius"), _finite(v, "a profile value"))
+                               for r, v in obj))
 
 
 def polyline_to_json(path: Polyline) -> dict:
@@ -152,11 +167,7 @@ def map_from_json(obj) -> MapSpec:
         if kind == "inverse":
             return Inverse(map_from_json(obj["inner"]), marks)
         if kind == "power":
-            q = obj["q"]
-            if isinstance(q, bool) or not (
-                    isinstance(q, int) or isinstance(q, float) and q.is_integer()):
-                raise ScenarioError(f"a power exponent must be an integer, got {q!r}")
-            return Power(int(q), map_from_json(obj["inner"]), marks)
+            return Power(_integer(obj["q"], "a power exponent"), map_from_json(obj["inner"]), marks)
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {kind!r} map node: {exc}") from exc
     raise ScenarioError(f"unknown map type {kind!r}")
@@ -166,7 +177,7 @@ def map_from_json(obj) -> MapSpec:
 # tolerance overrides
 
 _TOL_TYPES = {f.name: type(f.default) for f in dc_fields(Tolerances)}
-# the least value of each integer field; float fields are finite and non-negative
+# the least value of each integer field; float fields are non-negative
 _TOL_INT_MIN = {"max_refine_points": 1, "jitter_attempts": 0}
 
 
@@ -178,22 +189,18 @@ def tolerances_from_json(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:
     unknown = obj.keys() - _TOL_TYPES.keys()
     if unknown:
         raise ScenarioError(f"unknown tolerance fields {sorted(unknown)!r}")
+    checked = {}
     for name, value in obj.items():
-        # a float field also takes a JSON integer
-        integral = _TOL_TYPES[name] is int
-        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-            kind = "an integer" if integral else "a number"
-            raise ScenarioError(f"tolerance {name!r} must be {kind}, got {value!r}")
-        if integral and value < _TOL_INT_MIN[name]:
-            raise ScenarioError(
-                f"tolerance {name!r} must be at least {_TOL_INT_MIN[name]}, got {value!r}")
-        if not integral and (isinstance(value, float) and not math.isfinite(value) or value < 0):
-            raise ScenarioError(f"tolerance {name!r} must be finite and non-negative, got {value!r}")
+        value = (_integer if _TOL_TYPES[name] is int else _finite)(value, f"tolerance {name!r}")
+        least = _TOL_INT_MIN.get(name, 0)
+        if value < least:
+            raise ScenarioError(f"tolerance {name!r} must be at least {least}, got {value!r}")
         # every angle sum lies within one half of an integer, so a snap of
         # 0.5 or more would accept any sum as a whole number of turns
         if name == "winding_snap" and not 0 < value < 0.5:
             raise ScenarioError(f"tolerance 'winding_snap' must lie in (0, 0.5), got {value!r}")
-    return replace(base, **obj)
+        checked[name] = value
+    return replace(base, **checked)
 
 
 def tolerances_to_json(tol: Tolerances) -> dict:
@@ -295,7 +302,7 @@ def scenario_from_json(obj) -> Scenario:
         tuples=tuple(tuple(t) for t in raw_tuples),
         paths=paths,
         method=obj.get("method", "all"),
-        seed=int(obj.get("seed", 0)),
+        seed=_integer(obj.get("seed", 0), "'seed'"),
         tolerances=tolerances_from_json(obj.get("tolerances")),
     )
 

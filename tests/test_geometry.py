@@ -196,6 +196,13 @@ def test_winding_snap_guard():
         winding_number(loop, p, tol=strict)
 
 
+def test_winding_around_a_point_whose_angle_underflows():
+    # seen from 5e-324j the vertex 2 sits at an angle that underflows to 0
+    loop = Polyline((1j, 2j, 2 + 0j), closed=True)
+    assert winding_number(loop, 5e-324j) == 0
+    assert winding_number(loop, 0.5 + 1.2j) == -1
+
+
 def test_path_turns_quarter_circle():
     pts = [cmath.exp(1j * math.tau * k / 400) for k in range(101)]
     assert path_turns(pts) == pytest.approx(math.tau / 4, abs=1e-12)
@@ -206,7 +213,7 @@ def test_path_turns_quarter_circle():
 
 
 def test_refine_identity_view_is_cheap():
-    out = refine_path_view([1 + 0j, 1 + 0.1j], lambda z: z, closed=False, tol=DEFAULT_TOL)
+    out = refine_path_view([1 + 0j, 1 + 0.1j], lambda z: z, tol=DEFAULT_TOL)
     assert out[0] == 1 + 0j and out[-1] == 1 + 0.1j
     assert len(out) == 2
 
@@ -215,27 +222,27 @@ def test_refine_recovers_hidden_full_turn():
     # The image of [1, 2] under z * exp(i tau (z - 1)) wraps exactly once;
     # both endpoint phases are 0, so only the chord criterion can see it.
     view = lambda z: z * cmath.exp(1j * math.tau * (z.real - 1.0))
-    out = refine_path_view([1 + 0j, 2 + 0j], view, closed=False, tol=DEFAULT_TOL)
+    out = refine_path_view([1 + 0j, 2 + 0j], view, tol=DEFAULT_TOL)
     assert abs(path_turns(out) - math.tau) < 1e-9
 
 
 def test_refine_recovers_hidden_double_turn_closed():
     view = lambda z: z * cmath.exp(2j * math.tau * (z.real - 1.0))
     seeds = [1 + 0j, 1.3 + 0.01j, 1.7 - 0.01j, 2 + 0j]
-    out = refine_path_view(seeds, view, closed=False, tol=DEFAULT_TOL)
+    out = refine_path_view(seeds, view, tol=DEFAULT_TOL)
     assert abs(path_turns(out) - 2 * math.tau) < 1e-9
 
 
 def test_refine_rejects_sample_at_origin():
     with pytest.raises(PointOnLoop):
-        refine_path_view([-1 + 0j, 1 + 0j], lambda z: z, closed=False, tol=DEFAULT_TOL)
+        refine_path_view([-1 + 0j, 1 + 0j], lambda z: z, tol=DEFAULT_TOL)
 
 
 def test_refine_rejects_sample_at_the_pole():
     # a view returns None for the point at infinity: the source hit the pole
     view = lambda z: None if z == 0.5 else 1 / (z - 0.5)
     with pytest.raises(PointOnLoop):
-        refine_path_view([0j, 1 + 0j], view, closed=False, tol=DEFAULT_TOL)
+        refine_path_view([0j, 1 + 0j], view, tol=DEFAULT_TOL)
 
 
 def test_geometry_failures_share_one_base():
@@ -257,7 +264,7 @@ def test_geometry_failures_share_one_base():
 )
 def test_refine_failure_is_a_sampling_failure(view, tol, reason):
     with pytest.raises(SamplingFailure, match=reason):
-        refine_path_view([1 + 0j, 2 + 0j], view, closed=False, tol=tol)
+        refine_path_view([1 + 0j, 2 + 0j], view, tol=tol)
 
 
 # ---------------------------------------------------------------------------

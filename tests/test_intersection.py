@@ -123,6 +123,15 @@ def test_loop_class_basics():
         loop_class(Polyline((0j, 1 + 0j, 1j)), x1, x2)
 
 
+def test_loop_class_of_a_coarse_loop_is_exact():
+    # the triangle winds -1 around 0 and 0 around -0.5i; in the normalizing
+    # chart each image edge is short against its distance from 0 while its
+    # arc runs out round 0, so the images of the vertices alone show no turn
+    loop = Polyline((1j, 2 - 1j, -1 + 0j), closed=True)
+    assert loop_class(loop, SpherePoint(0j), SpherePoint(-0.5j)) == -1
+    assert loop_class(loop, SpherePoint(-0.5j), SpherePoint(0j)) == 1
+
+
 def test_loop_class_with_infinite_puncture():
     assert loop_class(circle(0j, 1.0, turns=2), SpherePoint(0j), INFINITY) == 2
 

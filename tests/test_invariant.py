@@ -154,11 +154,11 @@ def test_evaluator_refines_once_per_value(monkeypatch):
     monkeypatch.setattr(invariant, "refine_path_view", counting)
     ev = RfEvaluator(golden_twist_spec(2))
     assert ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j) == 2
-    assert len(calls) == 2  # the image path and the path itself
+    assert len(calls) == 1  # the image path; the path's own turning is exact
     assert ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j) == 2
-    assert len(calls) == 2  # a cached value costs nothing
+    assert len(calls) == 1  # a cached value costs nothing
     assert ev.value(0j, INFINITY, 3 + 0j, 4j) == 0
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 def test_evaluator_cross_checks_loop_against_lift(monkeypatch):
@@ -298,7 +298,7 @@ def _inline_seeded_blowup(spec, n_iters: int) -> float:
     n = int(min(DEFAULT_TOL.max_refine_points // 4, 32 * (2 + math.ceil(twist_budget(iterated)))))
     start = y4 * 1e-6
     beta = [start + (y4 - start) * (j / n) for j in range(n + 1)]
-    forward = refine_path_view(beta, compile_map(iterated), closed=False, tol=DEFAULT_TOL)
+    forward = refine_path_view(beta, compile_map(iterated), tol=DEFAULT_TOL)
     return (path_turns(forward) - path_turns(beta)) / math.tau / n_iters
 
 

@@ -160,6 +160,11 @@ def test_cli_compute_validation_exit(tmp_path, capsys):
     ("tolerances", {"max_refine_points": 0}),
     ("tolerances", {"eps_edge": -1e-9}),
     ("tolerances", {"fixed_tol": float("inf")}),
+    ("map", {"type": "radial_twist", "profile": [[1, 0], [float("inf"), 1]]}),
+    ("map", {"type": "radial_twist", "profile": [["1", 0], [2, 1]]}),
+    ("map", {"type": "radial_twist", "profile": [[1, 0], [2, float("nan")]]}),
+    ("seed", 1.7),
+    ("seed", True),
 ])
 def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
     blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
@@ -208,9 +213,20 @@ def test_cli_verify_single_suite(tmp_path):
     assert payload["summary"]["pass"] > 0
 
 
-def test_cli_verify_scenario_file(tmp_path):
+def test_cli_verify_scenario_file(tmp_path, monkeypatch):
+    import rotquad.cli as cli
+
+    builds = []
+    real = cli.rf_table
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "rf_table", counting)
     sc_path = _write_golden(tmp_path, m=1)
     assert main(["verify", str(sc_path)]) == 0
+    assert len(builds) == 1  # one table, shared by the f-symmetry and decompose suites
 
 
 def test_cli_rep(capsys):
