@@ -12,6 +12,7 @@ table decomposition.
 __version__ = "0.1.0"
 
 from .errors import (
+    BudgetExhausted,
     CoincidentPoints,
     DegenerateCrossing,
     GeometryFailure,

@@ -31,7 +31,14 @@ class DegenerateCrossing(GeometryFailure):
 
 
 class SamplingFailure(GeometryFailure):
-    """Adaptive refinement exhausted its point budget."""
+    """Adaptive refinement could not certify an edge: it still fails after
+    the bisection depth limit (another path may cure that), or the point
+    budget ran out (BudgetExhausted)."""
+
+
+class BudgetExhausted(SamplingFailure):
+    """Adaptive refinement used up ``max_refine_points``.  No other path
+    can cure that, so evaluators report it at once instead of retrying."""
 
 
 class MixedCoincidence(RotquadError):
@@ -58,8 +65,9 @@ class ScenarioError(RotquadError):
 
 
 class InconclusiveComputation(RotquadError):
-    """All jitter retries for one check were exhausted.  Counted as a
-    failure by every verification entry point."""
+    """All jitter retries for one check were exhausted, or its refinement
+    budget ran out.  Counted as a failure by every verification entry
+    point."""
 
 
 class NotFixed(RotquadError):

@@ -16,6 +16,7 @@ from cmath import isfinite
 from dataclasses import dataclass
 
 from .errors import (
+    BudgetExhausted,
     CoincidentPoints,
     DegenerateCrossing,
     NonIntegerWinding,
@@ -106,7 +107,8 @@ class MobiusTransform:
 
     Complex-coefficient Mobius maps are holomorphic, hence always
     orientation preserving; no sign condition is needed beyond
-    invertibility.
+    invertibility.  Singular means |det| <= 1e-12 (|ad| + |bc|), a test
+    that does not depend on the scale of the coefficients.
     """
 
     a: complex
@@ -117,7 +119,7 @@ class MobiusTransform:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if abs(self.det) <= 1e-12:
+        if abs(self.det) <= 1e-12 * (abs(self.a * self.d) + abs(self.b * self.c)):
             raise ValueError(f"transform is singular: det={self.det!r}")
 
     @property
@@ -161,6 +163,79 @@ def mobius_step(h: MobiusTransform):
         if not isfinite(w):
             raise _non_finite(w)
         return w
+
+    return step
+
+
+# ---------------------------------------------------------------------------
+# disk enclosures (midpoint-radius arithmetic: Moore, Interval Analysis, 1966;
+# Johansson, IEEE Trans. Computers 66, 2017)
+#
+# A disk is (centre, radius, outside): the closed disk |z - centre| <= radius,
+# or with outside its complement |z - centre| >= radius and the point at
+# infinity.  An enclosure step maps a disk to a disk that contains its image,
+# or to None when it knows none (the image is a half-plane, or the step cannot
+# bound it), and passes None on.  Each step pads the radius for its own
+# rounding and for that of the point evaluation it encloses: about 1e-12 of
+# the scale of the numbers involved.
+
+_PAD = 1e-12
+
+
+def padded_disk(centre: complex, radius: float, outside: bool, pad: float):
+    """The disk widened by pad (a complement shrinks its radius), or None when
+    it is not finite or is a complement that covers the plane."""
+    radius = radius - pad if outside else radius + pad
+    if not (isfinite(centre) and math.isfinite(radius)) or (outside and radius <= 0.0):
+        return None
+    return centre, radius, outside
+
+
+def mobius_disk(h: MobiusTransform):
+    """h as an enclosure step: the exact image of a disk or disk complement, padded.
+
+    With c != 0, h(z) = a/c - (det/c^2) / (z - pole), and 1/u sends the
+    circle |u - m| = r to the circle about conj(m) / (|m|^2 - r^2) of radius
+    r / ||m|^2 - r^2|, inside and outside swapped when the circle encloses
+    0.  A circle through the pole has a half-plane image: None.
+    """
+    a, b, c, d = h.a, h.b, h.c, h.d
+    if c == 0:
+        s, t = a / d, b / d
+        gain, shift = abs(s), abs(t)
+
+        def affine(disk):
+            if disk is None:
+                return None
+            z, r, outside = disk
+            return padded_disk(s * z + t, gain * r, outside, _PAD * (gain * (abs(z) + r) + shift))
+
+        return affine
+    pole, at_infinity, k = -d / c, a / c, h.det / (c * c)
+    gain, far, near = abs(k), abs(at_infinity), abs(pole)
+
+    def step(disk):
+        if disk is None:
+            return None
+        z, r, outside = disk
+        # the rounding of z - pole, and of c z + d in the point formula,
+        # taken up on the source side where it is absolute
+        slack = 1e-15 * (abs(z) + near + r)
+        r = r - slack if outside else r + slack
+        if r <= 0.0:
+            return None
+        m = z - pole
+        am = abs(m)
+        gap = am - r
+        if not abs(gap) > 1e-9 * (am + r):
+            return None
+        g = gap * (am + r)
+        v = m.conjugate() / g
+        rv = r / abs(g)
+        # g inherits the rounding of |m| magnified by (|m| + r) / |gap|
+        cond = 1e-15 * (am + r) / abs(gap)
+        return padded_disk(at_infinity - k * v, gain * rv, outside != (gap < 0.0),
+                           _PAD * far + gain * (abs(v) + rv) * (_PAD + cond))
 
     return step
 
@@ -356,12 +431,12 @@ def bisect_path(
 ) -> list[complex]:
     """Map an open polyline through ``evaluate``, bisecting edges until ``accept``.
 
-    Each edge is bisected on the actual segment until ``accept(wa, wb)``
-    holds for the images of every sub-segment's endpoints; returns the
-    images of the vertices and of the inserted points, in order.  Raises
-    SamplingFailure when more than ``tol.max_refine_points`` sub-segments
-    are accepted, and ``stuck`` when one is still rejected after 60
-    bisections.
+    Each edge is bisected on the actual segment until ``accept(za, zb, wa,
+    wb)`` holds for every sub-segment [za, zb] and the images wa, wb of its
+    ends; returns the images of the vertices and of the inserted points, in
+    order.  Raises BudgetExhausted when more than ``tol.max_refine_points``
+    sub-segments are accepted, and ``stuck`` when one is still rejected
+    after 60 bisections.
     """
     budget = tol.max_refine_points
     out = [evaluate(vertices[0])]
@@ -370,10 +445,12 @@ def bisect_path(
         stack = [(a, b, out[-1], evaluate(b), 0)]
         while stack:
             sa, sb, swa, swb, depth = stack.pop()
-            if accept(swa, swb):
+            if accept(sa, sb, swa, swb):
                 budget -= 1
                 if budget < 0:
-                    raise SamplingFailure("refinement budget exhausted")
+                    raise BudgetExhausted(
+                        f"refinement budget exhausted: more than "
+                        f"max_refine_points={tol.max_refine_points} pieces")
                 out.append(swb)
                 continue
             if depth > 60:
@@ -385,36 +462,32 @@ def bisect_path(
     return out
 
 
-def _tame_step(w0: complex, w1: complex) -> bool:
-    """Chord shorter than 0.8 of the smaller endpoint radius, phase step below pi/2."""
-    return abs(w1 - w0) < 0.8 * min(abs(w0), abs(w1)) and abs(_phase_step(w0, w1)) < math.pi / 2
-
-
 def refine_path_view(
     vertices,
     view,
     tol: Tolerances = DEFAULT_TOL,
 ) -> list[complex]:
-    """Map an open polyline through ``view``, subdividing until the image is tame.
+    """Map an open polyline through ``view``, bisecting until each piece is certified.
 
-    Each straight source edge is bisected (points taken on the actual
-    segment) until consecutive image points subtend less than pi/2 at the
-    origin and their chord is short against their radii (the phase test
-    alone misses an image that swings out and back).  Both tests read only
-    a sub-segment's endpoints, so a whole turn between two vertices passes
-    unseen: the result is homotopic to the true image curve in the
-    punctured plane only when the vertices are as dense as
-    ``invariant._seeds`` makes them.  A Mobius image needs none of this:
-    its turning is an exact angle sum over the source vertices
-    (``path_turns``).  ``view`` returns a complex number, or None for the
-    point at infinity.  Raises PointOnLoop when the image hits the origin
-    or escapes the chart (None, or a magnitude past 1e100: the source ran
-    into a pole), SamplingFailure when the point budget runs out or an edge
-    cannot be refined.
+    ``view(z)`` is the image of a point: a complex number, or None for the
+    point at infinity.  ``view.enclose(disk)`` is a disk containing the
+    image of a disk (``mobius_disk`` gives the form), or None.  A piece
+    [za, zb] is accepted only when the enclosure of its source disk,
+    centred at its midpoint with 1.125 times its half-chord as radius (so
+    an end on a pole lies strictly inside), is a proper disk that excludes
+    the origin and contains both computed end images.  The image arc and
+    the chord then lie in one disk that misses 0, so they are homotopic in
+    the punctured plane and the returned points' ``path_turns`` is the
+    image curve's turning, certified piece by piece.  Raises PointOnLoop
+    when the image hits the origin or escapes the chart (None, or a
+    magnitude past 1e100: the source ran into a pole), BudgetExhausted
+    when the point budget runs out, SamplingFailure when a piece is not
+    certified after 60 bisections.
     """
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
         raise ValueError("need at least two vertices")
+    enclose = view.enclose
 
     def evaluate(z: complex) -> complex:
         w = view(z)
@@ -427,7 +500,14 @@ def refine_path_view(
             raise PointOnLoop("image path escapes the chart (source hits a pole)")
         return w
 
-    return bisect_path(verts, evaluate, _tame_step, tol,
+    def certified(za: complex, zb: complex, wa: complex, wb: complex) -> bool:
+        disk = enclose((0.5 * (za + zb), 0.5625 * abs(zb - za), False))
+        if disk is None or disk[2]:
+            return False
+        c, r, _ = disk
+        return abs(c) > r and abs(wa - c) <= r and abs(wb - c) <= r
+
+    return bisect_path(verts, evaluate, certified, tol,
                        SamplingFailure("edge cannot be refined further"))
 
 

@@ -116,7 +116,7 @@ def resample_under(
     the true image arc in the complement of the protected set.
     """
 
-    def ok(w0: complex, w1: complex) -> bool:
+    def ok(_z0: complex, _z1: complex, w0: complex, w1: complex) -> bool:
         step = abs(w1 - w0)
         if step == 0.0:
             return True

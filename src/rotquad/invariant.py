@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
+    BudgetExhausted,
     GeometryFailure,
     InconclusiveComputation,
     MixedCoincidence,
@@ -56,7 +57,6 @@ from .maps import (
     iterate_spec,
     require_fixed,
     rigid_rotation_angle,
-    twist_budget,
     twist_chart,
 )
 from .report import CheckRecord, make_record
@@ -149,36 +149,6 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
             raise PointOnLoop(f"the connecting path passes through {p!r}")
 
 
-def _densify(vertices, per_edge: int) -> list[complex]:
-    """Insert per_edge - 1 evenly spaced points on every edge.
-
-    Original vertices (in particular both endpoints) are kept exactly; the
-    inserted points lie on the straight edges, so the carrier of the
-    polyline is unchanged.
-    """
-    verts = [complex(v) for v in vertices]
-    out = [verts[0]]
-    for a, b in zip(verts, verts[1:]):
-        out.extend(a + (b - a) * (j / per_edge) for j in range(1, per_edge))
-        out.append(b)
-    return out
-
-
-def _seeds(vertices, spec: MapSpec, tol: Tolerances) -> list[complex]:
-    """The vertices densified to the seed count the refinement needs.
-
-    No edge may wrap an exact integer number of image turns between
-    consecutive seeds: such a wrap leaves the endpoint phases equal and the
-    subdivision criterion would never fire.  32 seeds per potential turn
-    bounds the per-seed wrap well under half a turn even when the twisting
-    concentrates on a short parameter interval.
-    """
-    n_edges = max(1, len(vertices) - 1)
-    per_edge = int(min(tol.max_refine_points // (4 * n_edges),
-                       32 * (2 + math.ceil(twist_budget(spec)))))
-    return _densify(vertices, per_edge)
-
-
 def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
     """The refined image path in the chart h (x1 -> 0, x2 -> inf), the path's
     own exact turning there (arg h(z) = arg(z - x1) - arg(z - x2) + const, a
@@ -186,7 +156,7 @@ def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
     require_fixed(spec, t.points, tol)
     _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
     h = mobius_normalize(t.x1, t.x2)
-    forward = refine_path_view(_seeds(beta.vertices, spec, tol), compile_map(spec, then=h), tol=tol)
+    forward = refine_path_view(beta.vertices, compile_map(spec, then=h), tol=tol)
     base = sum(sign * path_turns(beta.vertices, p.value)
                for sign, p in ((1, t.x1), (-1, t.x2)) if not p.is_infinity)
     at = mobius_step(h)
@@ -310,8 +280,7 @@ def rf_blowup(
     y4 = apply_mobius(h, x4)
     assert not y4.is_infinity and y4.value != 0
 
-    beta = _seeds([y4.value * 1e-6, y4.value], iterated, tol)
-
+    beta = [y4.value * 1e-6, y4.value]
     forward = refine_path_view(beta, compile_map(iterated), tol=tol)
     turns = (path_turns(forward) - path_turns(beta)) / TAU
     return BlowupEstimate(turns / n_iters, 2.0 / n_iters, n_iters)
@@ -467,7 +436,9 @@ class RfEvaluator:
     first.  Degenerate geometry (a path or loop grazing a marked point, a
     non-integer winding) triggers a retry with the next path variant and a
     small deterministic jitter; if all attempts fail the computation is
-    reported inconclusive, never passed.
+    reported inconclusive, never passed.  An exhausted refinement budget is
+    reported inconclusive at once: jitter does not make the image twist
+    less.
     """
 
     def __init__(self, spec: MapSpec, tol: Tolerances = DEFAULT_TOL, seed: int = 0):
@@ -509,6 +480,8 @@ class RfEvaluator:
                     )
                 self._cache[key] = value
                 return value
+            except BudgetExhausted as err:
+                raise InconclusiveComputation(f"{err}; not retried") from err
             except (GeometryFailure, ScenarioError) as err:
                 last_error = err
         raise InconclusiveComputation(

@@ -14,6 +14,7 @@ import cmath
 import math
 from cmath import isfinite
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import NotFixed
 from .geometry import (
@@ -23,10 +24,13 @@ from .geometry import (
     MobiusTransform,
     SpherePoint,
     Tolerances,
+    _PAD,
     _non_finite,
     apply_mobius,
     as_sphere_point,
+    mobius_disk,
     mobius_step,
+    padded_disk,
 )
 
 TAU = math.tau
@@ -220,7 +224,8 @@ def invert_spec(spec: MapSpec) -> MapSpec:
 # the twist formula in a fixed order.  Only the per-node set-up (inverse
 # charts, inverse specs, attribute lookups) is hoisted out of the per-point
 # work.  Like SpherePoint, a step rejects a non-finite coordinate with
-# ValueError.
+# ValueError.  A second chain of steps, one rule per step kind, carries a
+# disk enclosure of the image (geometry.mobius_disk, _twist_disk).
 
 _TAU_I = 1j * TAU
 
@@ -243,7 +248,45 @@ def _twist_step(profile: RadialProfile):
     return step
 
 
+def _twist_disk(profile: RadialProfile):
+    """The radial twist as an enclosure step (``geometry.mobius_disk`` form).
+
+    On |z - c| <= r the angle moves by at most L r turns, L the largest
+    slope of rho on [|c| - r, |c| + r], so the image lies within
+    min(r (1 + 2 pi |c| L), r + 2|c|) of T(c).  A complement passes only
+    where rho is constant on it, beyond the last breakpoint where it
+    changes: there the twist is a rigid rotation.  The padding adds the
+    rounding of a turn count as large as the profile's values.
+    """
+    bps = profile.breakpoints
+    slopes = tuple((r0, r1, abs(v1 - v0) / (r1 - r0))
+                   for (r0, v0), (r1, v1) in zip(bps, bps[1:]) if v1 != v0)
+    rigid_beyond = slopes[-1][1] if slopes else -1.0
+    outer = cmath.exp(_TAU_I * (profile.value_at_infinity % 1.0))
+    turns = 1e-14 * max(abs(v) for _, v in bps)
+    point = _twist_step(profile)
+
+    def step(disk):
+        if disk is None:
+            return None
+        c, r, outside = disk
+        ac = abs(c)
+        # radii |z| of the set's points, widened for the rounding of |z|
+        margin = 1e-15 * (ac + r)
+        if outside:
+            if r - ac - margin <= rigid_beyond:
+                return None
+            return padded_disk(c * outer, r, True, (ac + r) * (_PAD + turns))
+        lo, hi = ac - r - margin, ac + r + margin
+        slope = max((k for r0, r1, k in slopes if r0 <= hi and r1 >= lo), default=0.0)
+        grow = min(r * TAU * ac * slope, 2.0 * ac)
+        return padded_disk(point(c), r + grow, False, hi * (_PAD + turns + 1e-14 * slope * hi))
+
+    return step
+
+
 def _repeat_step(steps: list, n: int):
+    """The steps applied n times over; point and enclosure steps alike."""
     def step(z):
         for _ in range(n):
             for s in steps:
@@ -253,44 +296,113 @@ def _repeat_step(steps: list, n: int):
     return step
 
 
-def _steps(spec: MapSpec) -> list:
-    """The spec as steps to apply in order, first step first."""
+def _steps(spec: MapSpec, enclose: bool = False) -> list:
+    """The spec as steps to apply in order, first step first: point steps,
+    or with ``enclose`` enclosure steps (``geometry.mobius_disk`` form).
+
+    An enclosure takes a subtree that ``twist_chart`` reduces in its reduced
+    form (chart, one twist, chart back): chained steps would compound each
+    twist's radius growth, once per factor or repetition.
+    """
+    mobius, twist = (mobius_disk, _twist_disk) if enclose else (mobius_step, _twist_step)
     if isinstance(spec, Identity):
         return []
+    reduced = twist_chart(spec) if enclose else None
+    if reduced is not None:
+        h, profile = reduced
+        if h == MOBIUS_IDENTITY:
+            return [twist(profile)]
+        return [mobius(h), twist(profile), mobius(h.inverse())]
     if isinstance(spec, RadialTwist):
-        return [_twist_step(spec.profile)]
+        return [twist(spec.profile)]
     if isinstance(spec, MobiusConjugate):
-        return [mobius_step(spec.h), *_steps(spec.inner), mobius_step(spec.h.inverse())]
+        return [mobius(spec.h), *_steps(spec.inner, enclose), mobius(spec.h.inverse())]
     if isinstance(spec, Compose):
-        return [s for part in reversed(spec.parts) for s in _steps(part)]
+        return [s for part in reversed(spec.parts) for s in _steps(part, enclose)]
     if isinstance(spec, Inverse):
-        return _steps(invert_spec(spec.inner))
+        return _steps(invert_spec(spec.inner), enclose)
     if isinstance(spec, Power):
-        base = _steps(spec.inner if spec.q > 0 else invert_spec(spec.inner))
-        return [_repeat_step(base, abs(spec.q))]
+        inner = spec.inner if spec.q > 0 else invert_spec(spec.inner)
+        if enclose and _commuting_twists(inner):
+            return _steps(Compose(tuple(Power(abs(spec.q), part) for part in inner.parts)), True)
+        return [_repeat_step(_steps(inner, enclose), abs(spec.q))]
     raise TypeError(f"not a map spec: {spec!r}")
 
 
-def compile_map(spec: MapSpec, then: MobiusTransform | None = None):
-    """The homeomorphism as a function on coordinates (None is infinity).
+def _support_disk(spec: MapSpec):
+    """A disk (``geometry.mobius_disk`` form) outside which the spec is the
+    identity, when ``twist_chart`` reduces it to a profile with an integer
+    value beyond its last or below its first breakpoint; else None."""
+    reduced = twist_chart(spec)
+    if reduced is None:
+        return None
+    h, profile = reduced
+    (r_in, v_in), (r_out, v_out) = profile.breakpoints[0], profile.breakpoints[-1]
+    if v_out == round(v_out):
+        return mobius_disk(h.inverse())((0j, r_out, False))
+    if v_in == round(v_in):
+        return mobius_disk(h.inverse())((0j, r_in, True))
+    return None
 
-    With ``then``, the function is the chart change ``then`` after the map.
-    The images are bit-identical to ``eval_map``; a non-finite input or
-    intermediate coordinate raises ValueError.
+
+def _commuting_twists(spec: MapSpec) -> bool:
+    """Whether spec composes reducible twists with pairwise disjoint supports.
+
+    Such twists commute, so a power of the composition is the composition
+    of their powers, each enclosed as one twist: chaining the repetitions
+    instead grows the enclosure geometrically with the exponent.
     """
-    steps = _steps(spec)
-    if then is not None:
-        steps.append(mobius_step(then))
-    steps = tuple(steps)
+    if not isinstance(spec, Compose):
+        return False
+    disks = [_support_disk(part) for part in spec.parts]
+    return None not in disks and all(_disjoint(a, b) for a, b in combinations(disks, 2))
 
-    def run(z):
+
+def _disjoint(first, second) -> bool:
+    """Whether two disks (``geometry.mobius_disk`` form) are disjoint: two
+    proper disks apart, or a proper disk inside the hole of a complement."""
+    (c1, r1, out1), (c2, r2, out2) = sorted((first, second), key=lambda disk: disk[2])
+    if out1:
+        return False  # two complements share the point at infinity
+    return abs(c1 - c2) + r1 < r2 if out2 else abs(c1 - c2) > r1 + r2
+
+
+class CompiledMap:
+    """A spec compiled once: ``f(z)`` maps a coordinate (None is infinity),
+    ``f.enclose(disk)`` a disk (``geometry.mobius_disk`` gives the form)."""
+
+    __slots__ = ("_steps", "_disks")
+
+    def __init__(self, steps: list, disks: list):
+        self._steps = tuple(steps)
+        self._disks = tuple(disks)
+
+    def __call__(self, z):
         if z is not None and not isfinite(z):
             raise _non_finite(z)
-        for step in steps:
+        for step in self._steps:
             z = step(z)
         return z
 
-    return run
+    def enclose(self, disk):
+        """A disk containing the image of ``disk``, or None."""
+        for step in self._disks:
+            disk = step(disk)
+        return disk
+
+
+def compile_map(spec: MapSpec, then: MobiusTransform | None = None) -> CompiledMap:
+    """The homeomorphism as a function on coordinates, with its disk enclosure.
+
+    With ``then``, the map is the chart change ``then`` after the spec.  The
+    images are bit-identical to ``eval_map``; a non-finite input or
+    intermediate coordinate raises ValueError.
+    """
+    steps, disks = _steps(spec), _steps(spec, enclose=True)
+    if then is not None:
+        steps.append(mobius_step(then))
+        disks.append(mobius_disk(then))
+    return CompiledMap(steps, disks)
 
 
 def eval_map(spec: MapSpec, p) -> SpherePoint:
@@ -381,28 +493,6 @@ def iterate_spec(spec: MapSpec, n: int) -> MapSpec:
         if n < 0:
             return Power(-n, invert_spec(spec))
         return Power(n, spec)
-    raise TypeError(f"not a map spec: {spec!r}")
-
-
-def twist_budget(spec: MapSpec) -> float:
-    """An a-priori bound on the total twisting the spec can impose.
-
-    The image of any path winds around a point at most this many extra
-    turns (plus a geometry constant), so samplers can choose an initial
-    resolution that no amount of exact integer wrapping can alias away.
-    """
-    if isinstance(spec, Identity):
-        return 0.0
-    if isinstance(spec, RadialTwist):
-        return spec.profile.total_variation()
-    if isinstance(spec, MobiusConjugate):
-        return twist_budget(spec.inner)
-    if isinstance(spec, Inverse):
-        return twist_budget(spec.inner)
-    if isinstance(spec, Power):
-        return abs(spec.q) * twist_budget(spec.inner)
-    if isinstance(spec, Compose):
-        return sum(twist_budget(part) for part in spec.parts)
     raise TypeError(f"not a map spec: {spec!r}")
 
 

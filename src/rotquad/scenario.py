@@ -106,9 +106,11 @@ def polyline_to_json(path: Polyline) -> dict:
 def polyline_from_json(obj) -> Polyline:
     try:
         vertices = tuple(complex_from_json(v) for v in obj["vertices"])
-        closed = bool(obj.get("closed", False))
+        closed = obj.get("closed", False)
     except (KeyError, TypeError) as exc:
         raise ScenarioError(f"bad path object {obj!r}") from exc
+    if type(closed) is not bool:
+        raise ScenarioError(f"a path's 'closed' must be true or false, got {closed!r}")
     return Polyline(vertices, closed=closed)
 
 

@@ -7,12 +7,13 @@ the polyline's own vertices.  These properties compare both with the
 refined Mobius image, over random polylines that keep clear of x1 and x2,
 either of which may be the point at infinity.
 
-The refinement reads only the endpoints of each piece, so the reference is
-run on the polyline subdivided until consecutive vertices are at most half
-the punctures' clearance apart.  Each piece then subtends under 0.5 rad at
-either puncture, its image turns by under 1 rad, and the refined sum is
-exact.  On the bare vertices it is not: the triangle (i, 2 - i, -1) refines
-to class 0 about (0, -0.5i), where it winds -1 around 0 and 0 around -0.5i.
+The reference is run on the polyline subdivided until consecutive vertices
+are at most half the punctures' clearance apart.  Each piece then subtends
+under 0.5 rad at either puncture and its image turns by under 1 rad, so the
+refined sum is exact by that spacing alone, as well as by the refinement's
+disk enclosures.  A rule that reads only the ends of each piece is not exact
+on the bare vertices: the triangle (i, 2 - i, -1) reads as class 0 about
+(0, -0.5i), where it winds -1 around 0 and 0 around -0.5i.
 """
 
 import cmath
@@ -34,12 +35,12 @@ from rotquad.geometry import (
     DEFAULT_TOL,
     dedupe_consecutive,
     mobius_normalize,
-    mobius_step,
     path_turns,
     refine_path_view,
     winding_number,
 )
 from rotquad.invariant import _refined_paths
+from rotquad.maps import compile_map
 
 from helpers import circle
 
@@ -89,7 +90,7 @@ def _dense(vertices, closed: bool) -> list[complex]:
 
 
 def _normalized_view(x1, x2):
-    return mobius_step(mobius_normalize(x1, x2))
+    return compile_map(Identity(), then=mobius_normalize(x1, x2))
 
 
 @given(_polyline_and_punctures(closed=False))

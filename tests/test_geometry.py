@@ -30,6 +30,7 @@ from rotquad import (
 from rotquad.geometry import (
     MOBIUS_IDENTITY,
     dedupe_consecutive,
+    mobius_disk,
     point_segment_distance,
     refine_path_view,
 )
@@ -212,35 +213,63 @@ def test_path_turns_quarter_circle():
 # adaptive refinement of a viewed path
 
 
+class _View:
+    """A view made of a point map and a hand-written disk enclosure."""
+
+    def __init__(self, f, enclose):
+        self.f = f
+        self.enclose = enclose
+
+    def __call__(self, z):
+        return self.f(z)
+
+
+def _spin(k: int) -> _View:
+    """z * exp(i tau k (Re z - 1)): on |z - c| <= r the angle moves by at
+    most tau k r, so the image stays within r + |c| min(2, tau k r) of f(c)."""
+    f = lambda z: z * cmath.exp(1j * k * math.tau * (z.real - 1.0))
+
+    def enclose(disk):
+        c, r, outside = disk
+        if outside:
+            return None
+        grow = abs(c) * min(2.0, k * math.tau * r)
+        return f(c), r + grow + 1e-12 * (abs(c) + r), False
+
+    return _View(f, enclose)
+
+
+_IDENTITY_VIEW = _View(lambda z: z, lambda disk: disk)
+
+
 def test_refine_identity_view_is_cheap():
-    out = refine_path_view([1 + 0j, 1 + 0.1j], lambda z: z, tol=DEFAULT_TOL)
+    out = refine_path_view([1 + 0j, 1 + 0.1j], _IDENTITY_VIEW, tol=DEFAULT_TOL)
     assert out[0] == 1 + 0j and out[-1] == 1 + 0.1j
     assert len(out) == 2
 
 
 def test_refine_recovers_hidden_full_turn():
     # The image of [1, 2] under z * exp(i tau (z - 1)) wraps exactly once;
-    # both endpoint phases are 0, so only the chord criterion can see it.
-    view = lambda z: z * cmath.exp(1j * math.tau * (z.real - 1.0))
-    out = refine_path_view([1 + 0j, 2 + 0j], view, tol=DEFAULT_TOL)
+    # both endpoint phases are 0, so only the enclosure can see it.
+    out = refine_path_view([1 + 0j, 2 + 0j], _spin(1), tol=DEFAULT_TOL)
     assert abs(path_turns(out) - math.tau) < 1e-9
 
 
 def test_refine_recovers_hidden_double_turn_closed():
-    view = lambda z: z * cmath.exp(2j * math.tau * (z.real - 1.0))
     seeds = [1 + 0j, 1.3 + 0.01j, 1.7 - 0.01j, 2 + 0j]
-    out = refine_path_view(seeds, view, tol=DEFAULT_TOL)
+    out = refine_path_view(seeds, _spin(2), tol=DEFAULT_TOL)
     assert abs(path_turns(out) - 2 * math.tau) < 1e-9
 
 
 def test_refine_rejects_sample_at_origin():
     with pytest.raises(PointOnLoop):
-        refine_path_view([-1 + 0j, 1 + 0j], lambda z: z, tol=DEFAULT_TOL)
+        refine_path_view([-1 + 0j, 1 + 0j], _IDENTITY_VIEW, tol=DEFAULT_TOL)
 
 
 def test_refine_rejects_sample_at_the_pole():
     # a view returns None for the point at infinity: the source hit the pole
-    view = lambda z: None if z == 0.5 else 1 / (z - 0.5)
+    view = _View(lambda z: None if z == 0.5 else 1 / (z - 0.5),
+                 mobius_disk(MobiusTransform(0, 1, 1, -0.5)))
     with pytest.raises(PointOnLoop):
         refine_path_view([0j, 1 + 0j], view, tol=DEFAULT_TOL)
 
@@ -251,14 +280,26 @@ def test_geometry_failures_share_one_base():
     assert not issubclass(InconclusiveComputation, GeometryFailure)
 
 
+def _flip_enclosure(disk):
+    """Enclosure of z if Re z < 1.5 else -z: one branch, or both inside |w| <= |c| + r."""
+    c, r, outside = disk
+    if outside:
+        return None
+    if c.real + r < 1.5:
+        return disk
+    if c.real - r >= 1.5:
+        return -c, r, False
+    return 0j, abs(c) + r, False
+
+
 @pytest.mark.parametrize(
     "view, tol, reason",
     [
         # the hidden full turn needs bisection, but only one chord is allowed
-        (lambda z: z * cmath.exp(1j * math.tau * (z.real - 1.0)), Tolerances(max_refine_points=1),
-         "budget exhausted"),
+        (_spin(1), Tolerances(max_refine_points=1), "budget exhausted"),
         # a phase jump of pi at Re z = 1.5 survives every bisection
-        (lambda z: z if z.real < 1.5 else -z, DEFAULT_TOL, "cannot be refined"),
+        (_View(lambda z: z if z.real < 1.5 else -z, _flip_enclosure), DEFAULT_TOL,
+         "cannot be refined"),
     ],
     ids=["budget", "depth"],
 )

@@ -23,6 +23,7 @@ from rotquad import (
     RfEvaluator,
     ScenarioError,
     TangentCondition,
+    Tolerances,
     BlowupEstimate,
     concatenate_traces,
     connecting_path,
@@ -47,7 +48,7 @@ from rotquad.catalog import (
     sqrt2_blowup_spec,
 )
 from rotquad.geometry import DEFAULT_TOL, refine_path_view
-from rotquad.maps import compile_map, twist_budget
+from rotquad.maps import compile_map
 from rotquad.report import PASS
 
 AXIS_TUPLE = MarkedTuple(0j, INFINITY, 0.5 + 0j, 3 + 0j)
@@ -159,6 +160,28 @@ def test_evaluator_refines_once_per_value(monkeypatch):
     assert len(calls) == 1  # a cached value costs nothing
     assert ev.value(0j, INFINITY, 3 + 0j, 4j) == 0
     assert len(calls) == 2
+
+
+def test_exhausted_budget_is_inconclusive_after_one_attempt(monkeypatch):
+    import rotquad.invariant as invariant
+
+    calls = []
+    real = invariant.refine_path_view
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariant, "refine_path_view", counting)
+    # the twist by 2 needs 24 certified pieces on its connecting path
+    ev = RfEvaluator(golden_twist_spec(2), Tolerances(max_refine_points=20))
+    with pytest.raises(InconclusiveComputation, match="max_refine_points=20"):
+        ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
+    assert len(calls) == 1
+
+
+def test_points_closer_than_1e_12_have_a_value():
+    assert RfEvaluator(Identity()).value(0j, 1e-13, 1, 2) == 0
 
 
 def test_evaluator_cross_checks_loop_against_lift(monkeypatch):
@@ -292,10 +315,12 @@ def test_blowup_bound_tightens_and_extrapolation_marks_itself():
 
 def _inline_seeded_blowup(spec, n_iters: int) -> float:
     """rf_blowup at p = 0, x2 = infinity, x4 = 3 (the identity chart), with
-    the radial path seeded inline as it was before the shared seed rule."""
+    the radial path seeded inline by the former seed rule: 32 (2 + the
+    iterate's total twist, rounded up) evenly spaced points."""
     iterated = iterate_spec(spec, n_iters)
     y4 = 3 + 0j
-    n = int(min(DEFAULT_TOL.max_refine_points // 4, 32 * (2 + math.ceil(twist_budget(iterated)))))
+    twist = iterated.profile.total_variation()
+    n = int(min(DEFAULT_TOL.max_refine_points // 4, 32 * (2 + math.ceil(twist))))
     start = y4 * 1e-6
     beta = [start + (y4 - start) * (j / n) for j in range(n + 1)]
     forward = refine_path_view(beta, compile_map(iterated), tol=DEFAULT_TOL)
@@ -307,7 +332,7 @@ def _inline_seeded_blowup(spec, n_iters: int) -> float:
 @pytest.mark.parametrize("n_iters", [250, 2000])
 def test_blowup_estimate_is_bit_identical_to_inline_seeding(spec, n_iters):
     est = rf_blowup(spec, 0j, INFINITY, 3 + 0j, n_iters)
-    assert est.value == _inline_seeded_blowup(spec, n_iters)
+    assert abs(est.value - _inline_seeded_blowup(spec, n_iters)) <= 1e-12
 
 
 def test_blowup_validation():

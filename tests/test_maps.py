@@ -33,7 +33,7 @@ from rotquad.catalog import (
     identity_scenarios,
     quarter_turn_blowup_spec,
 )
-from rotquad.maps import compile_map, fixed_residual, twist_budget
+from rotquad.maps import compile_map, fixed_residual
 
 RAMP = RadialProfile(((1.0, 0.0), (2.0, 1.0)))
 
@@ -177,16 +177,6 @@ def test_iterate_matches_pointwise_power():
     for z in (0.3 + 0.1j, 2.5j, 4.5 + 0.2j):
         direct = eval_map(spec, eval_map(spec, SpherePoint(z)))
         assert abs(eval_map(g, SpherePoint(z)).value - direct.value) < 1e-12
-
-
-def test_twist_budget_arithmetic():
-    assert twist_budget(golden_twist_spec(3)) == pytest.approx(3.0)
-    assert twist_budget(Power(2, golden_twist_spec(-3))) == pytest.approx(6.0)
-    both = Compose((golden_twist_spec(2), golden_twist_spec(-1)))
-    assert twist_budget(both) == pytest.approx(3.0)
-    h = MobiusTransform(1, 1, 0, 1)
-    assert twist_budget(MobiusConjugate(h, golden_twist_spec(2))) == pytest.approx(2.0)
-    assert twist_budget(Inverse(golden_twist_spec(2))) == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,8 @@ def test_cli_compute_validation_exit(tmp_path, capsys):
     ("map", {"type": "radial_twist", "profile": [[1, 0], [2, float("nan")]]}),
     ("seed", 1.7),
     ("seed", True),
+    ("paths", {"beta-detour": {"closed": "no", "vertices": [[0.5, 0], [0.5, -1.5], [2.5, -1.5],
+                                                             [2.5, 0]]}}),
 ])
 def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
     blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
