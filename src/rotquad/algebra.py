@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import ParseError, RelationViolated
 from .geometry import DEFAULT_TOL, Tolerances, as_sphere_point
@@ -123,6 +124,7 @@ SIGMA1 = parse_cycles("(12)")
 SIGMA2 = parse_cycles("(23)")
 SIGMA3 = parse_cycles("(34)")
 TAU_CYCLE = parse_cycles("(123)")
+TAU_SQUARED = TAU_CYCLE.compose(TAU_CYCLE)
 
 
 def all_permutations() -> list[Permutation]:
@@ -292,17 +294,52 @@ def quadratic_table(labels) -> FunctionTable:
     return table_from_function(labels, lambda a, b, c, d: (a - b) * (c - d))
 
 
+# act_on_tuple by the cyclic shift and the double shift, as fixed gathers
+_SHIFT = itemgetter(*(i - 1 for i in TAU_CYCLE.images))
+_SHIFT_TWICE = itemgetter(*(i - 1 for i in TAU_SQUARED.images))
+
+
 def f_triple(F: FunctionTable, x) -> tuple:
     """(F at x, F at the cyclic shift, F at the double shift).
 
     The components sum to zero whenever F satisfies the cyclic relation.
     """
     x = tuple(x)
-    return (
-        F(x),
-        F(act_on_tuple(x, TAU_CYCLE)),
-        F(act_on_tuple(x, TAU_CYCLE.compose(TAU_CYCLE))),
-    )
+    return F(x), F(_SHIFT(x)), F(_SHIFT_TWICE(x))
+
+
+@lru_cache(maxsize=4)
+def _gathers(n: int) -> dict[Permutation, tuple[int, ...]]:
+    """The action of each permutation on the distinct 4-tuples of n labels.
+
+    Entry i of sigma's gather is the position, in distinct_tuples() order,
+    of the i-th tuple acted on by sigma.  It depends on n only, so every
+    table on n labels shares it.
+    """
+    tuples = list(itertools.permutations(range(n), 4))
+    index = {t: i for i, t in enumerate(tuples)}
+    return {
+        sigma: tuple(index[act_on_tuple(t, sigma)] for t in tuples)
+        for sigma in all_permutations()
+    }
+
+
+def _lazy_values(F: FunctionTable):
+    """F's distinct tuples, and a reader of F at the i-th of them.
+
+    Each entry is read from F once, when first asked for, so a missing
+    entry raises the KeyError of F(t) at the same point as a direct call.
+    """
+    tuples = list(F.distinct_tuples())
+    values = [None] * len(tuples)
+
+    def value(i):
+        v = values[i]
+        if v is None:
+            v = values[i] = F(tuples[i])
+        return v
+
+    return tuples, value
 
 
 @dataclass(frozen=True)
@@ -320,34 +357,40 @@ def check_relations(F: FunctionTable) -> dict[str, RelationCheck]:
     swap_sign:    swapping either pair flips the sign
     split_w:      the first-pair splitting through every admissible w
     Each result carries the first counterexample, if any.
+
+    Each relation first tests that the difference of its two sides is
+    exactly zero, which implies _eq for every value type (equal infinities
+    differ by NaN), and only otherwise compares through _eq.
     """
+    tuples, value = _lazy_values(F)
+    gathers = _gathers(len(F.labels))
     out: dict[str, RelationCheck] = {}
 
     checked = 0
     witness = None
-    for t in F.distinct_tuples():
-        a, b, c = (v for v in f_triple(F, t))
+    for i, (j, k) in enumerate(zip(gathers[TAU_CYCLE], gathers[TAU_SQUARED])):
+        a, b, c = value(i), value(j), value(k)
         checked += 1
-        if not _eq(a + b + c, 0):
-            witness = (t, (a, b, c))
+        if a + b + c != 0 and not _eq(a + b + c, 0):
+            witness = (tuples[i], (a, b, c))
             break
     out["cyclic_sum"] = RelationCheck("cyclic_sum", witness is None, checked, witness)
 
     checked = 0
     witness = None
-    for t in F.distinct_tuples():
-        base = F(t)
-        first = F(act_on_tuple(t, SIGMA1))
-        second = F(act_on_tuple(t, SIGMA3))
+    for i, (j, k) in enumerate(zip(gathers[SIGMA1], gathers[SIGMA3])):
+        base, first, second = value(i), value(j), value(k)
         checked += 1
-        if not (_eq(first, -base) and _eq(second, -base)):
-            witness = (t, (base, first, second))
+        if (first + base != 0 or second + base != 0) and not (
+            _eq(first, -base) and _eq(second, -base)
+        ):
+            witness = (tuples[i], (base, first, second))
             break
     out["swap_sign"] = RelationCheck("swap_sign", witness is None, checked, witness)
 
     checked = 0
     witness = None
-    for t in F.distinct_tuples():
+    for i, t in enumerate(tuples):
         x1, x2, x3, x4 = t
         for w in F.labels:
             left = F.get((x1, w, x3, x4))
@@ -355,8 +398,9 @@ def check_relations(F: FunctionTable) -> dict[str, RelationCheck]:
             if left is None or right is None:
                 continue
             checked += 1
-            if not _eq(F(t), left + right):
-                witness = ((t, w), (F(t), left, right))
+            base = value(i)
+            if base - (left + right) != 0 and not _eq(base, left + right):
+                witness = ((t, w), (base, left, right))
                 break
         if witness:
             break
@@ -377,17 +421,37 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     Checked for all 24 permutations against every distinct-entry tuple;
     equality is exact (or within 1e-9 for float tables).  The witness on
     failure is (cycle notation, tuple, expected, got).
+
+    Each tuple's triple is read once, when the loop first reaches it.  The
+    transport is compared by exact equality first; the transport matrices
+    are signed permutations, so an infinite component makes another one
+    NaN and only finite triples pass that test, which then pass _eq too.
     """
-    checked = 0
-    for sigma in all_permutations():
+    tuples = list(F.distinct_tuples())
+    triples = [None] * len(tuples)
+
+    def triple(i):
+        tr = triples[i] = f_triple(F, tuples[i])
+        return tr
+
+    gathers = _gathers(len(F.labels))
+    perms = all_permutations()
+    for s, sigma in enumerate(perms):
         mat = theta_action(sigma)
-        for t in F.distinct_tuples():
-            expected = mat_vec(mat, f_triple(F, t))
-            got = f_triple(F, act_on_tuple(t, sigma))
-            checked += 1
-            if not all(_eq(e, g) for e, g in zip(expected, got)):
-                return SymmetryCheck(False, checked, (sigma.cycle_notation(), t, expected, got))
-    return SymmetryCheck(True, checked)
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = mat
+        for i, j in enumerate(gathers[sigma]):
+            a, b, c = triples[i] or triple(i)
+            got = triples[j] or triple(j)
+            if got != (m00 * a + m01 * b + m02 * c,
+                       m10 * a + m11 * b + m12 * c,
+                       m20 * a + m21 * b + m22 * c):
+                expected = mat_vec(mat, (a, b, c))
+                if not all(_eq(e, g) for e, g in zip(expected, got)):
+                    return SymmetryCheck(
+                        False, s * len(tuples) + i + 1,
+                        (sigma.cycle_notation(), tuples[i], expected, got),
+                    )
+    return SymmetryCheck(True, len(perms) * len(tuples))
 
 
 # ---------------------------------------------------------------------------

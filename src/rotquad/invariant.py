@@ -438,14 +438,15 @@ class RfEvaluator:
     small deterministic jitter; if all attempts fail the computation is
     reported inconclusive, never passed.  An exhausted refinement budget is
     reported inconclusive at once: jitter does not make the image twist
-    less.
+    less.  That failure is cached like a value and raised again on the
+    next request for the tuple; geometric failures are not cached.
     """
 
     def __init__(self, spec: MapSpec, tol: Tolerances = DEFAULT_TOL, seed: int = 0):
         self.spec = spec
         self.tol = tol
         self.seed = seed
-        self._cache: dict[tuple, int] = {}
+        self._cache: dict[tuple, int | InconclusiveComputation] = {}
 
     def value(self, x1, x2, x3, x4) -> int:
         t = MarkedTuple(x1, x2, x3, x4)
@@ -458,7 +459,10 @@ class RfEvaluator:
             )
         key = t.points
         if key in self._cache:
-            return self._cache[key]
+            cached = self._cache[key]
+            if isinstance(cached, InconclusiveComputation):
+                raise cached.with_traceback(None)
+            return cached
         spec, moved = _prechart(self.spec, t)
         y1, y2, y3, y4 = moved.points
         last_error: Exception | None = None
@@ -481,7 +485,9 @@ class RfEvaluator:
                 self._cache[key] = value
                 return value
             except BudgetExhausted as err:
-                raise InconclusiveComputation(f"{err}; not retried") from err
+                failure = InconclusiveComputation(f"{err}; not retried")
+                self._cache[key] = failure
+                raise failure from err
             except (GeometryFailure, ScenarioError) as err:
                 last_error = err
         raise InconclusiveComputation(

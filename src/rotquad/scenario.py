@@ -297,8 +297,11 @@ def scenario_from_json(obj) -> Scenario:
             and all(isinstance(t, (list, tuple)) and all(isinstance(nm, str) for nm in t)
                     for t in raw_tuples)):
         raise ScenarioError(f"'tuples' must be a list of lists of point names, got {raw_tuples!r}")
+    name = obj.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioError(f"'name' must be a string, got {name!r}")
     return Scenario(
-        name=str(obj.get("name", "scenario")),
+        name=name,
         map_spec=map_from_json(obj["map"]),
         points=points,
         tuples=tuple(tuple(t) for t in raw_tuples),

@@ -241,6 +241,22 @@ def test_triple_symmetry_on_quadratic():
     assert out.witness is None
 
 
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_checked_counts_cover_the_whole_battery(n):
+    # every (permutation, distinct tuple) pair, every distinct tuple per
+    # relation, and each splitting label w that has both pieces: all of
+    # them for a total table, all but x3 and x4 for a distinct-entry table
+    tuples = n * (n - 1) * (n - 2) * (n - 3)
+    F = quadratic_table(range(n))
+    partial = FunctionTable(F.labels, {t: F(t) for t in F.distinct_tuples()})
+    for table, split_labels in ((F, n), (partial, n - 2)):
+        assert verify_triple_symmetry(table).checked == 24 * tuples
+        checks = check_relations(table)
+        assert checks["cyclic_sum"].checked == tuples
+        assert checks["swap_sign"].checked == tuples
+        assert checks["split_w"].checked == split_labels * tuples
+
+
 def test_triple_symmetry_detects_single_perturbation():
     F = quadratic_table(range(5)).perturbed((0, 1, 2, 3), 1)
     out = verify_triple_symmetry(F)

@@ -16,6 +16,7 @@ from rotquad import (
     MobiusConjugate,
     MobiusTransform,
     NotFixed,
+    PointOnLoop,
     Polyline,
     Power,
     RadialProfile,
@@ -178,6 +179,28 @@ def test_exhausted_budget_is_inconclusive_after_one_attempt(monkeypatch):
     with pytest.raises(InconclusiveComputation, match="max_refine_points=20"):
         ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
     assert len(calls) == 1
+    # the failure is cached like a value: asking again refines nothing
+    with pytest.raises(InconclusiveComputation, match="max_refine_points=20"):
+        ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
+    assert len(calls) == 1
+
+
+def test_geometric_failures_are_retried_on_every_request(monkeypatch):
+    import rotquad.invariant as invariant
+
+    calls = []
+
+    def grazing(*args, **kwargs):
+        calls.append(1)
+        raise PointOnLoop("image path through the origin")
+
+    monkeypatch.setattr(invariant, "refine_path_view", grazing)
+    ev = RfEvaluator(golden_twist_spec(2))
+    attempts = ev.tol.jitter_attempts + 1
+    for request in (1, 2):
+        with pytest.raises(InconclusiveComputation, match="no admissible geometry"):
+            ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
+        assert len(calls) == request * attempts
 
 
 def test_points_closer_than_1e_12_have_a_value():

@@ -167,6 +167,8 @@ def test_cli_compute_validation_exit(tmp_path, capsys):
     ("seed", True),
     ("paths", {"beta-detour": {"closed": "no", "vertices": [[0.5, 0], [0.5, -1.5], [2.5, -1.5],
                                                              [2.5, 0]]}}),
+    ("name", [1, 2]),
+    ("name", 7),
 ])
 def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
     blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
