@@ -8,9 +8,10 @@ and prints one ``<sha256>  <report>`` line per written file (the JSON
 report, then its CSV table).  The catalog scenarios hold no
 mixed tuple, so one more scenario is written to the temporary directory
 from ``catalog.sqrt2_blowup_spec()`` with points 0, infinity and 3 and the
-four mixed patterns; its report carries the blow-up estimates as ``repr``
-floats.  Reports are deterministic, so two checkouts that should compute
-the same values print identical lines:
+four mixed patterns, and run once plainly and once with ``--extrapolate``;
+its reports carry the blow-up estimates as ``repr`` floats.  Reports are
+deterministic, so two checkouts that should compute the same values print
+identical lines:
 
     python3 scripts/report_digests.py > digests.txt
 
@@ -59,6 +60,8 @@ def main() -> int:
         blowup = Path(tmp) / "sqrt2-blowup.json"
         _write_blowup_scenario(blowup)
         runs.append((["compute", str(blowup), "--method", "all"], "compute/sqrt2-blowup.json"))
+        runs.append((["compute", str(blowup), "--method", "all", "--extrapolate"],
+                     "compute/sqrt2-blowup-extrapolated.json"))
         for i, (args, label) in enumerate(runs):
             digests = _report_digests(args, Path(tmp) / f"{i}.json")
             for digest, name in zip(digests, (label, label.removesuffix(".json") + ".csv")):

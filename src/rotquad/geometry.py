@@ -324,30 +324,30 @@ def point_segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * d))
 
 
-def _phase_step(w0: complex, w1: complex) -> float:
-    """Signed angle from w0 to w1 as seen from the origin, in (-pi, pi].
-
-    Computed from the two phases to avoid overflow in w1/w0 when the
-    magnitudes differ by hundreds of orders.  cmath.phase raises on a phase
-    that underflows to zero; math.atan2 agrees elsewhere and returns it.
-    """
-    if w1 == w0:
-        return 0.0
-    try:
-        return math.remainder(cmath.phase(w1) - cmath.phase(w0), TAU)
-    except OverflowError:
-        return math.remainder(math.atan2(w1.imag, w1.real) - math.atan2(w0.imag, w0.real), TAU)
-
-
 def path_turns(points, centre: complex = 0j) -> float:
     """Total argument about ``centre`` accumulated along a point sequence, in
     radians: the exact turning of the polyline through them, whose straight
-    edges each subtend their signed angle at a centre they miss."""
+    edges each subtend their signed angle at a centre they miss.
+
+    Each edge adds the difference of its ends' phases, reduced to (-pi, pi],
+    or 0 when they are equal: the difference of phases does not overflow
+    when the magnitudes differ by hundreds of orders, as w1/w0 would.
+    cmath.phase raises on a phase that underflows to zero; math.atan2
+    agrees elsewhere and returns it.
+    """
     if centre:
         points = [w - centre for w in points]
+    phase, atan2, remainder = cmath.phase, math.atan2, math.remainder
     total = 0.0
-    for w0, w1 in zip(points, points[1:]):
-        total += _phase_step(w0, w1)
+    w0 = a0 = None
+    for w1 in points:
+        try:
+            a1 = phase(w1)
+        except OverflowError:
+            a1 = atan2(w1.imag, w1.real)
+        if w0 is not None and w1 != w0:
+            total += remainder(a1 - a0, TAU)
+        w0, a0 = w1, a1
     return total
 
 
@@ -440,25 +440,32 @@ def bisect_path(
     """
     budget = tol.max_refine_points
     out = [evaluate(vertices[0])]
+    emit = out.append
+    # Sub-segments still to emit after the current one, nearest last.
+    stack = []
+    push, pop = stack.append, stack.pop
     for a, b in zip(vertices, vertices[1:]):
-        # Stack of sub-segments still to emit, nearest first.
-        stack = [(a, b, out[-1], evaluate(b), 0)]
-        while stack:
-            sa, sb, swa, swb, depth = stack.pop()
+        sa, sb, swa, swb, depth = a, b, out[-1], evaluate(b), 0
+        while True:
             if accept(sa, sb, swa, swb):
                 budget -= 1
                 if budget < 0:
                     raise BudgetExhausted(
                         f"refinement budget exhausted: more than "
                         f"max_refine_points={tol.max_refine_points} pieces")
-                out.append(swb)
+                emit(swb)
+                if not stack:
+                    break
+                sa, sb, swa, swb, depth = pop()
                 continue
             if depth > 60:
                 raise stuck
+            # go on with the near half; the far half waits on the stack
             mid = 0.5 * (sa + sb)
             wm = evaluate(mid)
-            stack.append((mid, sb, wm, swb, depth + 1))
-            stack.append((sa, mid, swa, wm, depth + 1))
+            depth += 1
+            push((mid, sb, wm, swb, depth))
+            sb, swb = mid, wm
     return out
 
 
@@ -494,18 +501,20 @@ def refine_path_view(
         if w is None:
             raise PointOnLoop("image path passes through the chart pole")
         w = complex(w)
-        if w == 0:
-            raise PointOnLoop("image path passes through the chart origin")
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)) or abs(w) > _BLOWUP_MAGNITUDE:
+        # 0 < |w| <= 1e100 fails on 0, on a non-finite w (|w| is inf or
+        # NaN) and on an escaped one
+        if not 0.0 < abs(w) <= _BLOWUP_MAGNITUDE:
+            if w == 0:
+                raise PointOnLoop("image path passes through the chart origin")
             raise PointOnLoop("image path escapes the chart (source hits a pole)")
         return w
 
     def certified(za: complex, zb: complex, wa: complex, wb: complex) -> bool:
         disk = enclose((0.5 * (za + zb), 0.5625 * abs(zb - za), False))
-        if disk is None or disk[2]:
+        if disk is None:
             return False
-        c, r, _ = disk
-        return abs(c) > r and abs(wa - c) <= r and abs(wb - c) <= r
+        c, r, outside = disk
+        return not outside and abs(c) > r and abs(wa - c) <= r and abs(wb - c) <= r
 
     return bisect_path(verts, evaluate, certified, tol,
                        SamplingFailure("edge cannot be refined further"))

@@ -267,23 +267,28 @@ def rf_blowup(
             "the tangent-circle dynamics cannot be certified"
         )
 
-    if extrapolate and n_iters >= 2:
-        coarse = rf_blowup(spec, p, x2, x4, n_iters // 2, tol, extrapolate=False)
-        fine = rf_blowup(spec, p, x2, x4, n_iters, tol, extrapolate=False)
-        value = 2.0 * fine.value - coarse.value
-        return BlowupEstimate(value, fine.error_bound, n_iters, extrapolated=True)
-
     h = mobius_normalize(p, x2)
+    y4 = apply_mobius(h, x4)
+    assert not y4.is_infinity and y4.value != 0
+    if extrapolate and n_iters >= 2:
+        coarse = _blowup_wrapping(spec, h, y4.value, n_iters // 2, tol)
+        fine = _blowup_wrapping(spec, h, y4.value, n_iters, tol)
+        return BlowupEstimate(2.0 * fine - coarse, 2.0 / n_iters, n_iters, extrapolated=True)
+    return BlowupEstimate(_blowup_wrapping(spec, h, y4.value, n_iters, tol), 2.0 / n_iters, n_iters)
+
+
+def _blowup_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex, n_iters: int,
+                     tol: Tolerances) -> float:
+    """rf_blowup's estimate at n_iters, unextrapolated: the extra turns of the
+    n-th iterate's image of the radial path to y4, per iterate, in the chart
+    h (p -> 0, x2 -> infinity)."""
     iterated = iterate_spec(spec, n_iters)
     if h != MOBIUS_IDENTITY:
         iterated = MobiusConjugate(h.inverse(), iterated)
-    y4 = apply_mobius(h, x4)
-    assert not y4.is_infinity and y4.value != 0
-
-    beta = [y4.value * 1e-6, y4.value]
+    beta = [y4 * 1e-6, y4]
     forward = refine_path_view(beta, compile_map(iterated), tol=tol)
     turns = (path_turns(forward) - path_turns(beta)) / TAU
-    return BlowupEstimate(turns / n_iters, 2.0 / n_iters, n_iters)
+    return turns / n_iters
 
 
 def rf_double_blowup(spec: MapSpec, p1, p2, tol: Tolerances = DEFAULT_TOL) -> float:

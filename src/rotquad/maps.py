@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_left
 from cmath import isfinite
 from dataclasses import dataclass
 from itertools import combinations
@@ -58,22 +59,28 @@ class RadialProfile:
         if any(r1 >= r2 for r1, r2 in zip(radii, radii[1:])):
             raise ValueError("radii must be strictly increasing")
         object.__setattr__(self, "breakpoints", bps)
+        # value's lookup: the radii, and segment i ending at radius i
+        object.__setattr__(self, "_radii", tuple(radii))
+        object.__setattr__(self, "_segments", (None, *(
+            (r0, v0, r1, v1, v1 - v0, r1 - r0) for (r0, v0), (r1, v1) in zip(bps, bps[1:]))))
 
     def value(self, r: float) -> float:
         """rho(r), exact (no interpolation arithmetic) on constant zones."""
-        bps = self.breakpoints
-        if r <= bps[0][0]:
-            return bps[0][1]
-        if r >= bps[-1][0]:
-            return bps[-1][1]
-        for (r0, v0), (r1, v1) in zip(bps, bps[1:]):
-            if r0 <= r <= r1:
-                if v0 == v1 or r == r0:
-                    return v0
-                if r == r1:
-                    return v1
-                return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
-        raise AssertionError("unreachable")
+        radii = self._radii
+        if r <= radii[0]:
+            return self.breakpoints[0][1]
+        if r >= radii[-1]:
+            return self.breakpoints[-1][1]
+        # the first segment [r0, r1] that holds r, so r0 < r <= r1
+        i = bisect_left(radii, r)
+        if not i:
+            raise AssertionError("unreachable")  # r is NaN
+        r0, v0, r1, v1, dv, dr = self._segments[i]
+        if v0 == v1:
+            return v0
+        if r == r1:
+            return v1
+        return v0 + dv * (r - r0) / dr
 
     @property
     def value_at_zero(self) -> float:
@@ -230,20 +237,30 @@ def invert_spec(spec: MapSpec) -> MapSpec:
 _TAU_I = 1j * TAU
 
 
+def _twist_turn(profile: RadialProfile):
+    """The twist at a finite nonzero z, given with its modulus az = |z|."""
+    rho, exp = profile.value, cmath.exp
+
+    def turn(z, az):
+        ang = rho(az) % 1.0
+        if ang == 0.0:
+            return z
+        w = z * exp(_TAU_I * ang)
+        if not isfinite(w):
+            raise _non_finite(w)
+        return w
+
+    return turn
+
+
 def _twist_step(profile: RadialProfile):
     """The radial twist z -> e^{2 pi i rho(|z|)} z on coordinates."""
-    rho = profile.value
+    turn = _twist_turn(profile)
 
     def step(z):
         if z is None or z == 0:
             return z
-        ang = rho(abs(z)) % 1.0
-        if ang == 0.0:
-            return z
-        w = z * cmath.exp(_TAU_I * ang)
-        if not isfinite(w):
-            raise _non_finite(w)
-        return w
+        return turn(z, abs(z))
 
     return step
 
@@ -263,8 +280,9 @@ def _twist_disk(profile: RadialProfile):
                    for (r0, v0), (r1, v1) in zip(bps, bps[1:]) if v1 != v0)
     rigid_beyond = slopes[-1][1] if slopes else -1.0
     outer = cmath.exp(_TAU_I * (profile.value_at_infinity % 1.0))
-    turns = 1e-14 * max(abs(v) for _, v in bps)
-    point = _twist_step(profile)
+    pad = _PAD + 1e-14 * max(abs(v) for _, v in bps)
+    turn = _twist_turn(profile)
+    finite = math.isfinite
 
     def step(disk):
         if disk is None:
@@ -276,11 +294,21 @@ def _twist_disk(profile: RadialProfile):
         if outside:
             if r - ac - margin <= rigid_beyond:
                 return None
-            return padded_disk(c * outer, r, True, (ac + r) * (_PAD + turns))
+            return padded_disk(c * outer, r, True, (ac + r) * pad)
         lo, hi = ac - r - margin, ac + r + margin
-        slope = max((k for r0, r1, k in slopes if r0 <= hi and r1 >= lo), default=0.0)
-        grow = min(r * TAU * ac * slope, 2.0 * ac)
-        return padded_disk(point(c), r + grow, False, hi * (_PAD + turns + 1e-14 * slope * hi))
+        slope = 0.0
+        for r0, r1, k in slopes:
+            if k > slope and r0 <= hi and r1 >= lo:
+                slope = k
+        grow = r * TAU * ac * slope
+        if 2.0 * ac < grow:
+            grow = 2.0 * ac
+        # padded_disk, inline: T(c), and the radius widened by the padding
+        centre = turn(c, ac) if c else c
+        radius = r + grow + hi * (pad + 1e-14 * slope * hi)
+        if not (isfinite(centre) and finite(radius)):
+            return None
+        return centre, radius, False
 
     return step
 
@@ -367,28 +395,33 @@ def _disjoint(first, second) -> bool:
     return abs(c1 - c2) + r1 < r2 if out2 else abs(c1 - c2) > r1 + r2
 
 
+def _chain(steps: tuple):
+    """The steps as one function, applied in order: a lone step is itself."""
+    if len(steps) == 1:
+        return steps[0]
+
+    def chained(z):
+        for step in steps:
+            z = step(z)
+        return z
+
+    return chained
+
+
 class CompiledMap:
     """A spec compiled once: ``f(z)`` maps a coordinate (None is infinity),
     ``f.enclose(disk)`` a disk (``geometry.mobius_disk`` gives the form)."""
 
-    __slots__ = ("_steps", "_disks")
+    __slots__ = ("_point", "enclose")
 
     def __init__(self, steps: list, disks: list):
-        self._steps = tuple(steps)
-        self._disks = tuple(disks)
+        self._point = _chain(tuple(steps))
+        self.enclose = _chain(tuple(disks))
 
     def __call__(self, z):
         if z is not None and not isfinite(z):
             raise _non_finite(z)
-        for step in self._steps:
-            z = step(z)
-        return z
-
-    def enclose(self, disk):
-        """A disk containing the image of ``disk``, or None."""
-        for step in self._disks:
-            disk = step(disk)
-        return disk
+        return self._point(z)
 
 
 def compile_map(spec: MapSpec, then: MobiusTransform | None = None) -> CompiledMap:
@@ -413,18 +446,27 @@ def eval_map(spec: MapSpec, p) -> SpherePoint:
 
 def fixed_residual(spec: MapSpec, p: SpherePoint) -> float:
     """Chart distance between p and its image; 0 means exactly fixed."""
-    image = eval_map(spec, p)
+    return _residual(compile_map(spec), p)
+
+
+def _residual(f: CompiledMap, p: SpherePoint) -> float:
+    """fixed_residual of p under the compiled map f."""
+    w = f(p.z)
     if p.is_infinity:
-        return 0.0 if image.is_infinity else 1.0 / (1.0 + abs(image.value))
-    if image.is_infinity:
+        return 0.0 if w is None else 1.0 / (1.0 + abs(w))
+    if w is None:
         return math.inf
-    return abs(image.value - p.value)
+    return abs(w - p.value)
 
 
 def require_fixed(spec: MapSpec, points, tol: Tolerances) -> None:
     """Raise NotFixed for the first of points that spec moves by fixed_tol or more."""
+    _require_fixed(compile_map(spec), points, tol)
+
+
+def _require_fixed(f: CompiledMap, points, tol: Tolerances) -> None:
     for p in points:
-        res = fixed_residual(spec, p)
+        res = _residual(f, p)
         if res >= tol.fixed_tol:
             raise NotFixed(p, res)
 
@@ -506,14 +548,15 @@ def fixed_points(spec: MapSpec, extra=(), tol: Tolerances = DEFAULT_TOL) -> list
     declared = list(_marks_tuple(extra))
     walked = list(_walk_points(spec))
     marks = [p for p, is_mark in walked if is_mark]
-    require_fixed(spec, declared + marks, tol)
+    f = compile_map(spec)
+    _require_fixed(f, declared + marks, tol)
     must_hold = set(marks)
 
     seen: list[SpherePoint] = []
     for cand in [p for p, _ in walked] + declared:
         if cand in seen:
             continue
-        if cand in must_hold or fixed_residual(spec, cand) < tol.fixed_tol:
+        if cand in must_hold or _residual(f, cand) < tol.fixed_tol:
             seen.append(cand)
     return seen
 

@@ -314,6 +314,24 @@ def _reference_mobius(h, p: SpherePoint) -> SpherePoint:
     return SpherePoint((h.a * p.value + h.b) / den)
 
 
+def _reference_rho(profile, r: float) -> float:
+    """rho(r) by a linear scan over the breakpoints, written out here so the
+    reference does not share the library's profile lookup."""
+    bps = profile.breakpoints
+    if r <= bps[0][0]:
+        return bps[0][1]
+    if r >= bps[-1][0]:
+        return bps[-1][1]
+    for (r0, v0), (r1, v1) in zip(bps, bps[1:]):
+        if r0 <= r <= r1:
+            if v0 == v1 or r == r0:
+                return v0
+            if r == r1:
+                return v1
+            return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
+    raise AssertionError("unreachable")
+
+
 def _reference_eval(spec, p: SpherePoint) -> SpherePoint:
     """The definition of each node, walked recursively on SpherePoints."""
     if isinstance(spec, Identity):
@@ -321,7 +339,7 @@ def _reference_eval(spec, p: SpherePoint) -> SpherePoint:
     if isinstance(spec, RadialTwist):
         if p.is_infinity or p.value == 0:
             return p
-        ang = spec.profile.value(abs(p.value)) % 1.0
+        ang = _reference_rho(spec.profile, abs(p.value)) % 1.0
         if ang == 0.0:
             return p
         return SpherePoint(p.value * cmath.exp(1j * math.tau * ang))
