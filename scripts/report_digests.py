@@ -15,8 +15,13 @@ identical lines:
 
     python3 scripts/report_digests.py > digests.txt
 
-and diff the output of two checkouts.  Exits 1 if a command writes no report
-or no CSV table.
+and diff the output of two checkouts.  ``scripts/report_digests.txt`` holds
+the expected lines; CI fails when the output differs from it:
+
+    python3 scripts/report_digests.py | diff scripts/report_digests.txt -
+
+A change that means to move a report regenerates that file with it.  Exits 1
+if a command writes no report or no CSV table.
 """
 
 import hashlib

@@ -211,6 +211,8 @@ def mobius_disk(h: MobiusTransform):
             return padded_disk(s * z + t, gain * r, outside, _PAD * (gain * (abs(z) + r) + shift))
 
         return affine
+    if c * c == 0:
+        return lambda disk: None  # det / c^2 is beyond the float range
     pole, at_infinity, k = -d / c, a / c, h.det / (c * c)
     gain, far, near = abs(k), abs(at_infinity), abs(pole)
 

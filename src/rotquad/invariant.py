@@ -519,7 +519,8 @@ def synthesize_twist_trace(
     so the endpoint map is unchanged).  Returns None when the shifted
     motion leaves x4 in place (the trace is a constant loop, class 0);
     raises ScenarioError when no such isotopy exists for this spec and
-    tuple.
+    tuple, and InconclusiveComputation when the trace would take more than
+    ``tol.max_refine_points`` samples.
     """
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
@@ -554,6 +555,10 @@ def synthesize_twist_trace(
         return None
     back = chart.inverse()
     n = samples_per_turn * abs(wraps)
+    if n > tol.max_refine_points:
+        raise InconclusiveComputation(
+            f"trace budget exhausted: {n} samples, more than "
+            f"max_refine_points={tol.max_refine_points}")
     verts = []
     for j in range(n):
         w = y4.value * complex(math.cos(TAU * wraps * j / n), math.sin(TAU * wraps * j / n))

@@ -224,15 +224,13 @@ def invert_spec(spec: MapSpec) -> MapSpec:
 # ---------------------------------------------------------------------------
 # compiled evaluation
 #
-# A spec is compiled once into a chain of steps on bare coordinates: a finite
-# complex number, or None for the point at infinity.  A Mobius node is
-# geometry.mobius_step, the one implementation of the Mobius formula (and the
-# one apply_mobius wraps); a twist step does the floating-point operations of
-# the twist formula in a fixed order.  Only the per-node set-up (inverse
-# charts, inverse specs, attribute lookups) is hoisted out of the per-point
-# work.  Like SpherePoint, a step rejects a non-finite coordinate with
-# ValueError.  A second chain of steps, one rule per step kind, carries a
-# disk enclosure of the image (geometry.mobius_disk, _twist_disk).
+# A spec is compiled once into a chain of steps, each a pair: a point step on
+# bare coordinates (a finite complex number, or None for infinity) and an
+# enclosure step on disks (``geometry.mobius_disk`` form) that encloses the
+# image of that very point step.  A Mobius pair is geometry.mobius_step, the
+# one implementation of the Mobius formula, with geometry.mobius_disk; a twist
+# pair is _twist_step with _twist_disk.  Like SpherePoint, a point step
+# rejects a non-finite coordinate with ValueError.
 
 _TAU_I = 1j * TAU
 
@@ -324,36 +322,39 @@ def _repeat_step(steps: list, n: int):
     return step
 
 
-def _steps(spec: MapSpec, enclose: bool = False) -> list:
-    """The spec as steps to apply in order, first step first: point steps,
-    or with ``enclose`` enclosure steps (``geometry.mobius_disk`` form).
+def _mobius_pair(h: MobiusTransform) -> tuple:
+    return mobius_step(h), mobius_disk(h)
 
-    An enclosure takes a subtree that ``twist_chart`` reduces in its reduced
-    form (chart, one twist, chart back): chained steps would compound each
-    twist's radius growth, once per factor or repetition.
+
+def _steps(spec: MapSpec) -> list:
+    """The spec as (point step, enclosure step) pairs, first pair first.
+
+    A subtree that ``twist_chart`` reduces is one twist between its charts,
+    and a power of commuting twists the composition of their powers: chained
+    steps would cost a step per factor or repetition, and an enclosure would
+    compound each twist's radius growth as often.
     """
-    mobius, twist = (mobius_disk, _twist_disk) if enclose else (mobius_step, _twist_step)
     if isinstance(spec, Identity):
         return []
-    reduced = twist_chart(spec) if enclose else None
+    reduced = twist_chart(spec)
     if reduced is not None:
         h, profile = reduced
+        twist = (_twist_step(profile), _twist_disk(profile))
         if h == MOBIUS_IDENTITY:
-            return [twist(profile)]
-        return [mobius(h), twist(profile), mobius(h.inverse())]
-    if isinstance(spec, RadialTwist):
-        return [twist(spec.profile)]
+            return [twist]
+        return [_mobius_pair(h), twist, _mobius_pair(h.inverse())]
     if isinstance(spec, MobiusConjugate):
-        return [mobius(spec.h), *_steps(spec.inner, enclose), mobius(spec.h.inverse())]
+        return [_mobius_pair(spec.h), *_steps(spec.inner), _mobius_pair(spec.h.inverse())]
     if isinstance(spec, Compose):
-        return [s for part in reversed(spec.parts) for s in _steps(part, enclose)]
+        return [s for part in reversed(spec.parts) for s in _steps(part)]
     if isinstance(spec, Inverse):
-        return _steps(invert_spec(spec.inner), enclose)
+        return _steps(invert_spec(spec.inner))
     if isinstance(spec, Power):
         inner = spec.inner if spec.q > 0 else invert_spec(spec.inner)
-        if enclose and _commuting_twists(inner):
-            return _steps(Compose(tuple(Power(abs(spec.q), part) for part in inner.parts)), True)
-        return [_repeat_step(_steps(inner, enclose), abs(spec.q))]
+        if _commuting_twists(inner):
+            return _steps(Compose(tuple(Power(abs(spec.q), part) for part in inner.parts)))
+        n, steps = abs(spec.q), _steps(inner)
+        return [(_repeat_step([p for p, _ in steps], n), _repeat_step([d for _, d in steps], n))]
     raise TypeError(f"not a map spec: {spec!r}")
 
 
@@ -377,8 +378,8 @@ def _commuting_twists(spec: MapSpec) -> bool:
     """Whether spec composes reducible twists with pairwise disjoint supports.
 
     Such twists commute, so a power of the composition is the composition
-    of their powers, each enclosed as one twist: chaining the repetitions
-    instead grows the enclosure geometrically with the exponent.
+    of their powers, each one twist: chained repetitions cost a pass each
+    and grow the enclosure geometrically with the exponent.
     """
     if not isinstance(spec, Compose):
         return False
@@ -414,9 +415,9 @@ class CompiledMap:
 
     __slots__ = ("_point", "enclose")
 
-    def __init__(self, steps: list, disks: list):
-        self._point = _chain(tuple(steps))
-        self.enclose = _chain(tuple(disks))
+    def __init__(self, steps: list):
+        self._point = _chain(tuple(point for point, _ in steps))
+        self.enclose = _chain(tuple(disk for _, disk in steps))
 
     def __call__(self, z):
         if z is not None and not isfinite(z):
@@ -427,15 +428,13 @@ class CompiledMap:
 def compile_map(spec: MapSpec, then: MobiusTransform | None = None) -> CompiledMap:
     """The homeomorphism as a function on coordinates, with its disk enclosure.
 
-    With ``then``, the map is the chart change ``then`` after the spec.  The
-    images are bit-identical to ``eval_map``; a non-finite input or
-    intermediate coordinate raises ValueError.
+    With ``then``, the map is the chart change ``then`` after the spec.  A
+    non-finite input or intermediate coordinate raises ValueError.
     """
-    steps, disks = _steps(spec), _steps(spec, enclose=True)
+    steps = _steps(spec)
     if then is not None:
-        steps.append(mobius_step(then))
-        disks.append(mobius_disk(then))
-    return CompiledMap(steps, disks)
+        steps.append(_mobius_pair(then))
+    return CompiledMap(steps)
 
 
 def eval_map(spec: MapSpec, p) -> SpherePoint:

@@ -150,12 +150,25 @@ def test_coarse_paths_give_the_trace_value_or_inconclusive(name):
     assert certified > 0
 
 
+@pytest.mark.parametrize("name", ["conjugate-generic", "power-cube-conjugated",
+                                  "conjugate-pole-shift"])
+def test_thousandth_power_of_a_reducible_map_is_one_twist(name):
+    # the power compiles to one twist by 1000 times the profile, for points
+    # and enclosures alike; chained, each point would take 1000 passes
+    sc = scenario_by_name(name)
+    t = next(_default_tuples(sc))
+    value = RfEvaluator(sc.map_spec, sc.tolerances, sc.seed).value(*t.points)
+    power = RfEvaluator(Power(1000, sc.map_spec), sc.tolerances, sc.seed)
+    assert value != 0 and power.value(*t.points) == 1000 * value
+
+
 def test_blowup_of_commuting_twists_is_certified():
-    # the two twists have disjoint supports, so they commute and the 200th
-    # iterate is enclosed as two twists by 200 times their profiles;
-    # chaining 200 repetitions would grow each enclosure about 13^200-fold
+    # the two twists have disjoint supports, so they commute and the 1000th
+    # iterate is evaluated and enclosed as two twists by 1000 times their
+    # profiles; chaining 1000 repetitions would cost 1000 passes per point
+    # and grow each enclosure about 13^1000-fold
     spec = scenario_by_name("compose-disjoint-supports").map_spec
-    est = rf_blowup(spec, 0j, INFINITY, 5 + 0j, 200)
+    est = rf_blowup(spec, 0j, INFINITY, 5 + 0j, 1000)
     assert abs(est.value + 1) <= est.error_bound
 
 

@@ -274,6 +274,13 @@ def test_refine_rejects_sample_at_the_pole():
         refine_path_view([0j, 1 + 0j], view, tol=DEFAULT_TOL)
 
 
+def test_mobius_enclosure_of_a_subnormal_pole_coefficient_knows_no_disk():
+    # c * c underflows to 0, so det / c^2 has no float value
+    enclose = mobius_disk(MobiusTransform(1, 0, 5e-324, 1))
+    assert enclose((0j, 1.0, False)) is None
+    assert enclose((0j, 1.0, True)) is None
+
+
 def test_geometry_failures_share_one_base():
     for cls in (PointOnLoop, DegenerateCrossing, NonIntegerWinding, SamplingFailure):
         assert issubclass(cls, GeometryFailure)

@@ -33,7 +33,8 @@ from rotquad.catalog import (
     identity_scenarios,
     quarter_turn_blowup_spec,
 )
-from rotquad.maps import compile_map, fixed_residual
+from rotquad.geometry import MOBIUS_IDENTITY
+from rotquad.maps import _commuting_twists, compile_map, fixed_residual, twist_chart
 
 RAMP = RadialProfile(((1.0, 0.0), (2.0, 1.0)))
 
@@ -300,7 +301,8 @@ def test_twist_is_modulus_preserving_bijection_on_circles(profile, z):
 
 
 # ---------------------------------------------------------------------------
-# compiled evaluation is bit-identical to the tree-walking definition
+# compiled evaluation is bit-identical to the reduced walk, and near the
+# literal one
 
 
 def _reference_mobius(h, p: SpherePoint) -> SpherePoint:
@@ -332,17 +334,51 @@ def _reference_rho(profile, r: float) -> float:
     raise AssertionError("unreachable")
 
 
-def _reference_eval(spec, p: SpherePoint) -> SpherePoint:
+def _reference_twist(profile, p: SpherePoint) -> SpherePoint:
+    if p.is_infinity or p.value == 0:
+        return p
+    ang = _reference_rho(profile, abs(p.value)) % 1.0
+    if ang == 0.0:
+        return p
+    return SpherePoint(p.value * cmath.exp(1j * math.tau * ang))
+
+
+def _literal_eval(spec, p: SpherePoint) -> SpherePoint:
     """The definition of each node, walked recursively on SpherePoints."""
     if isinstance(spec, Identity):
         return p
     if isinstance(spec, RadialTwist):
-        if p.is_infinity or p.value == 0:
-            return p
-        ang = _reference_rho(spec.profile, abs(p.value)) % 1.0
-        if ang == 0.0:
-            return p
-        return SpherePoint(p.value * cmath.exp(1j * math.tau * ang))
+        return _reference_twist(spec.profile, p)
+    if isinstance(spec, MobiusConjugate):
+        inner = _literal_eval(spec.inner, _reference_mobius(spec.h, p))
+        return _reference_mobius(spec.h.inverse(), inner)
+    if isinstance(spec, Compose):
+        for part in reversed(spec.parts):
+            p = _literal_eval(part, p)
+        return p
+    if isinstance(spec, Inverse):
+        return _literal_eval(invert_spec(spec.inner), p)
+    if isinstance(spec, Power):
+        base = spec.inner if spec.q > 0 else invert_spec(spec.inner)
+        for _ in range(abs(spec.q)):
+            p = _literal_eval(base, p)
+        return p
+    raise TypeError(spec)
+
+
+def _reference_eval(spec, p: SpherePoint) -> SpherePoint:
+    """The literal walk, but a subtree that twist_chart reduces is taken in
+    its reduced form (chart, one twist, chart back), and a power of
+    commuting twists as the composition of their powers."""
+    if isinstance(spec, Identity):
+        return p
+    reduced = twist_chart(spec)
+    if reduced is not None:
+        h, profile = reduced
+        if h == MOBIUS_IDENTITY:
+            return _reference_twist(profile, p)
+        twisted = _reference_twist(profile, _reference_mobius(h, p))
+        return _reference_mobius(h.inverse(), twisted)
     if isinstance(spec, MobiusConjugate):
         inner = _reference_eval(spec.inner, _reference_mobius(spec.h, p))
         return _reference_mobius(spec.h.inverse(), inner)
@@ -354,6 +390,9 @@ def _reference_eval(spec, p: SpherePoint) -> SpherePoint:
         return _reference_eval(invert_spec(spec.inner), p)
     if isinstance(spec, Power):
         base = spec.inner if spec.q > 0 else invert_spec(spec.inner)
+        if _commuting_twists(base):
+            powers = tuple(Power(abs(spec.q), part) for part in base.parts)
+            return _reference_eval(Compose(powers), p)
         for _ in range(abs(spec.q)):
             p = _reference_eval(base, p)
         return p
@@ -365,15 +404,24 @@ def _wrapped(spec):
 
 
 _CATALOG_SPECS = tuple(sc.map_spec for sc in identity_scenarios())
-_ALL_SPECS = tuple(w for spec in _CATALOG_SPECS for w in _wrapped(spec))
+# the literal walk of a millionth power would take a million passes per point
+_LITERAL_SPECS = tuple(w for spec in _CATALOG_SPECS for w in _wrapped(spec))
+_ALL_SPECS = _LITERAL_SPECS + tuple(
+    Power(10**6, spec) for spec in _CATALOG_SPECS
+    if twist_chart(spec) is not None or _commuting_twists(spec))
 
 
 def _conjugate_poles(spec):
-    """Points sent to infinity by the chart of some Mobius node."""
-    if isinstance(spec, MobiusConjugate):
-        h = spec.h
+    """Points sent to infinity by the chart of some Mobius node, or by the
+    one chart a subtree reduces to."""
+    charts = [spec.h] if isinstance(spec, MobiusConjugate) else []
+    reduced = twist_chart(spec)
+    if reduced is not None:
+        charts.append(reduced[0])
+    for h in charts:
         if h.c != 0:
             yield -h.d / h.c
+    if isinstance(spec, MobiusConjugate):
         yield from _conjugate_poles(spec.inner)
     elif isinstance(spec, (Inverse, Power)):
         yield from _conjugate_poles(spec.inner)
@@ -407,6 +455,38 @@ def test_compiled_evaluation_at_zero_infinity_and_poles():
     for spec in _ALL_SPECS:
         for p in (SpherePoint(0j), INFINITY, *map(SpherePoint, _conjugate_poles(spec))):
             _assert_same_image(spec, p)
+
+
+def _chordal(p: SpherePoint, q: SpherePoint) -> float:
+    """The chordal distance of two points of the Riemann sphere (2 between
+    antipodes)."""
+    if p.is_infinity and q.is_infinity:
+        return 0.0
+    if p.is_infinity or q.is_infinity:
+        return 2.0 / math.hypot(1.0, abs((q if p.is_infinity else p).value))
+    z, w = p.value, q.value
+    return 2.0 * abs(z - w) / (math.hypot(1.0, abs(z)) * math.hypot(1.0, abs(w)))
+
+
+def _assert_near_the_literal_walk(spec, p: SpherePoint):
+    try:
+        expect = _literal_eval(spec, p)
+    except ValueError:
+        return  # the literal walk overflows where the reduced one need not
+    assert _chordal(eval_map(spec, p), expect) <= 1e-12, (spec, p)
+
+
+@given(st.complex_numbers(max_magnitude=50, allow_nan=False, allow_infinity=False))
+@settings(max_examples=60, deadline=None)
+def test_compiled_images_stay_near_the_literal_walk(z):
+    for spec in _LITERAL_SPECS:
+        _assert_near_the_literal_walk(spec, SpherePoint(z))
+
+
+def test_compiled_images_near_the_literal_walk_at_zero_infinity_and_poles():
+    for spec in _LITERAL_SPECS:
+        for p in (SpherePoint(0j), INFINITY, *map(SpherePoint, _conjugate_poles(spec))):
+            _assert_near_the_literal_walk(spec, p)
 
 
 def test_compiled_evaluation_rejects_overflow():

@@ -1,10 +1,14 @@
 """Scenario files, report determinism, and the command line front end."""
 
 import json
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotquad import (
     INFINITY,
@@ -186,6 +190,75 @@ def test_cli_tol_winding_out_of_range_exits_2(capsys, snap):
     assert main(args) == 2
     err = capsys.readouterr().err.strip()
     assert err.startswith("error: ScenarioError:") and "\n" not in err
+
+
+def test_cli_trace_over_budget_is_inconclusive(tmp_path):
+    # ten million turns at 24 samples a turn: the trace is refused before
+    # sampling, as the loop and lift are once their refinement runs out
+    blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
+    blob["map"]["profile"] = [[1, 0], [2, 1e7]]
+    blob["tolerances"] = {"max_refine_points": 4096}
+    path, out = tmp_path / "steep.json", tmp_path / "report.json"
+    path.write_text(json.dumps(blob))
+    start = time.perf_counter()
+    assert main(["compute", str(path), "--method", "all", "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 10.0
+    records = {r["name"]: r for r in json.loads(out.read_text())["records"]
+               if r["inputs"] == "(q1,q2,q3,q4)"}
+    assert records["value[trace]"]["status"] == "inconclusive"
+    assert records["value[trace]"]["values"] == []
+
+
+def _json_paths(node, path=()):
+    """The key path of every value below the root of a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_DELETE = object()
+_JSON_VALUES = st.one_of(
+    st.sampled_from([0, 1, -1, 10**7, -10**7, 2**63, 10**400, 1e308, -1e308, 5e-324,
+                     float("nan"), float("inf"), "", "inf", "compose", True, False, None,
+                     [], [[0, 0]], {}, {"type": "identity"}]),
+    st.integers(), st.floats(), st.text(max_size=4), st.booleans(),
+    st.lists(st.one_of(st.integers(-3, 3), st.floats(-4, 4)), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "q", "inner", "profile"]), st.integers(-2, 2),
+                    max_size=2),
+)
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    """A catalog scenario with a small refinement budget and one JSON value
+    replaced or deleted."""
+    blob = json.loads(draw(st.sampled_from(sorted(SCENARIOS.glob("*.json")))).read_text())
+    blob.setdefault("tolerances", {})["max_refine_points"] = 4096
+    where = draw(st.sampled_from(list(_json_paths(blob))))
+    value = draw(st.one_of(st.just(_DELETE), _JSON_VALUES))
+    parent = blob
+    for key in where[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[where[-1]]
+    else:
+        parent[where[-1]] = value
+    return blob
+
+
+@given(_mutated_scenarios())
+@settings(max_examples=500, deadline=None)
+def test_cli_compute_survives_any_single_mutation(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutant.json"
+        path.write_text(json.dumps(blob))
+        assert main(["compute", str(path)]) in (0, 2, 3)
 
 
 def test_cli_missing_file_is_validation_error(tmp_path):
