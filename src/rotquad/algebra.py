@@ -16,7 +16,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from operator import add, and_, is_, itemgetter, ne, neg, not_, or_, sub
+from typing import NamedTuple
 
 from .errors import ParseError, RelationViolated
 from .geometry import DEFAULT_TOL, Tolerances, as_sphere_point
@@ -233,6 +234,11 @@ class FunctionTable:
     by convention and need not be stored.  Tables coming from an actual
     map invariant have no values on the remaining repeated-entry tuples
     (get returns None there); tables built from a two-variable g are total.
+
+    The checks read a table as columns, one values.get per key: its
+    distinct tuples in distinct_tuples() order, and for the splitting
+    relation the 4-fold label product in order, where every zero-convention
+    tuple reads 0 whatever is stored there.  Keys are validated in bulk.
     """
 
     labels: tuple
@@ -246,9 +252,15 @@ class FunctionTable:
             raise ValueError("need at least four labels")
         object.__setattr__(self, "labels", labels)
         label_set = set(labels)
-        for t in self.values:
-            if len(t) != 4 or any(u not in label_set for u in t):
-                raise ValueError(f"bad tuple key {t!r}")
+        try:
+            valid = (set(map(len, self.values)) <= {4}
+                     and label_set.issuperset(itertools.chain.from_iterable(self.values)))
+        except TypeError:  # a key with no length; the scan below raises on it
+            valid = False
+        if not valid:
+            for t in self.values:
+                if len(t) != 4 or not label_set.issuperset(t):
+                    raise ValueError(f"bad tuple key {t!r}")
 
     def get(self, t):
         t = tuple(t)
@@ -268,11 +280,17 @@ class FunctionTable:
         return itertools.permutations(self.labels, 4)
 
     def is_total_on_distinct(self) -> bool:
-        return all(self.get(t) is not None for t in self.distinct_tuples())
+        return None not in map(self.values.get, self.distinct_tuples())
 
     def perturbed(self, t, delta) -> "FunctionTable":
-        """A copy with one entry shifted; for fault-injection tests."""
+        """A copy with one entry shifted; for fault-injection tests.
+
+        A tuple that is zero by convention has no entry to shift (get never
+        reads one there), so it raises ValueError.
+        """
         t = tuple(t)
+        if len(t) == 4 and (t[0] == t[1] or t[2] == t[3]):
+            raise ValueError(f"{t!r} is zero by convention; there is no entry to perturb")
         values = dict(self.values)
         values[t] = self.get(t) + delta if self.get(t) is not None else delta
         return FunctionTable(self.labels, values)
@@ -308,6 +326,15 @@ def f_triple(F: FunctionTable, x) -> tuple:
     return F(x), F(_SHIFT(x)), F(_SHIFT_TWICE(x))
 
 
+# ---------------------------------------------------------------------------
+# column reads and index gathers
+#
+# The index structures depend on the number of labels only; they are built
+# on first use and shared by every table on that many labels.  Key lists are
+# made per table from its own labels, because equal label tuples of
+# different types (1 and 1.0) must not share keys.
+
+
 @lru_cache(maxsize=4)
 def _gathers(n: int) -> dict[Permutation, tuple[int, ...]]:
     """The action of each permutation on the distinct 4-tuples of n labels.
@@ -317,29 +344,153 @@ def _gathers(n: int) -> dict[Permutation, tuple[int, ...]]:
     table on n labels shares it.
     """
     tuples = list(itertools.permutations(range(n), 4))
-    index = {t: i for i, t in enumerate(tuples)}
-    return {
-        sigma: tuple(index[act_on_tuple(t, sigma)] for t in tuples)
-        for sigma in all_permutations()
+    position = dict(zip(tuples, itertools.count())).__getitem__
+    generators = {
+        gen: tuple(map(position, map(itemgetter(*(i - 1 for i in gen.images)), tuples)))
+        for gen, _ in _GENERATORS
     }
+    # acting by sigma then rho is acting by sigma.compose(rho), so the
+    # gather of the composite is rho's gather read at sigma's
+    gathers = {IDENTITY_PERM: tuple(range(len(tuples)))}
+    frontier = [IDENTITY_PERM]
+    while frontier:
+        reached = []
+        for sigma in frontier:
+            for gen, gather in generators.items():
+                longer = sigma.compose(gen)
+                if longer not in gathers:
+                    gathers[longer] = itemgetter(*gathers[sigma])(gather)
+                    reached.append(longer)
+        frontier = reached
+    return gathers
 
 
-def _lazy_values(F: FunctionTable):
-    """F's distinct tuples, and a reader of F at the i-th of them.
+@lru_cache(maxsize=4)
+def _getters(n: int) -> dict[Permutation, itemgetter]:
+    """_gathers(n) as getters: sigma's getter reads a column at sigma's gather."""
+    return {sigma: itemgetter(*gather) for sigma, gather in _gathers(n).items()}
 
-    Each entry is read from F once, when first asked for, so a missing
-    entry raises the KeyError of F(t) at the same point as a direct call.
+
+@lru_cache(maxsize=1)
+def _transport() -> list[tuple[Permutation, Mat3, tuple[tuple[int, int], ...]]]:
+    """Each permutation, its transport matrix, and that matrix as a signed
+    permutation: row k is sign * (unit row p), given as (p, sign).
+
+    Row k of sigma's matrix is also row 0 of the matrix of sigma then
+    tau^k, because component k of the triple at x acted on by sigma is
+    component 0 of the triple at x acted on by sigma then tau^k; this is
+    asserted here and verify_triple_symmetry relies on it.
     """
-    tuples = list(F.distinct_tuples())
-    values = [None] * len(tuples)
+    out = []
+    for sigma in all_permutations():
+        mat = theta_action(sigma)
+        signed = []
+        for row in mat:
+            ((p, sign),) = ((p, m) for p, m in enumerate(row) if m)
+            assert sign in (1, -1), f"transport of {sigma.cycle_notation()} is not signed"
+            signed.append((p, sign))
+        out.append((sigma, mat, tuple(signed)))
+    for sigma, mat, _ in out:
+        for k, shift in enumerate((IDENTITY_PERM, TAU_CYCLE, TAU_SQUARED)):
+            assert theta_action(sigma.compose(shift))[0] == mat[k], (
+                f"row {k} of the transport of {sigma.cycle_notation()}")
+    return out
 
-    def value(i):
-        v = values[i]
-        if v is None:
-            v = values[i] = F(tuples[i])
-        return v
 
-    return tuples, value
+class _ProductLayout(NamedTuple):
+    """Where the checks find their entries in a product column.
+
+    A product column holds a table's values at the tuples of the 4-fold
+    label product that are not zero by convention (mask), in product
+    order, followed by one 0 that every zero-convention tuple reads.
+    distinct gathers its distinct tuples; base, left and right gather
+    F(t), F(x1, w, x3, x4) and F(w, x2, x3, x4) for every pair (t, w) in
+    split_w's scan order: t over distinct tuples, then w over labels.
+    """
+
+    mask: tuple[bool, ...]
+    distinct: itemgetter
+    base: itemgetter
+    left: itemgetter
+    right: itemgetter
+
+
+@lru_cache(maxsize=4)
+def _product_layout(n: int) -> _ProductLayout:
+    product = list(itertools.product(range(n), repeat=4))
+    mask = tuple(t[0] != t[1] and t[2] != t[3] for t in product)
+    position = dict(zip(itertools.compress(product, mask), itertools.count()))
+    zero = len(position)
+    base, left, right = [], [], []
+    for t in itertools.permutations(range(n), 4):
+        x1, x2, x3, x4 = t
+        base += [position[t]] * n
+        left += [position.get((x1, w, x3, x4), zero) for w in range(n)]
+        right += [position.get((w, x2, x3, x4), zero) for w in range(n)]
+    distinct = itemgetter(*map(position.__getitem__, itertools.permutations(range(n), 4)))
+    return _ProductLayout(mask, distinct, itemgetter(*base), itemgetter(*left),
+                          itemgetter(*right))
+
+
+@lru_cache(maxsize=4)
+def _coboundary_getters(n: int) -> tuple[itemgetter, ...]:
+    """Gathers of g(x1,x3), g(x1,x4), g(x2,x3) and g(x2,x4) from g's values
+    in label-pair product order, over a product column's tuples x."""
+    tuples = list(itertools.compress(itertools.product(range(n), repeat=4),
+                                     _product_layout(n).mask))
+    return tuple(itemgetter(*(t[i] * n + t[j] for t in tuples))
+                 for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)))
+
+
+def _coboundary(g, labels: tuple) -> list:
+    """g(x1,x3) - g(x1,x4) - g(x2,x3) + g(x2,x4) as a product column, with
+    the operations of the formula in its order."""
+    values = list(map(g.__getitem__, itertools.product(labels, repeat=2)))
+    g13, g14, g23, g24 = (get(values) for get in _coboundary_getters(len(labels)))
+    return list(map(add, map(sub, map(sub, g13, g14), g23), g24))
+
+
+def _read(values: dict, keys) -> tuple[list, list | None]:
+    """values.get at each key, as a list with every missing value set to 0,
+    and the mask of the missing ones (None when none is missing)."""
+    column = list(map(values.get, keys))
+    if None not in column:
+        return column, None
+    missing = list(map(is_, column, itertools.repeat(None)))
+    for i in itertools.compress(itertools.count(), missing):
+        column[i] = 0
+    return column, missing
+
+
+def _product_column(F: FunctionTable, layout: _ProductLayout) -> tuple[list, list | None]:
+    """F's product column (see _ProductLayout) and its missing mask."""
+    column, missing = _read(
+        F.values, itertools.compress(itertools.product(F.labels, repeat=4), layout.mask))
+    column.append(0)
+    if missing:
+        missing.append(False)
+    return column, missing
+
+
+def _rows(*columns):
+    """The positions, in order, at which any of the columns is not exactly 0.
+
+    The columns are lists of differences or of flags (False is 0); the
+    common case, all zero, is settled by list.count at C speed.
+    """
+    if all(column.count(0) == len(column) for column in columns):
+        return ()
+    nonzero = (map(ne, column, itertools.repeat(0)) for column in columns)
+    return itertools.compress(itertools.count(), map(any, zip(*nonzero)))
+
+
+def _first_failure(rows, rule):
+    """The first row at which rule returns a witness, and that witness."""
+    for i in rows:
+        witness = rule(i)
+        if witness is not None:
+            return i, witness
+    return None, None
 
 
 @dataclass(frozen=True)
@@ -358,52 +509,77 @@ def check_relations(F: FunctionTable) -> dict[str, RelationCheck]:
     split_w:      the first-pair splitting through every admissible w
     Each result carries the first counterexample, if any.
 
-    Each relation first tests that the difference of its two sides is
-    exactly zero, which implies _eq for every value type (equal infinities
-    differ by NaN), and only otherwise compares through _eq.
+    F is read once, as a product column: split_w reads F at tuples with an
+    entry repeated across the pairs, which are not distinct tuples.  Each
+    relation's sides are index gathers of that column, and their
+    difference is formed for all rows at once.  An exact zero difference
+    implies _eq for every value type (equal infinities differ by NaN).
+    Only a row whose difference is not exactly zero, or that reads a
+    missing entry, is checked on its own with _eq, in the plain scan's
+    order, reading F again, so a missing entry raises the scan's KeyError.
     """
-    tuples, value = _lazy_values(F)
-    gathers = _gathers(len(F.labels))
+    n = len(F.labels)
+    layout = _product_layout(n)
+    keys = list(F.distinct_tuples())
+    column, missing = _product_column(F, layout)
+    col = layout.distinct(column)
+    gathers, getters = _gathers(n), _getters(n)
     out: dict[str, RelationCheck] = {}
 
-    checked = 0
-    witness = None
-    for i, (j, k) in enumerate(zip(gathers[TAU_CYCLE], gathers[TAU_SQUARED])):
-        a, b, c = value(i), value(j), value(k)
-        checked += 1
-        if a + b + c != 0 and not _eq(a + b + c, 0):
-            witness = (tuples[i], (a, b, c))
-            break
-    out["cyclic_sum"] = RelationCheck("cyclic_sum", witness is None, checked, witness)
+    m = layout.distinct(missing) if missing else None
 
-    checked = 0
-    witness = None
-    for i, (j, k) in enumerate(zip(gathers[SIGMA1], gathers[SIGMA3])):
-        base, first, second = value(i), value(j), value(k)
-        checked += 1
-        if (first + base != 0 or second + base != 0) and not (
-            _eq(first, -base) and _eq(second, -base)
-        ):
-            witness = (tuples[i], (base, first, second))
-            break
-    out["swap_sign"] = RelationCheck("swap_sign", witness is None, checked, witness)
+    def reads_missing(*sigmas):
+        """Flags of the rows that read a missing entry, at a row or its images."""
+        return [] if m is None else [m, *(getters[sigma](m) for sigma in sigmas)]
 
-    checked = 0
-    witness = None
-    for i, t in enumerate(tuples):
-        x1, x2, x3, x4 = t
-        for w in F.labels:
-            left = F.get((x1, w, x3, x4))
-            right = F.get((w, x2, x3, x4))
-            if left is None or right is None:
-                continue
-            checked += 1
-            base = value(i)
-            if base - (left + right) != 0 and not _eq(base, left + right):
-                witness = ((t, w), (base, left, right))
-                break
-        if witness:
-            break
+    def read(i, sigma):
+        return F(keys[gathers[sigma][i]])
+
+    def cyclic(i):
+        a, b, c = F(keys[i]), read(i, TAU_CYCLE), read(i, TAU_SQUARED)
+        return None if _eq(a + b + c, 0) else (keys[i], (a, b, c))
+
+    shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
+    flags = [list(map(add, map(add, col, shift(col)), twice(col))),
+             *reads_missing(TAU_CYCLE, TAU_SQUARED)]
+    i, witness = _first_failure(_rows(*flags), cyclic)
+    out["cyclic_sum"] = RelationCheck(
+        "cyclic_sum", witness is None, len(keys) if witness is None else i + 1, witness)
+
+    def swap(i):
+        base, a, b = F(keys[i]), read(i, SIGMA1), read(i, SIGMA3)
+        return None if _eq(a, -base) and _eq(b, -base) else (keys[i], (base, a, b))
+
+    first, second = getters[SIGMA1], getters[SIGMA3]
+    flags = [list(map(add, first(col), col)), list(map(add, second(col), col)),
+             *reads_missing(SIGMA1, SIGMA3)]
+    i, witness = _first_failure(_rows(*flags), swap)
+    out["swap_sign"] = RelationCheck(
+        "swap_sign", witness is None, len(keys) if witness is None else i + 1, witness)
+
+    base, left, right = layout.base(column), layout.left(column), layout.right(column)
+    differs = list(map(sub, base, map(add, left, right)))
+    if missing:
+        # a pair with a missing side is skipped; a missing F(t) raises
+        valid = list(map(not_, map(or_, layout.left(missing), layout.right(missing))))
+        to_check = map(or_, layout.base(missing), map(ne, differs, itertools.repeat(0)))
+        flags = [list(map(and_, valid, to_check))]
+    else:
+        valid = None
+        flags = [differs]
+
+    def split(q):
+        i, w = divmod(q, n)
+        here = F(keys[i])
+        if _eq(here, left[q] + right[q]):
+            return None
+        return (keys[i], F.labels[w]), (here, left[q], right[q])
+
+    q, witness = _first_failure(_rows(*flags), split)
+    if valid is None:
+        checked = len(base) if witness is None else q + 1
+    else:
+        checked = valid.count(True) if witness is None else valid[:q + 1].count(True)
     out["split_w"] = RelationCheck("split_w", witness is None, checked, witness)
     return out
 
@@ -422,36 +598,56 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     equality is exact (or within 1e-9 for float tables).  The witness on
     failure is (cycle notation, tuple, expected, got).
 
-    Each tuple's triple is read once, when the loop first reaches it.  The
-    transport is compared by exact equality first; the transport matrices
-    are signed permutations, so an infinite component makes another one
-    NaN and only finite triples pass that test, which then pass _eq too.
+    F is read once, as a column over distinct_tuples(); the triples are
+    that column and two gathers of it.  Each transport matrix is a signed
+    permutation, so each component of a transported triple is plus or
+    minus a triple column, compared at once with a gather of one.  Row k
+    of sigma's matrix is row 0 of the matrix of sigma then tau^k, so when
+    the first components agree exactly under all 24 permutations, every
+    equation holds.  Exact agreement implies _eq only for finite values (a
+    NaN object equals itself in a tuple comparison, and the matrix product
+    turns an infinite entry into NaN).  Otherwise the permutations are
+    compared in full, and each row whose comparison fails, or that reads a
+    missing or non-finite entry, is checked with _eq in the plain scan's
+    order, reading F again, so a missing entry raises the scan's KeyError.
     """
-    tuples = list(F.distinct_tuples())
-    triples = [None] * len(tuples)
+    n = len(F.labels)
+    keys = list(F.distinct_tuples())
+    col, missing = _read(F.values, keys)
+    gathers, getters = _gathers(n), _getters(n)
+    shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
+    triple = (tuple(col), shift(col), twice(col))
+    negated = tuple(tuple(map(neg, x)) for x in triple)
+    odd = list(map(ne, map(sub, col, col), itertools.repeat(0)))
+    if missing:
+        odd = list(map(or_, odd, missing))
+    odd_rows = list(map(or_, map(or_, odd, shift(odd)), twice(odd))) if any(odd) else None
 
-    def triple(i):
-        tr = triples[i] = f_triple(F, tuples[i])
-        return tr
+    def column(p, sign):
+        return triple[p] if sign > 0 else negated[p]
 
-    gathers = _gathers(len(F.labels))
-    perms = all_permutations()
-    for s, sigma in enumerate(perms):
-        mat = theta_action(sigma)
-        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = mat
-        for i, j in enumerate(gathers[sigma]):
-            a, b, c = triples[i] or triple(i)
-            got = triples[j] or triple(j)
-            if got != (m00 * a + m01 * b + m02 * c,
-                       m10 * a + m11 * b + m12 * c,
-                       m20 * a + m21 * b + m22 * c):
-                expected = mat_vec(mat, (a, b, c))
-                if not all(_eq(e, g) for e, g in zip(expected, got)):
-                    return SymmetryCheck(
-                        False, s * len(tuples) + i + 1,
-                        (sigma.cycle_notation(), tuples[i], expected, got),
-                    )
-    return SymmetryCheck(True, len(perms) * len(tuples))
+    if odd_rows is None and all(getters[sigma](col) == column(*signed[0])
+                                for sigma, _, signed in _transport()):
+        return SymmetryCheck(True, len(_transport()) * len(keys))
+
+    for s, (sigma, mat, signed) in enumerate(_transport()):
+        gather = getters[sigma]
+        got = tuple(map(gather, triple))
+        want = tuple(column(*row) for row in signed)
+        if got == want and odd_rows is None:
+            continue
+        flags = [list(map(ne, zip(*got), zip(*want)))]
+        if odd_rows is not None:
+            flags += [odd_rows, gather(odd_rows)]
+        for i in _rows(*flags):
+            expected = mat_vec(mat, f_triple(F, keys[i]))
+            there = f_triple(F, keys[gathers[sigma][i]])
+            if not all(_eq(e, g) for e, g in zip(expected, there)):
+                return SymmetryCheck(
+                    False, s * len(keys) + i + 1,
+                    (sigma.cycle_notation(), keys[i], expected, there),
+                )
+    return SymmetryCheck(True, len(_transport()) * len(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +657,22 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
 def build_f_from_g(g, labels=None) -> FunctionTable:
     """The total table F(x1,x2,x3,x4) = g(x1,x3) - g(x1,x4) - g(x2,x3) + g(x2,x4).
 
-    g is a mapping on ordered label pairs or a two-argument callable.
+    g is a mapping on ordered label pairs or a two-argument callable.  A
+    mapping is read once, in label-pair order, and F is four gathers of it.
     """
     if callable(g):
         if labels is None:
             raise ValueError("labels are required with a callable g")
-        gv = g
-    else:
-        if labels is None:
-            labels = sorted({u for u, _ in g} | {v for _, v in g})
-        gv = lambda u, v: g[(u, v)]
-    return table_from_function(
-        labels,
-        lambda x1, x2, x3, x4: gv(x1, x3) - gv(x1, x4) - gv(x2, x3) + gv(x2, x4),
-    )
+        return table_from_function(
+            labels,
+            lambda x1, x2, x3, x4: g(x1, x3) - g(x1, x4) - g(x2, x3) + g(x2, x4),
+        )
+    if labels is None:
+        labels = sorted({u for u, _ in g} | {v for _, v in g})
+    labels = FunctionTable(labels).labels  # the label checks, before g is read
+    keys = itertools.compress(itertools.product(labels, repeat=4),
+                              _product_layout(len(labels)).mask)
+    return FunctionTable(labels, dict(zip(keys, _coboundary(g, labels))))
 
 
 def normalize_g(g: dict, a, b) -> dict:
@@ -553,15 +751,17 @@ def decompose_g(F: FunctionTable, a=None, b=None) -> dict:
             t0 = next(l for l in ordered if l not in (b, v, v0))
             g[(b, v)] = F((b, t0, v, v0)) + g[(t0, v)] - g[(t0, v0)]
 
-    for t in F.distinct_tuples():
-        want = F.get(t)
-        if want is None:
-            continue
-        x1, x2, x3, x4 = t
-        got = g[(x1, x3)] - g[(x1, x4)] - g[(x2, x3)] + g[(x2, x4)]
-        if not _eq(want, got):
+    # g's table as a column, against F's, where only an entry that differs
+    # exactly is looked at on its own.  The swap_sign check has read every
+    # distinct entry, so none is missing.
+    keys = list(F.distinct_tuples())
+    want = list(map(F.values.get, keys))
+    got = _product_layout(len(F.labels)).distinct(_coboundary(g, F.labels))
+    for i in _rows(list(map(sub, want, got))):
+        if not _eq(want[i], got[i]):
             raise RelationViolated(
-                f"decomposition does not reproduce the table at {t!r}: {want} vs {got}"
+                f"decomposition does not reproduce the table at {keys[i]!r}: "
+                f"{want[i]} vs {got[i]}"
             )
     return g
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import random
 import sys
@@ -75,7 +76,10 @@ SUITES = ("rf-symmetries", "theta", "f-symmetry", "decompose")
 TABLE_SCENARIO_NAMES = ("twist-by-2", "twist-negative-inner", "conjugate-generic")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process (parsing leaves it
+    unchanged), so repeated in-process calls of main do not rebuild it."""
     parser = argparse.ArgumentParser(
         prog="rotquad",
         description="Rotation invariants of marked sphere homeomorphisms.",

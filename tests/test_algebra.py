@@ -181,6 +181,14 @@ def test_function_table_distinct_tuples_and_perturbation():
     assert G((1, 0, 2, 3)) == F((1, 0, 2, 3))
 
 
+@pytest.mark.parametrize("t", [(0, 0, 1, 2), (1, 2, 3, 3), (2, 2, 3, 3)])
+def test_perturbing_a_zero_convention_tuple_is_refused(t):
+    # get never reads a value stored at such a tuple, so the copy would check
+    # exactly as the original: a fault injection that injects nothing
+    with pytest.raises(ValueError, match="zero by convention"):
+        quadratic_table(range(4)).perturbed(t, 5)
+
+
 def test_f_triple_golden_vector():
     F = quadratic_table(range(5))
     assert f_triple(F, (3, 1, 4, 2)) == (4, -3, -1)
