@@ -7,8 +7,10 @@ Usage: python3 scripts/export_scenarios.py [outdir]   (default: scenarios/)
 import sys
 from pathlib import Path
 
-from rotquad import save_scenario
-from rotquad.catalog import identity_scenarios
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rotquad import save_scenario  # noqa: E402
+from rotquad.catalog import identity_scenarios  # noqa: E402
 
 
 def main() -> int:

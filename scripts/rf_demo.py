@@ -6,7 +6,12 @@ walks the tuple through the 24 permutations to show the sign pattern, and
 finishes with a blow-up estimate converging to an irrational limit.
 """
 
-from rotquad import (
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rotquad import (  # noqa: E402
     INFINITY,
     MarkedTuple,
     RfEvaluator,

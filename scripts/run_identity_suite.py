@@ -8,8 +8,11 @@ can be launched and archived with one command from a checkout.
 """
 
 import sys
+from pathlib import Path
 
-from rotquad.cli import main as cli_main
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from rotquad.cli import main as cli_main  # noqa: E402
 
 
 def main() -> int:

@@ -44,13 +44,17 @@ from .geometry import (
     snap_turns,
     winding_number,  # unused here; kept as the name perfbench's tracer wraps
 )
-from .intersection import loop_class
+from .intersection import loop_class  # unused here; kept as the name perfbench's tracer wraps
 from .maps import (
+    CompiledMap,
     Compose,
     Inverse,
     MapSpec,
     MobiusConjugate,
     Power,
+    _mobius_pair,
+    _require_fixed,
+    _steps,
     compile_map,
     eval_map,  # unused here; kept as the name perfbench's tracer wraps
     fixed_residual,
@@ -94,27 +98,32 @@ class MarkedTuple:
         return "distinct"
 
 
+def _modulus(chart: MobiusTransform, p: SpherePoint) -> float:
+    """|H(p)| for the chart H, infinite at the point at infinity."""
+    q = apply_mobius(chart, p)
+    return math.inf if q.is_infinity else abs(q.value)
+
+
 @dataclass(frozen=True)
 class IsotopyTrace:
-    """The closed curve swept by x4 under an isotopy from the identity.
+    """The closed curve swept by x4 under an isotopy from the identity: in
+    each run (H, r, k), x4 goes k times round the circle |H(z)| = r.  The
+    isotopy fixes x1, x2 and x3, so a run whose circle meets one (|H(p)|
+    within a relative 1e-12 of r) is refused."""
 
-    The isotopy is required to fix x1, x2 and x3 throughout, so the trace
-    must stay clear of all three context points.
-    """
-
-    samples: Polyline
+    runs: tuple[tuple[MobiusTransform, float, int], ...]
     x1: SpherePoint
     x2: SpherePoint
     x3: SpherePoint
+    x4: SpherePoint
 
     def __post_init__(self):
-        for name in ("x1", "x2", "x3"):
+        for name in ("x1", "x2", "x3", "x4"):
             object.__setattr__(self, name, as_sphere_point(getattr(self, name)))
-        if not self.samples.closed:
-            raise ValueError("a trace must be a closed polyline")
-        for p in (self.x1, self.x2, self.x3):
-            if not p.is_infinity and self.samples.passes_within(p.value, DEFAULT_TOL.eps_edge):
-                raise PointOnLoop(f"trace passes through the context point {p!r}")
+        for chart, r, _ in self.runs:
+            for p in (self.x1, self.x2, self.x3):
+                if abs(_modulus(chart, p) - r) <= 1e-12 * r:
+                    raise PointOnLoop(f"trace passes through the context point {p!r}")
 
 
 @dataclass(frozen=True)
@@ -152,11 +161,13 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
 def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
     """The refined image path in the chart h (x1 -> 0, x2 -> inf), the path's
     own exact turning there (arg h(z) = arg(z - x1) - arg(z - x2) + const, a
-    point at infinity adding nothing), and the path's ends h(x3), h(x4)."""
-    require_fixed(spec, t.points, tol)
+    point at infinity adding nothing), and the path's ends h(x3), h(x4).
+    The spec's steps are walked once, for the fixed-point check and the view."""
+    steps = _steps(spec)
+    _require_fixed(CompiledMap(steps), t.points, tol)
     _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
     h = mobius_normalize(t.x1, t.x2)
-    forward = refine_path_view(beta.vertices, compile_map(spec, then=h), tol=tol)
+    forward = refine_path_view(beta.vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
     base = sum(sign * path_turns(beta.vertices, p.value)
                for sign, p in ((1, t.x1), (-1, t.x2)) if not p.is_infinity)
     at = mobius_step(h)
@@ -211,8 +222,9 @@ def _loop_and_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerance
 
 
 def rf_trace(trace: IsotopyTrace, tol: Tolerances = DEFAULT_TOL) -> int:
-    """The invariant as the class of the isotopy trace of x4."""
-    return loop_class(trace.samples, trace.x1, trace.x2, tol)
+    """The class of the isotopy trace of x4: sum of k * ([x1 inside] - [x2 inside])."""
+    return sum(k * ((_modulus(chart, trace.x1) < r) - (_modulus(chart, trace.x2) < r))
+               for chart, r, k in trace.runs)
 
 
 def concatenate_traces(first: IsotopyTrace, second: IsotopyTrace) -> IsotopyTrace:
@@ -223,12 +235,9 @@ def concatenate_traces(first: IsotopyTrace, second: IsotopyTrace) -> IsotopyTrac
     """
     if (first.x1, first.x2, first.x3) != (second.x1, second.x2, second.x3):
         raise ValueError("traces have different context points")
-    if first.samples.start != second.samples.start:
+    if first.x4 != second.x4:
         raise ValueError("traces are based at different points")
-    verts = dedupe_consecutive(
-        list(first.samples.vertices) + list(second.samples.vertices), closed=True
-    )
-    return IsotopyTrace(Polyline(tuple(verts), closed=True), first.x1, first.x2, first.x3)
+    return IsotopyTrace(first.runs + second.runs, first.x1, first.x2, first.x3, first.x4)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +517,6 @@ class RfEvaluator:
 def synthesize_twist_trace(
     spec: MapSpec,
     t: MarkedTuple,
-    samples_per_turn: int = 24,
     tol: Tolerances = DEFAULT_TOL,
 ) -> IsotopyTrace | None:
     """The canonical isotopy trace for a (conjugated) twist, if one exists.
@@ -516,11 +524,11 @@ def synthesize_twist_trace(
     The natural isotopy scales the profile linearly in time; to keep the
     three context points fixed throughout, the profile is first shifted by
     the common integer value it takes at their radii (a whole-turn shift,
-    so the endpoint map is unchanged).  Returns None when the shifted
-    motion leaves x4 in place (the trace is a constant loop, class 0);
-    raises ScenarioError when no such isotopy exists for this spec and
-    tuple, and InconclusiveComputation when the trace would take more than
-    ``tol.max_refine_points`` samples.
+    so the endpoint map is unchanged): x4 then goes a whole number of times
+    round the circle |H(z)| = |H(x4)| in the twist's chart H, one run.
+    Returns None when the shifted motion leaves x4 in place (a constant
+    loop, class 0); raises ScenarioError when no such isotopy exists for
+    this spec and tuple.
     """
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
@@ -531,10 +539,9 @@ def synthesize_twist_trace(
     chart, profile = reduced
     context = []
     for p in (t.x1, t.x2, t.x3):
-        q = apply_mobius(chart, p)
-        if q.is_infinity or q.value == 0:
-            continue
-        context.append(profile.value(abs(q.value)))
+        radius = _modulus(chart, p)
+        if 0 < radius < math.inf:
+            context.append(profile.value(radius))
     if not context:
         raise ScenarioError("the context points do not constrain the isotopy")
     shift = context[0]
@@ -553,23 +560,7 @@ def synthesize_twist_trace(
     wraps = int(round(wraps))
     if wraps == 0:
         return None
-    back = chart.inverse()
-    n = samples_per_turn * abs(wraps)
-    if n > tol.max_refine_points:
-        raise InconclusiveComputation(
-            f"trace budget exhausted: {n} samples, more than "
-            f"max_refine_points={tol.max_refine_points}")
-    verts = []
-    for j in range(n):
-        w = y4.value * complex(math.cos(TAU * wraps * j / n), math.sin(TAU * wraps * j / n))
-        image = apply_mobius(back, SpherePoint(w))
-        if image.is_infinity:
-            raise ScenarioError("the trace passes through the point at infinity")
-        verts.append(image.value)
-    verts = dedupe_consecutive(verts, closed=True)
-    if len(verts) < 3:
-        return None
-    return IsotopyTrace(Polyline(tuple(verts), closed=True), t.x1, t.x2, t.x3)
+    return IsotopyTrace(((chart, abs(y4.value), wraps),), t.x1, t.x2, t.x3, t.x4)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def test_enclosure_contains_every_computed_image(piece):
 def test_hundred_thousand_turn_twist_is_exact():
     spec = RadialTwist(RadialProfile(((1, 0), (2, 1e5))))
     t = MarkedTuple(0j, INFINITY, 0.5, 3)
-    assert rf_trace(synthesize_twist_trace(spec, t, samples_per_turn=4)) == 100000
+    assert rf_trace(synthesize_twist_trace(spec, t)) == 100000
     assert RfEvaluator(spec).value(*t.points) == 100000
 
 
@@ -193,9 +193,9 @@ class _CountingView:
 
 def test_catalog_values_stay_under_the_evaluation_ceiling(monkeypatch):
     counter = [0]
-    real = invariant.compile_map
-    monkeypatch.setattr(invariant, "compile_map",
-                        lambda *a, **k: _CountingView(real(*a, **k), counter))
+    real = invariant.refine_path_view
+    monkeypatch.setattr(invariant, "refine_path_view",
+                        lambda vertices, view, **k: real(vertices, _CountingView(view, counter), **k))
     worst = {}
     for sc in _SCENARIOS:
         for t in _default_tuples(sc):

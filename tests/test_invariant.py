@@ -72,9 +72,23 @@ def test_tuple_classification():
 
 
 def test_trace_must_avoid_context_points():
-    square = Polyline((-1 - 1j, 1 - 1j, 1 + 1j, -1 + 1j), closed=True)
-    with pytest.raises(Exception):
-        IsotopyTrace(square, 1 + 1j, 5 + 0j, 6 + 0j)
+    # a run round |z - 5| = 2, whose circle passes through x3 = 5 + 2j
+    chart = MobiusTransform(1, -5, 0, 1)
+    with pytest.raises(PointOnLoop):
+        IsotopyTrace(((chart, 2.0, 1),), 5 + 0j, INFINITY, 5 + 2j, 7 + 0j)
+    assert rf_trace(IsotopyTrace(((chart, 2.0, 1),), 5 + 0j, INFINITY, 5 + 3j, 7 + 0j)) == 1
+
+
+@pytest.mark.parametrize("offset, refused", [(0.9e-12, True), (-0.9e-12, True),
+                                             (1.1e-12, False), (-1.1e-12, False)])
+def test_trace_refuses_a_context_point_within_a_relative_1e_12_of_its_circle(offset, refused):
+    run = ((MobiusTransform(1, 0, 0, 1), 2.0, 3),)
+    x1 = 2.0 * (1 + offset)
+    if refused:
+        with pytest.raises(PointOnLoop):
+            IsotopyTrace(run, x1, INFINITY, 0.5, 2.0)
+    else:  # classified exactly, on the side it lies on
+        assert rf_trace(IsotopyTrace(run, x1, INFINITY, 0.5, 2.0)) == (3 if offset < 0 else 0)
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,12 @@ from rotquad.geometry import (
     _non_finite,
     bisect_path,
     mobius_disk,
+    mobius_normalize,
     mobius_step,
     path_turns,
     refine_path_view,
 )
+from rotquad.invariant import _refined_paths
 from rotquad.maps import _TAU_I, TAU, compile_map
 
 from test_enclosure import _SCENARIOS, _default_tuples
@@ -331,21 +333,25 @@ def test_compiled_chain_at_infinity_and_on_an_unknown_disk():
 
 
 class _Recorder:
-    """Wraps invariant.compile_map and invariant.refine_path_view: each
-    refinement also runs through the reference, and both must agree, on the
-    image path and on its turning."""
+    """Wraps invariant's view builders (_refined_paths for a tuple's value,
+    compile_map for a blow-up) and invariant.refine_path_view: each
+    refinement also runs through the reference view of the spec and chart
+    last built, and both must agree, on the image path and on its turning."""
 
     def __init__(self):
-        self.views = {}
+        self.source = None
         self.paths = []
 
+    def refined_paths(self, spec, t, beta, tol):
+        self.source = (spec, mobius_normalize(t.x1, t.x2))
+        return _refined_paths(spec, t, beta, tol)
+
     def compile_map(self, spec, then=None):
-        view = compile_map(spec, then)
-        self.views[id(view)] = (spec, then)
-        return view
+        self.source = (spec, then)
+        return compile_map(spec, then)
 
     def refine_path_view(self, vertices, view, tol=DEFAULT_TOL):
-        spec, then = self.views[id(view)]
+        spec, then = self.source
         self.paths.append(list(vertices))
         got, out = _outcome(refine_path_view, vertices, view, tol)
         expect, _ = _outcome(reference_refine_path_view, vertices,
@@ -360,6 +366,7 @@ class _Recorder:
 @pytest.fixture
 def recorder(monkeypatch):
     rec = _Recorder()
+    monkeypatch.setattr(invariant, "_refined_paths", rec.refined_paths)
     monkeypatch.setattr(invariant, "compile_map", rec.compile_map)
     monkeypatch.setattr(invariant, "refine_path_view", rec.refine_path_view)
     return rec

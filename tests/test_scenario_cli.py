@@ -1,6 +1,8 @@
 """Scenario files, report determinism, and the command line front end."""
 
+import cmath
 import json
+import math
 import tempfile
 import time
 from fractions import Fraction
@@ -192,9 +194,9 @@ def test_cli_tol_winding_out_of_range_exits_2(capsys, snap):
     assert err.startswith("error: ScenarioError:") and "\n" not in err
 
 
-def test_cli_trace_over_budget_is_inconclusive(tmp_path):
-    # ten million turns at 24 samples a turn: the trace is refused before
-    # sampling, as the loop and lift are once their refinement runs out
+def test_cli_over_budget_twist_has_an_exact_trace(tmp_path):
+    # ten million turns: the loop and lift are inconclusive once their
+    # refinement runs out, while the trace reads its one run exactly
     blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
     blob["map"]["profile"] = [[1, 0], [2, 1e7]]
     blob["tolerances"] = {"max_refine_points": 4096}
@@ -205,8 +207,29 @@ def test_cli_trace_over_budget_is_inconclusive(tmp_path):
     assert time.perf_counter() - start < 10.0
     records = {r["name"]: r for r in json.loads(out.read_text())["records"]
                if r["inputs"] == "(q1,q2,q3,q4)"}
-    assert records["value[trace]"]["status"] == "inconclusive"
-    assert records["value[trace]"]["values"] == []
+    for method in ("loop", "lift"):
+        assert records[f"value[{method}]"]["status"] == "inconclusive"
+        assert records[f"value[{method}]"]["values"] == []
+    assert records["value[trace]"]["status"] == "pass"
+    assert records["value[trace]"]["values"] == ["10000000"]
+
+
+def test_cli_trace_holds_a_point_near_the_circle(tmp_path):
+    # x1 inside x4's circle |z| = 1.001 but outside its inscribed 24-gon
+    q1 = 0.999 * cmath.exp(1j * math.pi / 24)
+    blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
+    blob["map"]["profile"] = [[1, 0], [1.001, 1]]
+    blob["points"].update(q1=[q1.real, q1.imag], q4=[1.001, 0.0])
+    blob["tuples"] = [["q1", "q2", "q3", "q4"]]
+    path, out = tmp_path / "near.json", tmp_path / "report.json"
+    path.write_text(json.dumps(blob))
+    assert main(["compute", str(path), "--method", "trace", "--out", str(out)]) == 0
+    (record,) = json.loads(out.read_text())["records"]
+    assert (record["name"], record["status"], record["values"]) == ("value[trace]", "pass", ["1"])
+    assert main(["compute", str(path), "--method", "all", "--out", str(out)]) == 0
+    records = json.loads(out.read_text())["records"]
+    assert {r["name"] for r in records} == {"value[loop]", "value[lift]", "value[trace]"}
+    assert all(r["status"] == "pass" and r["values"] == ["1"] for r in records)
 
 
 def _json_paths(node, path=()):
