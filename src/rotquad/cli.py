@@ -50,6 +50,7 @@ from .errors import (
     ScenarioError,
     TangentCondition,
 )
+from .geometry import DEFAULT_TOL, Tolerances
 from .invariant import (
     BlowupEstimate,
     MarkedTuple,
@@ -128,10 +129,10 @@ def _effective_seed(args, scenario: Scenario | None) -> int:
     return scenario.seed if scenario is not None else 0
 
 
-def _scenario_tol(scenario: Scenario, args):
-    if args.tol_winding is None:
-        return scenario.tolerances
-    return tolerances_from_json({"winding_snap": args.tol_winding}, scenario.tolerances)
+def _tol(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
+    """base, with the --tol-winding override when one is given."""
+    overrides = None if args.tol_winding is None else {"winding_snap": args.tol_winding}
+    return tolerances_from_json(overrides, base)
 
 
 def _emit(report: Report, args, verbose_records: bool) -> None:
@@ -170,7 +171,7 @@ def _matching_paths(scenario: Scenario, t: MarkedTuple):
 
 def cmd_compute(args) -> int:
     scenario = load_scenario(args.scenario)
-    tol = _scenario_tol(scenario, args)
+    tol = _tol(args, scenario.tolerances)
     seed = _effective_seed(args, scenario)
     method = args.method or scenario.method
     methods = ("loop", "lift", "trace") if method == "all" else (method,)
@@ -274,16 +275,17 @@ def _prefix(records, scope: str):
 def _suite_rf_symmetries(scenarios, seed_override, args) -> list:
     records = []
     for sc in scenarios:
-        tol = _scenario_tol(sc, args)
+        tol = _tol(args, sc.tolerances)
         seed = sc.seed if seed_override is None else seed_override
         pts = [sc.points[k] for k in sorted(sc.points)]
         records.extend(_prefix(
             verify_rf_identities(sc.map_spec, None, pts, tol, seed), sc.name))
+    tol = _tol(args)
     for pair in homomorphism_pairs():
         seed = 0 if seed_override is None else seed_override
-        ev_f = RfEvaluator(pair.f, seed=seed)
-        ev_g = RfEvaluator(pair.g, seed=seed)
-        ev_fg = RfEvaluator(Compose((pair.f, pair.g)), seed=seed)
+        ev_f = RfEvaluator(pair.f, tol, seed)
+        ev_g = RfEvaluator(pair.g, tol, seed)
+        ev_fg = RfEvaluator(Compose((pair.f, pair.g)), tol, seed)
         pts = pair.points
         tuples = [pts[:4]]
         if len(pts) >= 5:
@@ -395,7 +397,7 @@ def _build_tables(scenario, seed_override, args) -> list[tuple[str, FunctionTabl
     for sc in scenarios:
         seed = sc.seed if seed_override is None else seed_override
         pts = [sc.points[k] for k in sorted(sc.points)]
-        tables.append((sc.name, rf_table(sc.map_spec, pts, _scenario_tol(sc, args), seed)))
+        tables.append((sc.name, rf_table(sc.map_spec, pts, _tol(args, sc.tolerances), seed)))
     return tables
 
 

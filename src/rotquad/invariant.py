@@ -411,42 +411,27 @@ def connecting_path(
     raise ScenarioError("no admissible connecting path found")
 
 
-_PRECHART_ANCHORS = (
-    0.318 + 0.733j,
-    -1.247 + 0.582j,
-    2.414 - 1.731j,
-    0.577 - 2.236j,
-    -0.692 - 3.415j,
-    3.141 + 1.618j,
-)
-
-
 def _prechart(spec: MapSpec, t: MarkedTuple) -> tuple[MapSpec, MarkedTuple]:
-    """Conjugate with 1/(z-c) when a path endpoint sits at infinity.
+    """Conjugate by the normalizing chart when a path endpoint sits at infinity.
 
     The invariant is unchanged under simultaneous conjugation of the map
     and the points, and the connecting-path machinery needs finite
-    endpoints.  No-op when the third and fourth points are finite.
+    endpoints: h = mobius_normalize(x1, x2) sends x1 to 0 and x2 to
+    infinity, so the third and fourth points become finite.  No-op when
+    they are finite already.
     """
     if not (t.x3.is_infinity or t.x4.is_infinity):
         return spec, t
-    finite = [p.value for p in t.points if not p.is_infinity]
-    scale = max([abs(z) for z in finite] + [1.0])
-    for anchor in _PRECHART_ANCHORS:
-        c = anchor * scale
-        if all(abs(z - c) > 1e-3 * scale for z in finite):
-            m = MobiusTransform(0, 1, 1, -c)
-            moved = MobiusConjugate(m.inverse(), spec)
-            return moved, MarkedTuple(*(apply_mobius(m, p) for p in t.points))
-    raise ScenarioError("could not find a chart anchor clear of the marked points")
+    h = mobius_normalize(t.x1, t.x2)
+    return MobiusConjugate(h.inverse(), spec), MarkedTuple(*(apply_mobius(h, p) for p in t.points))
 
 
 class RfEvaluator:
     """Caching evaluator with deterministic retry on degenerate geometry.
 
     Each value is computed by the loop method and cross-checked by the
-    lift method, both read off one refinement; tuples with a
-    point at infinity in the path slots are conjugated to a finite chart
+    lift method, both read off one refinement; tuples with a point at
+    infinity in the path slots are conjugated to the normalizing chart
     first.  Degenerate geometry (a path or loop grazing a marked point, a
     non-integer winding) triggers a retry with the next path variant and a
     small deterministic jitter; if all attempts fail the computation is
@@ -528,7 +513,9 @@ def synthesize_twist_trace(
     round the circle |H(z)| = |H(x4)| in the twist's chart H, one run.
     Returns None when the shifted motion leaves x4 in place (a constant
     loop, class 0); raises ScenarioError when no such isotopy exists for
-    this spec and tuple.
+    this spec and tuple.  A profile value of 2**52 turns or more has no
+    fractional bits left, so a whole-turn count read there may be rounded:
+    that raises InconclusiveComputation.
     """
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
@@ -537,11 +524,19 @@ def synthesize_twist_trace(
     if reduced is None:
         raise ScenarioError("no canonical isotopy known for this map")
     chart, profile = reduced
+
+    def turns_at(radius: float) -> float:
+        value = profile.value(radius)
+        if abs(value) >= 2**52:
+            raise InconclusiveComputation(
+                f"profile value {value!r} is too large to count whole turns exactly")
+        return value
+
     context = []
     for p in (t.x1, t.x2, t.x3):
         radius = _modulus(chart, p)
         if 0 < radius < math.inf:
-            context.append(profile.value(radius))
+            context.append(turns_at(radius))
     if not context:
         raise ScenarioError("the context points do not constrain the isotopy")
     shift = context[0]
@@ -553,7 +548,7 @@ def synthesize_twist_trace(
     y4 = apply_mobius(chart, t.x4)
     if y4.is_infinity or y4.value == 0:
         raise ScenarioError("the moving point sits on the twist axis")
-    wraps = profile.value(abs(y4.value)) - shift
+    wraps = turns_at(abs(y4.value)) - shift
     if abs(wraps - round(wraps)) > tol.fixed_tol:
         res = fixed_residual(spec, t.x4)
         raise NotFixed(t.x4, max(res, abs(wraps - round(wraps))))

@@ -196,8 +196,9 @@ class Power:
     marks: tuple[SpherePoint, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.q, int) or self.q == 0:
-            raise ValueError("power exponent must be a nonzero integer")
+        # q scales profile values as a float, exact for integers below 2**53
+        if not isinstance(self.q, int) or not 0 < abs(self.q) < 2**53:
+            raise ValueError("power exponent must be a nonzero integer below 2**53 in magnitude")
         object.__setattr__(self, "marks", _marks_tuple(self.marks))
 
 
@@ -329,11 +330,25 @@ def _mobius_pair(h: MobiusTransform) -> tuple:
 def _steps(spec: MapSpec) -> list:
     """The spec as (point step, enclosure step) pairs, first pair first.
 
-    A subtree that ``twist_chart`` reduces is one twist between its charts,
-    and a power of commuting twists the composition of their powers: chained
-    steps would cost a step per factor or repetition, and an enclosure would
-    compound each twist's radius growth as often.
+    A power is first rewritten where that is exact: nested powers and
+    inverses fold into its exponent, a power of the identity is no step, and
+    a power of a conjugate is the conjugate of the power, so the chart
+    change runs once, not at every repetition.  A subtree that
+    ``twist_chart`` reduces is one twist between its charts, and a power of
+    commuting twists the composition of their powers: chained steps would
+    cost a step per factor or repetition, and an enclosure would compound
+    each twist's radius growth as often.
     """
+    if isinstance(spec, Power):
+        inner = spec.inner
+        if isinstance(inner, Identity):
+            return []
+        if isinstance(inner, MobiusConjugate):
+            return _steps(MobiusConjugate(inner.h, Power(spec.q, inner.inner)))
+        if isinstance(inner, Inverse):
+            return _steps(Power(-spec.q, inner.inner))
+        if isinstance(inner, Power):
+            return _steps(Power(spec.q * inner.q, inner.inner))
     if isinstance(spec, Identity):
         return []
     reduced = twist_chart(spec)
@@ -507,34 +522,13 @@ def twist_chart(spec: MapSpec) -> tuple[MobiusTransform, RadialProfile] | None:
 
 
 def iterate_spec(spec: MapSpec, n: int) -> MapSpec:
-    """A spec for the n-th iterate, simplified structurally where exact.
-
-    Same-axis twists iterate by scaling the profile, conjugation commutes
-    with iteration, and nested powers multiply exponents; anything else
-    falls back to an honest Power node.
-    """
+    """A spec for the n-th iterate: a Power node, which ``_steps`` rewrites
+    where that is exact."""
     if n == 0:
         return Identity()
     if n == 1:
         return spec
-    if isinstance(spec, Identity):
-        return spec
-    if isinstance(spec, RadialTwist):
-        return RadialTwist(spec.profile.scaled(n), spec.marks)
-    if isinstance(spec, MobiusConjugate):
-        return MobiusConjugate(spec.h, iterate_spec(spec.inner, n), spec.marks)
-    if isinstance(spec, Inverse):
-        return iterate_spec(spec.inner, -n)
-    if isinstance(spec, Power):
-        return iterate_spec(spec.inner, spec.q * n)
-    if isinstance(spec, Compose):
-        reduced = twist_chart(spec)
-        if reduced is not None and reduced[0] == MOBIUS_IDENTITY:
-            return RadialTwist(reduced[1].scaled(n), spec.marks)
-        if n < 0:
-            return Power(-n, invert_spec(spec))
-        return Power(n, spec)
-    raise TypeError(f"not a map spec: {spec!r}")
+    return Power(n, spec)
 
 
 def fixed_points(spec: MapSpec, extra=(), tol: Tolerances = DEFAULT_TOL) -> list[SpherePoint]:

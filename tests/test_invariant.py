@@ -1,6 +1,7 @@
 """The four-point invariant: exactness, symmetry, traces, blow-ups, periodics."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ from rotquad.catalog import (
     double_blowup_spec,
     golden_twist_spec,
     quarter_turn_blowup_spec,
+    scenario_by_name,
     sqrt2_blowup_spec,
 )
 from rotquad.geometry import DEFAULT_TOL, refine_path_view
@@ -133,6 +135,33 @@ def test_wrap_aliasing_regressions():
     # pair-swapped slots route through the auxiliary finite chart
     assert RfEvaluator(golden_twist_spec(-3)).value(0.5 + 0j, 3 + 0j, 0j, INFINITY) == -3
     assert RfEvaluator(golden_twist_spec(2)).value(0.5 + 0j, 3 + 0j, 0j, INFINITY) == 2
+
+
+@pytest.mark.parametrize("q", [30, 300])
+def test_power_of_a_rotated_disjoint_composite_is_one_pass(q):
+    # the power moves inside the rotation and splits over the two disjoint
+    # twists; chained, the enclosure of q rotations wraps and the value is
+    # inconclusive, and each point takes q passes
+    sc = scenario_by_name("compose-disjoint-rotated")
+    t = [sc.points[k] for k in ("q1", "q2", "q3", "q4")]
+    assert RfEvaluator(sc.map_spec, sc.tolerances, sc.seed).value(*t) == -1
+    start = time.perf_counter()
+    assert RfEvaluator(Power(q, sc.map_spec), sc.tolerances, sc.seed).value(*t) == -q
+    assert time.perf_counter() - start < 1.0
+
+
+def test_trace_refuses_a_profile_value_without_fractional_bits():
+    # 2**53 + 1 turns by additivity, rounded to 2**53 in the summed profile
+    coaxial = Compose((RadialTwist(RadialProfile(((1, 0), (2, 2**53)))),
+                       RadialTwist(RadialProfile(((1, 0), (2, 1))))))
+    with pytest.raises(InconclusiveComputation):
+        synthesize_twist_trace(coaxial, AXIS_TUPLE)
+    # a context point on a plateau at 2**52 turns
+    far = RadialTwist(RadialProfile(((1, 2**52), (2, 2**52 + 1))))
+    with pytest.raises(InconclusiveComputation):
+        synthesize_twist_trace(far, AXIS_TUPLE)
+    steep = RadialTwist(RadialProfile(((1, 0), (2, 2**52 - 1))))
+    assert rf_trace(synthesize_twist_trace(steep, AXIS_TUPLE)) == 2**52 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +385,7 @@ def _inline_seeded_blowup(spec, n_iters: int) -> float:
     iterate's total twist, rounded up) evenly spaced points."""
     iterated = iterate_spec(spec, n_iters)
     y4 = 3 + 0j
-    twist = iterated.profile.total_variation()
+    twist = spec.profile.scaled(n_iters).total_variation()
     n = int(min(DEFAULT_TOL.max_refine_points // 4, 32 * (2 + math.ceil(twist))))
     start = y4 * 1e-6
     beta = [start + (y4 - start) * (j / n) for j in range(n + 1)]

@@ -32,6 +32,7 @@ from rotquad.catalog import (
     golden_twist_spec,
     identity_scenarios,
     quarter_turn_blowup_spec,
+    scenario_by_name,
 )
 from rotquad.geometry import MOBIUS_IDENTITY
 from rotquad.maps import _commuting_twists, compile_map, fixed_residual, twist_chart
@@ -165,11 +166,18 @@ def test_inverse_round_trip_depth_three():
 
 def test_iterate_twist_scales_profile():
     f = golden_twist_spec(2)
-    g = iterate_spec(f, 3)
-    assert isinstance(g, RadialTwist)
-    assert g.profile == f.profile.scaled(3)
-    assert iterate_spec(f, -2).profile == f.profile.scaled(-2)
+    assert twist_chart(iterate_spec(f, 3)) == (MOBIUS_IDENTITY, f.profile.scaled(3))
+    assert twist_chart(iterate_spec(f, -2)) == (MOBIUS_IDENTITY, f.profile.scaled(-2))
+    assert iterate_spec(f, 1) is f
     assert isinstance(iterate_spec(f, 0), Identity)
+
+
+def test_power_exponent_is_exact_as_a_float():
+    f = golden_twist_spec(1)
+    for q in (2**53, -2**53, 10**400):
+        with pytest.raises(ValueError):
+            Power(q, f)
+    assert Power(2**53 - 1, f).q == 2**53 - 1
 
 
 def test_iterate_matches_pointwise_power():
@@ -367,9 +375,21 @@ def _literal_eval(spec, p: SpherePoint) -> SpherePoint:
 
 
 def _reference_eval(spec, p: SpherePoint) -> SpherePoint:
-    """The literal walk, but a subtree that twist_chart reduces is taken in
-    its reduced form (chart, one twist, chart back), and a power of
-    commuting twists as the composition of their powers."""
+    """The literal walk, but a power of the identity is the identity, a
+    power of a conjugate the conjugate of the power, a nested power or
+    inverse one power with the product exponent, a subtree that twist_chart
+    reduces is taken in its reduced form (chart, one twist, chart back), and
+    a power of commuting twists as the composition of their powers."""
+    if isinstance(spec, Power):
+        inner = spec.inner
+        if isinstance(inner, Identity):
+            return p
+        if isinstance(inner, MobiusConjugate):
+            return _reference_eval(MobiusConjugate(inner.h, Power(spec.q, inner.inner)), p)
+        if isinstance(inner, Inverse):
+            return _reference_eval(Power(-spec.q, inner.inner), p)
+        if isinstance(inner, Power):
+            return _reference_eval(Power(spec.q * inner.q, inner.inner), p)
     if isinstance(spec, Identity):
         return p
     reduced = twist_chart(spec)
@@ -408,7 +428,9 @@ _CATALOG_SPECS = tuple(sc.map_spec for sc in identity_scenarios())
 _LITERAL_SPECS = tuple(w for spec in _CATALOG_SPECS for w in _wrapped(spec))
 _ALL_SPECS = _LITERAL_SPECS + tuple(
     Power(10**6, spec) for spec in _CATALOG_SPECS
-    if twist_chart(spec) is not None or _commuting_twists(spec))
+    if twist_chart(spec) is not None or _commuting_twists(spec)) + (
+    # a conjugate of commuting twists: the power moves inside, one pass
+    Power(10**6, scenario_by_name("compose-disjoint-rotated").map_spec),)
 
 
 def _conjugate_poles(spec):

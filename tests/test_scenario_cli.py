@@ -25,6 +25,7 @@ from rotquad import (
 )
 from rotquad.catalog import golden_twist_scenario, identity_scenarios, scenario_by_name
 from rotquad.cli import main
+from rotquad.geometry import DEFAULT_TOL
 from rotquad.scenario import (
     g_from_json,
     g_to_json,
@@ -230,6 +231,53 @@ def test_cli_trace_holds_a_point_near_the_circle(tmp_path):
     records = json.loads(out.read_text())["records"]
     assert {r["name"] for r in records} == {"value[loop]", "value[lift]", "value[trace]"}
     assert all(r["status"] == "pass" and r["values"] == ["1"] for r in records)
+
+
+@pytest.mark.parametrize("q", [10**400, 2**53 + 1, -2**53], ids=["1e400", "2**53+1", "-2**53"])
+def test_cli_power_exponent_beyond_exact_floats_exits_2(tmp_path, capsys, q):
+    # 10**400 overflows a float profile; 2**53 + 1 turns round to 2**53
+    blob = json.loads((SCENARIOS / "power-square.json").read_text())
+    blob["map"]["q"] = q
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(blob))
+    assert main(["compute", str(path), "--method", "trace"]) == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error: ScenarioError:") and "\n" not in err
+
+
+def test_cli_trace_of_a_rounded_profile_sum_is_inconclusive(tmp_path):
+    # coaxial twists with end values 2**53 and 1: by additivity the value is
+    # 2**53 + 1, which the summed float profile rounds to 2**53
+    blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
+    blob["map"] = {"type": "compose", "parts": [
+        {"type": "radial_twist", "profile": [[1, 0], [2, 2**53]]},
+        {"type": "radial_twist", "profile": [[1, 0], [2, 1]]},
+    ]}
+    blob["tuples"] = [["q1", "q2", "q3", "q4"]]
+    path, out = tmp_path / "coaxial.json", tmp_path / "report.json"
+    path.write_text(json.dumps(blob))
+    assert main(["compute", str(path), "--method", "trace", "--out", str(out)]) == 3
+    (record,) = json.loads(out.read_text())["records"]
+    assert (record["name"], record["status"], record["values"]) == (
+        "value[trace]", "inconclusive", [])
+
+
+def test_cli_verify_tol_winding_reaches_the_homomorphism_pairs(tmp_path, monkeypatch):
+    import rotquad.cli as cli
+
+    snaps = []
+
+    class Spy(cli.RfEvaluator):
+        def __init__(self, spec, tol=DEFAULT_TOL, seed=0):
+            snaps.append(tol.winding_snap)
+            super().__init__(spec, tol, seed)
+
+    monkeypatch.setattr(cli, "RfEvaluator", Spy)
+    args = ["verify", str(SCENARIOS / "twist-by-1.json"), "--suite", "rf-symmetries",
+            "--tol-winding", "1e-17", "--out", str(tmp_path / "report.json")]
+    main(args)  # at so tight a snap some values are inconclusive
+    assert len(snaps) == 3 * len(cli.homomorphism_pairs())
+    assert set(snaps) == {1e-17}
 
 
 def _json_paths(node, path=()):
