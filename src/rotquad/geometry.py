@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from cmath import isfinite
 from dataclasses import dataclass
 
@@ -180,6 +181,7 @@ def mobius_step(h: MobiusTransform):
 # the scale of the numbers involved.
 
 _PAD = 1e-12
+_MIN_NORMAL = sys.float_info.min  # below it a float's rounding is not relative
 
 
 def padded_disk(centre: complex, radius: float, outside: bool, pad: float):
@@ -232,6 +234,8 @@ def mobius_disk(h: MobiusTransform):
         if not abs(gap) > 1e-9 * (am + r):
             return None
         g = gap * (am + r)
+        if not abs(g) >= _MIN_NORMAL:
+            return None
         v = m.conjugate() / g
         rv = r / abs(g)
         # g inherits the rounding of |m| magnified by (|m| + r) / |gap|

@@ -11,6 +11,7 @@ periodic points, plus the full identity-verification suite.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -70,19 +71,16 @@ TAU = math.tau
 
 @dataclass(frozen=True)
 class MarkedTuple:
-    """An ordered 4-tuple of fixed points, with an optional helper point."""
+    """An ordered 4-tuple of fixed points."""
 
     x1: SpherePoint
     x2: SpherePoint
     x3: SpherePoint
     x4: SpherePoint
-    w: SpherePoint | None = None
 
     def __post_init__(self):
         for name in ("x1", "x2", "x3", "x4"):
             object.__setattr__(self, name, as_sphere_point(getattr(self, name)))
-        if self.w is not None:
-            object.__setattr__(self, "w", as_sphere_point(self.w))
 
     @property
     def points(self) -> tuple[SpherePoint, SpherePoint, SpherePoint, SpherePoint]:
@@ -561,9 +559,51 @@ def synthesize_twist_trace(
 # ---------------------------------------------------------------------------
 # the identity suite
 
+# The identities between values at tuples of (x1, x2, x3, x4, w): name ->
+# (relation, the tuples as indices into (x1, x2, x3, x4, w), coefficients).
+# An identity holds when the signed sum of its values is 0.
+TUPLE_IDENTITIES = {
+    "cyclic_sum_zero": (
+        "R(x1,x2,x3,x4) + R(x2,x3,x1,x4) + R(x3,x1,x2,x4) = 0",
+        ((0, 1, 2, 3), (1, 2, 0, 3), (2, 0, 1, 3)), (1, 1, 1)),
+    "swap_first_pair_negates": (
+        "R(x2,x1,x3,x4) = -R(x1,x2,x3,x4)", ((0, 1, 2, 3), (1, 0, 2, 3)), (1, 1)),
+    "swap_second_pair_negates": (
+        "R(x1,x2,x4,x3) = -R(x1,x2,x3,x4)", ((0, 1, 2, 3), (0, 1, 3, 2)), (1, 1)),
+    "pair_swap_invariant": (
+        "R(x3,x4,x1,x2) = R(x1,x2,x3,x4)", ((0, 1, 2, 3), (2, 3, 0, 1)), (1, -1)),
+    "split_first_pair_through_w": (
+        "R(x1,x2,x3,x4) = R(x1,w,x3,x4) + R(w,x2,x3,x4)",
+        ((0, 1, 2, 3), (0, 4, 2, 3), (4, 1, 2, 3)), (1, -1, -1)),
+    "split_second_pair_through_w": (
+        "R(x1,x2,x3,x4) = R(x1,x2,x3,w) + R(x1,x2,w,x4)",
+        ((0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 4, 3)), (1, -1, -1)),
+}
 
-def _label(points) -> dict[SpherePoint, str]:
-    return {p: f"p{i + 1}" for i, p in enumerate(points)}
+
+def tuple_terms(ev: RfEvaluator, points, indices, coefficients) -> list:
+    """A row of TUPLE_IDENTITIES on the given (x1, x2, x3, x4, w), as
+    signed_sum's terms over one evaluator."""
+    return [(c, ev, tuple(points[i] for i in ix)) for c, ix in zip(coefficients, indices)]
+
+
+def signed_sum(terms) -> tuple[tuple[int, ...], bool, float]:
+    """The probe of a linear identity whose terms are (coefficient,
+    evaluator, tuple): the values in order, whether their signed sum is 0,
+    and its absolute value as the residual."""
+    values = tuple(ev.value(*t) for _, ev, t in terms)
+    total = sum(c * v for (c, _, _), v in zip(terms, values))
+    return values, total == 0, float(abs(total))
+
+
+def identity_record(name: str, inputs: str, relation: str, probe, *args) -> CheckRecord:
+    """The pass or fail record of probe(*args), which returns (values, holds,
+    residual); irreparable geometry makes the record inconclusive."""
+    try:
+        values, ok, residual = probe(*args)
+    except (InconclusiveComputation, GeometryFailure, ScenarioError):
+        return make_record(name, inputs, relation, (), None)
+    return make_record(name, inputs, relation, values, ok, residual)
 
 
 def verify_rf_identities(
@@ -589,195 +629,79 @@ def verify_rf_identities(
     if g_spec is not None:
         require_fixed(g_spec, pts, tol)
 
-    names = _label(pts)
-    x1, x2, x3, x4, w = pts[:5]
+    x1, x2, x3, x4, w = x = tuple(pts[:5])
+    t = x[:4]
     ev = RfEvaluator(spec, tol, seed)
-    records: list[CheckRecord] = []
-
-    def run(name, inputs, relation, probe):
-        try:
-            values, ok, residual = probe()
-        except (InconclusiveComputation, GeometryFailure, ScenarioError):
-            records.append(make_record(name, inputs, relation, (), None))
-        else:
-            records.append(make_record(name, inputs, relation, values, ok, residual))
-
-    base_inputs = f"x=({names[x1]},{names[x2]},{names[x3]},{names[x4]})"
-
-    def probe_cyclic():
-        a = ev.value(x1, x2, x3, x4)
-        b = ev.value(x2, x3, x1, x4)
-        c = ev.value(x3, x1, x2, x4)
-        return (a, b, c), a + b + c == 0, float(abs(a + b + c))
-
-    run(
-        "cyclic_sum_zero",
-        base_inputs,
-        "R(x1,x2,x3,x4) + R(x2,x3,x1,x4) + R(x3,x1,x2,x4) = 0",
-        probe_cyclic,
-    )
-
-    def probe_swap_first():
-        a = ev.value(x1, x2, x3, x4)
-        b = ev.value(x2, x1, x3, x4)
-        return (a, b), b == -a, float(abs(a + b))
-
-    run(
-        "swap_first_pair_negates",
-        base_inputs,
-        "R(x2,x1,x3,x4) = -R(x1,x2,x3,x4)",
-        probe_swap_first,
-    )
-
-    def probe_swap_second():
-        a = ev.value(x1, x2, x3, x4)
-        b = ev.value(x1, x2, x4, x3)
-        return (a, b), b == -a, float(abs(a + b))
-
-    run(
-        "swap_second_pair_negates",
-        base_inputs,
-        "R(x1,x2,x4,x3) = -R(x1,x2,x3,x4)",
-        probe_swap_second,
-    )
-
-    def probe_double_swap():
-        a = ev.value(x1, x2, x3, x4)
-        b = ev.value(x3, x4, x1, x2)
-        return (a, b), b == a, float(abs(a - b))
-
-    run(
-        "pair_swap_invariant",
-        base_inputs,
-        "R(x3,x4,x1,x2) = R(x1,x2,x3,x4)",
-        probe_double_swap,
-    )
-
-    def probe_cobound_first():
-        a = ev.value(x1, x2, x3, x4)
-        b = ev.value(x1, w, x3, x4)
-        c = ev.value(w, x2, x3, x4)
-        return (a, b, c), a == b + c, float(abs(a - b - c))
-
-    run(
-        "split_first_pair_through_w",
-        f"{base_inputs} w={names[w]}",
-        "R(x1,x2,x3,x4) = R(x1,w,x3,x4) + R(w,x2,x3,x4)",
-        probe_cobound_first,
-    )
-
-    def probe_cobound_second():
-        a = ev.value(x1, x2, x3, x4)
-        b = ev.value(x1, x2, x3, w)
-        c = ev.value(x1, x2, w, x4)
-        return (a, b, c), a == b + c, float(abs(a - b - c))
-
-    run(
-        "split_second_pair_through_w",
-        f"{base_inputs} w={names[w]}",
-        "R(x1,x2,x3,x4) = R(x1,x2,x3,w) + R(x1,x2,w,x4)",
-        probe_cobound_second,
-    )
+    inputs = "x=(p1,p2,p3,p4)"  # the i-th point is labelled p<i>
+    records = [
+        identity_record(name, inputs + (" w=p5" if any(4 in ix for ix in indices) else ""),
+                        relation, signed_sum, tuple_terms(ev, x, indices, coefficients))
+        for name, (relation, indices, coefficients) in TUPLE_IDENTITIES.items()
+    ]
 
     def probe_degenerate():
         a = ev.value(x2, x2, x3, x4)
         b = ev.value(x1, x2, x3, x3)
         return (a, b), a == 0 and b == 0, float(abs(a) + abs(b))
 
-    run(
-        "repeated_pair_gives_zero",
-        base_inputs,
-        "R(x2,x2,x3,x4) = 0 and R(x1,x2,x3,x3) = 0",
-        probe_degenerate,
-    )
-
-    def probe_inverse():
-        a = ev.value(x1, x2, x3, x4)
-        ev_inv = RfEvaluator(Inverse(spec), tol, seed)
-        b = ev_inv.value(x1, x2, x3, x4)
-        return (a, b), b == -a, float(abs(a + b))
-
-    run(
-        "inverse_map_negates",
-        base_inputs,
-        "R_of_inverse(x) = -R(x)",
-        probe_inverse,
-    )
+    records.append(identity_record(
+        "repeated_pair_gives_zero", inputs,
+        "R(x2,x2,x3,x4) = 0 and R(x1,x2,x3,x3) = 0", probe_degenerate))
+    records.append(identity_record(
+        "inverse_map_negates", inputs, "R_of_inverse(x) = -R(x)",
+        signed_sum, [(1, ev, t), (1, RfEvaluator(Inverse(spec), tol, seed), t)]))
 
     def probe_powers():
-        a = ev.value(x1, x2, x3, x4)
+        a = ev.value(*t)
         values = [a]
         ok = True
         for n in (-2, 2, 3):
-            ev_n = RfEvaluator(Power(n, spec), tol, seed)
-            vn = ev_n.value(x1, x2, x3, x4)
+            vn = RfEvaluator(Power(n, spec), tol, seed).value(*t)
             values.append(vn)
             ok = ok and vn == n * a
         residual = float(sum(abs(v) for v in values[1:])) if not ok else 0.0
         return tuple(values), ok, residual
 
-    run(
-        "iterate_scales_linearly",
-        base_inputs,
-        "R_of_nth_iterate(x) = n * R(x) for n in (-2, 2, 3)",
-        probe_powers,
-    )
-
+    records.append(identity_record(
+        "iterate_scales_linearly", inputs,
+        "R_of_nth_iterate(x) = n * R(x) for n in (-2, 2, 3)", probe_powers))
     if g_spec is not None:
+        records.append(identity_record(
+            "composition_adds", inputs, "R_of_composition(x) = R_f(x) + R_g(x)",
+            signed_sum, [(1, ev, t), (1, RfEvaluator(g_spec, tol, seed), t),
+                         (-1, RfEvaluator(Compose((spec, g_spec)), tol, seed), t)]))
 
-        def probe_homomorphism():
-            a = ev.value(x1, x2, x3, x4)
-            ev_g = RfEvaluator(g_spec, tol, seed)
-            b = ev_g.value(x1, x2, x3, x4)
-            ev_fg = RfEvaluator(Compose((spec, g_spec)), tol, seed)
-            c = ev_fg.value(x1, x2, x3, x4)
-            return (a, b, c), c == a + b, float(abs(c - a - b))
+    spec0, t0 = _prechart(spec, MarkedTuple(*t))
 
-        run(
-            "composition_adds",
-            base_inputs,
-            "R_of_composition(x) = R_f(x) + R_g(x)",
-            probe_homomorphism,
-        )
+    @functools.cache
+    def refined(variant: int):
+        """_refined_paths along the variant's connecting path: variant 0's
+        serves both probes below.  A failure is not cached, so each probe
+        meets it on its own."""
+        beta = connecting_path(t0.x3.value, t0.x4.value, avoid=(t0.x1, t0.x2),
+                               variant=variant, tol=tol)
+        return _refined_paths(spec0, t0, beta, tol)
 
-    def probe_beta_independence():
-        spec2, t2 = _prechart(spec, MarkedTuple(x1, x2, x3, x4))
-        values = []
-        for variant in (0, 2, 4):
-            beta = connecting_path(t2.x3.value, t2.x4.value, avoid=(t2.x1, t2.x2),
-                                   variant=variant, tol=tol)
-            values.append(rf_loop(spec2, t2, beta, tol))
-        ok = len(set(values)) == 1
-        return tuple(values), ok, 0.0 if ok else float(max(values) - min(values))
+    def agreement(values):
+        return tuple(values), len(set(values)) == 1, float(max(values) - min(values))
 
-    run(
-        "path_choice_irrelevant",
-        base_inputs,
-        "rf_loop agrees across three different connecting paths",
-        probe_beta_independence,
-    )
+    def probe_path_choice():
+        return agreement([_loop_winding(*refined(variant), tol) for variant in (0, 2, 4)])
+
+    records.append(identity_record(
+        "path_choice_irrelevant", inputs,
+        "rf_loop agrees across three different connecting paths", probe_path_choice))
 
     def probe_methods():
-        spec2, t2 = _prechart(spec, MarkedTuple(x1, x2, x3, x4))
-        beta = connecting_path(t2.x3.value, t2.x4.value, avoid=(t2.x1, t2.x2), tol=tol)
-        a, b = _loop_and_lift(spec2, t2, beta, tol)
-        values = [a, b]
+        forward, base, ends = refined(0)
+        a, b = _loop_winding(forward, base, ends, tol), _lift_turns(forward, base, tol)
         try:
-            trace = synthesize_twist_trace(spec, MarkedTuple(x1, x2, x3, x4), tol=tol)
+            trace = synthesize_twist_trace(spec, MarkedTuple(*t), tol=tol)
         except ScenarioError:
-            trace = None
-            ok = a == b
-        else:
-            c = 0 if trace is None else rf_trace(trace, tol)
-            values.append(c)
-            ok = a == b == c
-        return tuple(values), ok, 0.0 if ok else float(max(values) - min(values))
+            return agreement([a, b])
+        return agreement([a, b, 0 if trace is None else rf_trace(trace, tol)])
 
-    run(
-        "methods_agree",
-        base_inputs,
-        "loop, lift (and trace, when synthesizable) give one integer",
-        probe_methods,
-    )
-
+    records.append(identity_record(
+        "methods_agree", inputs,
+        "loop, lift (and trace, when synthesizable) give one integer", probe_methods))
     return records

@@ -631,11 +631,11 @@ def _structural_rotation(
 def _fd_rotation(spec: MapSpec, p: SpherePoint) -> float:
     """Finite-difference rotation angle in turns, approximate, mod 1."""
     step = 1e-6
+    f_map = compile_map(spec)
     if p.is_infinity:
         def g(w: complex) -> complex:
-            src = INFINITY if w == 0 else SpherePoint(1.0 / w)
-            image = eval_map(spec, src)
-            return 0j if image.is_infinity else (1.0 / image.value if image.value != 0 else complex(1e300))
+            image = f_map(None if w == 0 else 1.0 / w)
+            return 0j if image is None else (1.0 / image if image != 0 else complex(1e300))
         j11, j21 = _fd_column(g, 0j, step)
         j12, j22 = _fd_column(g, 0j, step * 1j)
         angle = math.atan2(j21 - j12, j11 + j22) / TAU
@@ -644,10 +644,10 @@ def _fd_rotation(spec: MapSpec, p: SpherePoint) -> float:
     z = p.value
 
     def f(w: complex) -> complex:
-        image = eval_map(spec, SpherePoint(w))
-        if image.is_infinity:
+        image = f_map(w)
+        if image is None:
             raise NotFixed(p, math.inf)
-        return image.value
+        return image
 
     j11, j21 = _fd_column(f, z, step)
     j12, j22 = _fd_column(f, z, step * 1j)

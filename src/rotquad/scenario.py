@@ -111,7 +111,9 @@ def polyline_from_json(obj) -> Polyline:
         raise ScenarioError(f"bad path object {obj!r}") from exc
     if type(closed) is not bool:
         raise ScenarioError(f"a path's 'closed' must be true or false, got {closed!r}")
-    return Polyline(vertices, closed=closed)
+    if closed:
+        raise ScenarioError("a declared path connects two points and cannot be closed")
+    return Polyline(vertices)
 
 
 # ---------------------------------------------------------------------------

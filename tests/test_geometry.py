@@ -281,6 +281,15 @@ def test_mobius_enclosure_of_a_subnormal_pole_coefficient_knows_no_disk():
     assert enclose((0j, 1.0, True)) is None
 
 
+def test_mobius_enclosure_next_to_a_tiny_pole_knows_no_disk():
+    # |m|^2 - r^2 underflows below the normal floats (here to 0), where
+    # its rounding is no longer relative
+    enclose = mobius_disk(MobiusTransform(0, 1, 1, -1e-170))
+    assert enclose((0j, 1e-182, False)) is None
+    assert enclose((0j, 1e-182, True)) is None
+    assert mobius_disk(MobiusTransform(0, 1, 1, -1e-160))((0j, 1e-172, False)) is None
+
+
 def test_geometry_failures_share_one_base():
     for cls in (PointOnLoop, DegenerateCrossing, NonIntegerWinding, SamplingFailure):
         assert issubclass(cls, GeometryFailure)

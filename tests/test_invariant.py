@@ -206,6 +206,38 @@ def test_evaluator_refines_once_per_value(monkeypatch):
     assert len(calls) == 2
 
 
+def _count_refinements(monkeypatch) -> list:
+    import rotquad.invariant as invariant
+
+    calls = []
+    real = invariant._refined_paths
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariant, "_refined_paths", counting)
+    return calls
+
+
+def test_identity_suite_refines_the_first_path_once(monkeypatch):
+    # 14 distinct cached values, and path variants 0, 2 and 4 shared by the
+    # path-choice and methods probes
+    calls = _count_refinements(monkeypatch)
+    points = [0j, INFINITY, 0.5 + 0j, 3 + 0j, 4j]
+    records = verify_rf_identities(scenario_by_name("twist-by-2").map_spec, None, points)
+    assert all(r.status == PASS for r in records)
+    assert len(calls) == 17
+
+
+def test_verify_battery_refinement_count(monkeypatch, capsys):
+    from rotquad.cli import main
+
+    calls = _count_refinements(monkeypatch)
+    assert main(["verify"]) == 0
+    assert len(calls) == 855
+
+
 def test_exhausted_budget_is_inconclusive_after_one_attempt(monkeypatch):
     import rotquad.invariant as invariant
 

@@ -176,6 +176,8 @@ def test_cli_compute_validation_exit(tmp_path, capsys):
                                                              [2.5, 0]]}}),
     ("name", [1, 2]),
     ("name", 7),
+    ("paths", {"beta-detour": {"closed": True, "vertices": [[0.5, 0], [0.5, -1.5], [2.5, -1.5],
+                                                             [2.5, 0]]}}),
 ])
 def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
     blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
@@ -213,6 +215,19 @@ def test_cli_over_budget_twist_has_an_exact_trace(tmp_path):
         assert records[f"value[{method}]"]["values"] == []
     assert records["value[trace]"]["status"] == "pass"
     assert records["value[trace]"]["values"] == ["10000000"]
+
+
+def test_cli_inconclusive_split_keeps_its_relation(tmp_path):
+    # one refined point is never enough, so every loop value is inconclusive
+    blob = json.loads((SCENARIOS / "twist-by-2.json").read_text())
+    blob["tolerances"] = {"max_refine_points": 1}
+    path, out = tmp_path / "starved.json", tmp_path / "report.json"
+    path.write_text(json.dumps(blob))
+    assert main(["compute", str(path), "--out", str(out)]) == 3
+    (record,) = [r for r in json.loads(out.read_text())["records"]
+                 if r["name"] == "split_through_w"]
+    assert (record["status"], record["values"]) == ("inconclusive", [])
+    assert record["relation"] == "R(x) = R(x1,w,x3,x4) + R(w,x2,x3,x4)"
 
 
 def test_cli_trace_holds_a_point_near_the_circle(tmp_path):
