@@ -56,6 +56,7 @@ from .maps import (
     _mobius_pair,
     _require_fixed,
     _steps,
+    _structural_rotation,
     compile_map,
     eval_map,  # unused here; kept as the name perfbench's tracer wraps
     fixed_residual,
@@ -258,7 +259,9 @@ def rf_blowup(
     x2 to infinity.  The germ at p must be a rigid rotation; the reported
     bound |estimate - limit| <= 2 / n_iters is rigorous for such germs.
     With extrapolate, one Richardson step halves the work per digit and
-    the estimate at n and n/2 is combined.
+    the estimate at n and n/2 is combined.  A twist whose axis is the
+    chart's is read exactly from its profile at the path's ends (see
+    _blowup_wrapping); every other map refines the path.
     """
     if n_iters < 1:
         raise ValueError("n_iters must be positive")
@@ -268,7 +271,8 @@ def rf_blowup(
     if len({p, x2, x4}) != 3:
         raise ValueError("p, x2, x4 must be pairwise distinct")
     require_fixed(spec, (p, x2, x4), tol)
-    if rigid_rotation_angle(spec, p, tol) is None:
+    # rigid_rotation_angle, less its second check that p is fixed
+    if _structural_rotation(spec, p, rigid_only=True, tol=tol) is None:
         raise TangentCondition(
             f"the germ at {p!r} is not an exact rigid rotation; "
             "the tangent-circle dynamics cannot be certified"
@@ -277,18 +281,61 @@ def rf_blowup(
     h = mobius_normalize(p, x2)
     y4 = apply_mobius(h, x4)
     assert not y4.is_infinity and y4.value != 0
-    if extrapolate and n_iters >= 2:
-        coarse = _blowup_wrapping(spec, h, y4.value, n_iters // 2, tol)
-        fine = _blowup_wrapping(spec, h, y4.value, n_iters, tol)
-        return BlowupEstimate(2.0 * fine - coarse, 2.0 / n_iters, n_iters, extrapolated=True)
-    return BlowupEstimate(_blowup_wrapping(spec, h, y4.value, n_iters, tol), 2.0 / n_iters, n_iters)
+    extrapolated = extrapolate and n_iters >= 2
+    return BlowupEstimate(_blowup_wrapping(spec, h, y4.value, n_iters, extrapolated, tol),
+                          2.0 / n_iters, n_iters, extrapolated)
 
 
 def _blowup_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex, n_iters: int,
-                     tol: Tolerances) -> float:
-    """rf_blowup's estimate at n_iters, unextrapolated: the extra turns of the
-    n-th iterate's image of the radial path to y4, per iterate, in the chart
-    h (p -> 0, x2 -> infinity)."""
+                     extrapolate: bool, tol: Tolerances) -> float:
+    """rf_blowup's estimate: the extra turns of the n-th iterate's image of
+    the radial path from y4 * 1e-6 to y4, per iterate, in the chart h
+    (p -> 0, x2 -> infinity); with extrapolate, 2 E(n) - E(n / 2).
+
+    When twist_chart reduces spec to (H, rho), the n-th iterate is
+    m^-1 o T o m in the chart h, with m = H o h^-1 and T the twist by
+    n rho.  T adds n (rho(|end|) - rho(|start|)) turns to a path that
+    misses 0 and infinity, and a Mobius map that fixes both keeps
+    turnings, one that swaps them negates them.  So when m fixes or swaps
+    0 and infinity (exactly, not within a tolerance), the estimate is a
+    difference of rho at the moduli of the path's ends in H's coordinates,
+    the same for every n, and no path is refined.
+    """
+    exact = _axis_wrapping(spec, h, y4)
+    if exact is not None:
+        return exact
+    if extrapolate:
+        coarse = _refined_wrapping(spec, h, y4, n_iters // 2, tol)
+        return 2.0 * _refined_wrapping(spec, h, y4, n_iters, tol) - coarse
+    return _refined_wrapping(spec, h, y4, n_iters, tol)
+
+
+def _axis_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex) -> float | None:
+    """_blowup_wrapping read from the profile, or None when spec is not a
+    twist whose chart m = H o h^-1 fixes or swaps 0 and infinity."""
+    reduced = twist_chart(spec)
+    if reduced is None:
+        return None
+    chart, profile = reduced
+    m = chart.compose(h.inverse())
+    if m.b == 0 and m.c == 0:
+        ends = (y4 * 1e-6, y4)
+    elif m.a == 0 and m.d == 0:
+        # the turning is negated: take the difference the other way round,
+        # which keeps the sign of a zero
+        ends = (y4, y4 * 1e-6)
+    else:
+        return None
+    at = mobius_step(m)
+    start, end = at(ends[0]), at(ends[1])
+    if not (start and end):
+        return None  # an end underflowed onto the axis
+    return profile.value(abs(end)) - profile.value(abs(start))
+
+
+def _refined_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex, n_iters: int,
+                      tol: Tolerances) -> float:
+    """The unextrapolated estimate at n_iters, by refining the image path."""
     iterated = iterate_spec(spec, n_iters)
     if h != MOBIUS_IDENTITY:
         iterated = MobiusConjugate(h.inverse(), iterated)

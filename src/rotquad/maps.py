@@ -231,7 +231,9 @@ def invert_spec(spec: MapSpec) -> MapSpec:
 # image of that very point step.  A Mobius pair is geometry.mobius_step, the
 # one implementation of the Mobius formula, with geometry.mobius_disk; a twist
 # pair is _twist_step with _twist_disk.  Like SpherePoint, a point step
-# rejects a non-finite coordinate with ValueError.
+# rejects a non-finite coordinate with ValueError.  An enclosure step is
+# _Deferred: built on its first use, so callers that only evaluate points
+# (fixed-point checks, finite differences) never build one.
 
 _TAU_I = 1j * TAU
 
@@ -312,6 +314,28 @@ def _twist_disk(profile: RadialProfile):
     return step
 
 
+class _Deferred:
+    """An enclosure step built by build(*args) when first called or asked for."""
+
+    __slots__ = ("_build", "_args", "_step")
+
+    def __init__(self, build, *args):
+        self._build, self._args, self._step = build, args, None
+
+    def built(self):
+        if self._step is None:
+            self._step = self._build(*self._args)
+        return self._step
+
+    def __call__(self, disk):
+        return self.built()(disk)
+
+
+def _built(step):
+    """The enclosure step itself, a _Deferred one built."""
+    return step.built() if isinstance(step, _Deferred) else step
+
+
 def _repeat_step(steps: list, n: int):
     """The steps applied n times over; point and enclosure steps alike."""
     def step(z):
@@ -324,7 +348,7 @@ def _repeat_step(steps: list, n: int):
 
 
 def _mobius_pair(h: MobiusTransform) -> tuple:
-    return mobius_step(h), mobius_disk(h)
+    return mobius_step(h), _Deferred(mobius_disk, h)
 
 
 def _steps(spec: MapSpec) -> list:
@@ -354,7 +378,7 @@ def _steps(spec: MapSpec) -> list:
     reduced = twist_chart(spec)
     if reduced is not None:
         h, profile = reduced
-        twist = (_twist_step(profile), _twist_disk(profile))
+        twist = (_twist_step(profile), _Deferred(_twist_disk, profile))
         if h == MOBIUS_IDENTITY:
             return [twist]
         return [_mobius_pair(h), twist, _mobius_pair(h.inverse())]
@@ -369,7 +393,9 @@ def _steps(spec: MapSpec) -> list:
         if _commuting_twists(inner):
             return _steps(Compose(tuple(Power(abs(spec.q), part) for part in inner.parts)))
         n, steps = abs(spec.q), _steps(inner)
-        return [(_repeat_step([p for p, _ in steps], n), _repeat_step([d for _, d in steps], n))]
+        disks = [d for _, d in steps]
+        return [(_repeat_step([p for p, _ in steps], n),
+                 _Deferred(lambda: _repeat_step([_built(d) for d in disks], n)))]
     raise TypeError(f"not a map spec: {spec!r}")
 
 
@@ -426,13 +452,21 @@ def _chain(steps: tuple):
 
 class CompiledMap:
     """A spec compiled once: ``f(z)`` maps a coordinate (None is infinity),
-    ``f.enclose(disk)`` a disk (``geometry.mobius_disk`` gives the form)."""
+    ``f.enclose(disk)`` a disk (``geometry.mobius_disk`` gives the form).
+    The enclosure chain is built when ``enclose`` is first read."""
 
-    __slots__ = ("_point", "enclose")
+    __slots__ = ("_point", "_disks", "_enclose")
 
     def __init__(self, steps: list):
         self._point = _chain(tuple(point for point, _ in steps))
-        self.enclose = _chain(tuple(disk for _, disk in steps))
+        self._disks = tuple(disk for _, disk in steps)
+        self._enclose = None
+
+    @property
+    def enclose(self):
+        if self._enclose is None:
+            self._enclose = _chain(tuple(_built(disk) for disk in self._disks))
+        return self._enclose
 
     def __call__(self, z):
         if z is not None and not isfinite(z):

@@ -390,10 +390,14 @@ def test_every_catalog_value_refines_as_the_reference(recorder):
 
 @pytest.mark.parametrize("n_iters", (250, 4000))
 def test_blowup_sweep_rotations_refine_as_the_reference(recorder, n_iters):
+    # x2 off the twist's axis: a blow-up read against 0 and infinity is
+    # exact and refines nothing
     for alpha in (0.125, 0.625, 0.875):
         spec = RadialTwist(RadialProfile(((1.0, alpha), (2.0, 0.0))))
-        rf_blowup(spec, SpherePoint(0j), INFINITY, SpherePoint(4 + 1j), n_iters, extrapolate=True)
-    assert len(recorder.paths) == 6
+        for x2 in (3 + 0j, -5j):
+            rf_blowup(spec, SpherePoint(0j), SpherePoint(x2), SpherePoint(4 + 1j), n_iters,
+                      extrapolate=True)
+    assert len(recorder.paths) == 12
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import cmath
 import json
 import math
+import os
 import tempfile
 import time
 from fractions import Fraction
@@ -338,8 +339,17 @@ def _mutated_scenarios(draw):
     return blob
 
 
+# The same 500 mutations on every run, with no example database to replay a
+# failure from an earlier run.  With ROTQUAD_FUZZ_EXAMPLES set, that many
+# fresh mutations are drawn instead, from pytest's --hypothesis-seed:
+#   ROTQUAD_FUZZ_EXAMPLES=2000 python -m pytest tests/test_scenario_cli.py \
+#       -k survives_any_single_mutation --hypothesis-seed=<seed>
+_FUZZ_EXAMPLES = os.environ.get("ROTQUAD_FUZZ_EXAMPLES")
+
+
 @given(_mutated_scenarios())
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=int(_FUZZ_EXAMPLES or 500), deadline=None,
+          derandomize=_FUZZ_EXAMPLES is None, database=None)
 def test_cli_compute_survives_any_single_mutation(blob):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "mutant.json"
