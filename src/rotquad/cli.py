@@ -231,7 +231,7 @@ def cmd_compute(args) -> int:
                         if method == "trace":
                             raise
                         continue
-                    values[m] = 0 if trace is None else rf_trace(trace, tol)
+                    values[m] = rf_trace(trace, tol)
             except InconclusiveComputation:
                 report.add(make_record(f"value[{m}]", label, "invariant value", (), None))
                 continue

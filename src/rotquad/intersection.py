@@ -112,8 +112,11 @@ def resample_under(
     """Image of a polyline under f, subdivided until chords are trustworthy.
 
     Consecutive image points must be closer to each other than half their
-    distance to every protected point, so each image chord is homotopic to
-    the true image arc in the complement of the protected set.
+    distance to every protected point, which is meant to make each image
+    chord homotopic to the true image arc in the complement of the
+    protected set.  The chord-length rule is a heuristic, not a
+    certificate: unlike refine_path_view's disk enclosures, it never
+    bounds the image between two samples.
     """
 
     def ok(_z0: complex, _z1: complex, w0: complex, w1: complex) -> bool:
@@ -134,7 +137,9 @@ def homeo_invariance_check(pair: MarkedPathPair, f, tol: Tolerances = DEFAULT_TO
 
     f is a callable on finite chart points (an orientation-preserving
     homeomorphism in the chart); marked points are carried along and the
-    image paths are adaptively resampled before recounting crossings.
+    image paths are adaptively resampled before recounting crossings.  The
+    resampling is resample_under's chord-length heuristic, so the check is
+    heuristic too, not certified.
     """
     y = [complex(f(p.value)) for p in (pair.x1, pair.x2, pair.x3, pair.x4)]
     alpha_img = resample_under(pair.alpha.vertices, f, (y[2], y[3]), tol=tol)

@@ -53,16 +53,17 @@ from .maps import (
     MapSpec,
     MobiusConjugate,
     Power,
+    RadialProfile,
     _mobius_pair,
     _require_fixed,
     _steps,
     _structural_rotation,
     compile_map,
     eval_map,  # unused here; kept as the name perfbench's tracer wraps
-    fixed_residual,
+    fixed_residual,  # unused here; kept as the name perfbench's tracer wraps
     iterate_spec,
     require_fixed,
-    rigid_rotation_angle,
+    rigid_rotation_angle,  # unused here; kept as the name perfbench's tracer wraps
     twist_chart,
 )
 from .report import CheckRecord, make_record
@@ -105,12 +106,12 @@ def _modulus(chart: MobiusTransform, p: SpherePoint) -> float:
 
 @dataclass(frozen=True)
 class IsotopyTrace:
-    """The closed curve swept by x4 under an isotopy from the identity: in
-    each run (H, r, k), x4 goes k times round the circle |H(z)| = r.  The
-    isotopy fixes x1, x2 and x3, so a run whose circle meets one (|H(p)|
-    within a relative 1e-12 of r) is refused."""
+    """An isotopy from the identity, in stages: in stage (H, rho), each
+    point z turns t * rho(|H(z)|) times round its circle |H(z)| = const in
+    the chart H, for t from 0 to 1.  rf_trace reads its class on the four
+    points."""
 
-    runs: tuple[tuple[MobiusTransform, float, int], ...]
+    stages: tuple[tuple[MobiusTransform, RadialProfile], ...]
     x1: SpherePoint
     x2: SpherePoint
     x3: SpherePoint
@@ -119,10 +120,6 @@ class IsotopyTrace:
     def __post_init__(self):
         for name in ("x1", "x2", "x3", "x4"):
             object.__setattr__(self, name, as_sphere_point(getattr(self, name)))
-        for chart, r, _ in self.runs:
-            for p in (self.x1, self.x2, self.x3):
-                if abs(_modulus(chart, p) - r) <= 1e-12 * r:
-                    raise PointOnLoop(f"trace passes through the context point {p!r}")
 
 
 @dataclass(frozen=True)
@@ -221,9 +218,54 @@ def _loop_and_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerance
 
 
 def rf_trace(trace: IsotopyTrace, tol: Tolerances = DEFAULT_TOL) -> int:
-    """The class of the isotopy trace of x4: sum of k * ([x1 inside] - [x2 inside])."""
-    return sum(k * ((_modulus(chart, trace.x1) < r) - (_modulus(chart, trace.x2) < r))
-               for chart, r, k in trace.runs)
+    """The class of the isotopy trace: the paper's g-form, summed over the stages.
+
+    In a stage (H, rho), write r_j = |H(x_j)| (infinite at H's pole) and
+    rho_j = rho(r_j), and let g(a, b) = rho_b - rho_a when r_a < r_b, and 0
+    otherwise.  The stage adds g(x1,x4) - g(x1,x3) - g(x2,x4) + g(x2,x3):
+    about a fixed point c on a circle where rho = k, an integer, the
+    isotopy by t (rho - k) fixes c and moves each fixed end x_j round its
+    own circle rho_j - k whole times, which winds once about c when
+    r_c < r_j.  A tie r_a = r_b puts both points on one pointwise-fixed
+    circle, and its term is 0.  The points where the rule reads rho must
+    turn a whole number of times (within fixed_tol), or NotFixed is raised.
+    """
+    points = (trace.x1, trace.x2, trace.x3, trace.x4)
+    return sum(_stage_class(chart, profile, points, tol) for chart, profile in trace.stages)
+
+
+def _stage_class(chart: MobiusTransform, profile: RadialProfile, points, tol: Tolerances) -> int:
+    """One stage's g-form, as the sum of c_j * rho_j over the four points.
+
+    An axis point (r = 0 or infinity) gets c = 0, so rho is never read
+    there.  Two moduli within a relative 1e-12 of each other whose whole
+    turns differ raise PointOnLoop: the term between them depends on
+    their order, which rounding in the chart may have flipped.  A rho of
+    2**52 turns or more has no fractional bits left, so its whole-turn
+    count may be rounded: that raises InconclusiveComputation.
+    """
+    radii = [_modulus(chart, p) for p in points]
+    r1, r2, r3, r4 = radii
+    coefficients = ((r1 < r3) - (r1 < r4), (r2 < r4) - (r2 < r3),
+                    (r2 < r3) - (r1 < r3), (r1 < r4) - (r2 < r4))
+
+    @functools.cache
+    def turns(j: int) -> int:
+        value = profile.value(radii[j])
+        if abs(value) >= 2**52:
+            raise InconclusiveComputation(
+                f"profile value {value!r} is too large to count whole turns exactly")
+        whole = round(value)
+        if abs(value - whole) > tol.fixed_tol:
+            raise NotFixed(points[j], abs(value - whole))
+        return whole
+
+    for a in (0, 1):
+        for b in (2, 3):
+            if math.isclose(radii[a], radii[b], rel_tol=1e-12) and turns(a) != turns(b):
+                raise PointOnLoop(
+                    f"{points[a]!r} and {points[b]!r} sit on one circle with different turns")
+    return sum(c * turns(j) for j, c in enumerate(coefficients) if c)
 
 
 def concatenate_traces(first: IsotopyTrace, second: IsotopyTrace) -> IsotopyTrace:
@@ -236,7 +278,7 @@ def concatenate_traces(first: IsotopyTrace, second: IsotopyTrace) -> IsotopyTrac
         raise ValueError("traces have different context points")
     if first.x4 != second.x4:
         raise ValueError("traces are based at different points")
-    return IsotopyTrace(first.runs + second.runs, first.x1, first.x2, first.x3, first.x4)
+    return IsotopyTrace(first.stages + second.stages, first.x1, first.x2, first.x3, first.x4)
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +402,8 @@ def rf_double_blowup(spec: MapSpec, p1, p2, tol: Tolerances = DEFAULT_TOL) -> fl
     require_fixed(spec, (p1, p2), tol)
     h = mobius_normalize(p1, p2)
     normalized = spec if h == MOBIUS_IDENTITY else MobiusConjugate(h.inverse(), spec)
-    inner = rigid_rotation_angle(normalized, SpherePoint(0j), tol)
-    outer = rigid_rotation_angle(normalized, INFINITY, tol)
+    inner = _structural_rotation(normalized, SpherePoint(0j), rigid_only=True, tol=tol)
+    outer = _structural_rotation(normalized, INFINITY, rigid_only=True, tol=tol)
     if inner is None or outer is None:
         raise TangentCondition("both germs must be exact rigid rotations")
     return outer - inner
@@ -548,19 +590,10 @@ def synthesize_twist_trace(
     spec: MapSpec,
     t: MarkedTuple,
     tol: Tolerances = DEFAULT_TOL,
-) -> IsotopyTrace | None:
-    """The canonical isotopy trace for a (conjugated) twist, if one exists.
-
-    The natural isotopy scales the profile linearly in time; to keep the
-    three context points fixed throughout, the profile is first shifted by
-    the common integer value it takes at their radii (a whole-turn shift,
-    so the endpoint map is unchanged): x4 then goes a whole number of times
-    round the circle |H(z)| = |H(x4)| in the twist's chart H, one run.
-    Returns None when the shifted motion leaves x4 in place (a constant
-    loop, class 0); raises ScenarioError when no such isotopy exists for
-    this spec and tuple.  A profile value of 2**52 turns or more has no
-    fractional bits left, so a whole-turn count read there may be rounded:
-    that raises InconclusiveComputation.
+) -> IsotopyTrace:
+    """The canonical isotopy trace of a (conjugated) twist: one stage, the
+    twist by t * rho in the chart H that twist_chart reduces spec to.
+    Raises ScenarioError when twist_chart does not reduce spec.
     """
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
@@ -568,39 +601,7 @@ def synthesize_twist_trace(
     reduced = twist_chart(spec)
     if reduced is None:
         raise ScenarioError("no canonical isotopy known for this map")
-    chart, profile = reduced
-
-    def turns_at(radius: float) -> float:
-        value = profile.value(radius)
-        if abs(value) >= 2**52:
-            raise InconclusiveComputation(
-                f"profile value {value!r} is too large to count whole turns exactly")
-        return value
-
-    context = []
-    for p in (t.x1, t.x2, t.x3):
-        radius = _modulus(chart, p)
-        if 0 < radius < math.inf:
-            context.append(turns_at(radius))
-    if not context:
-        raise ScenarioError("the context points do not constrain the isotopy")
-    shift = context[0]
-    if any(v != shift for v in context[1:]):
-        raise ScenarioError("the canonical isotopy would move a context point")
-    if abs(shift - round(shift)) > tol.fixed_tol:
-        raise ScenarioError("context points sit on a moving circle")
-    shift = float(round(shift))
-    y4 = apply_mobius(chart, t.x4)
-    if y4.is_infinity or y4.value == 0:
-        raise ScenarioError("the moving point sits on the twist axis")
-    wraps = turns_at(abs(y4.value)) - shift
-    if abs(wraps - round(wraps)) > tol.fixed_tol:
-        res = fixed_residual(spec, t.x4)
-        raise NotFixed(t.x4, max(res, abs(wraps - round(wraps))))
-    wraps = int(round(wraps))
-    if wraps == 0:
-        return None
-    return IsotopyTrace(((chart, abs(y4.value), wraps),), t.x1, t.x2, t.x3, t.x4)
+    return IsotopyTrace((reduced,), t.x1, t.x2, t.x3, t.x4)
 
 
 # ---------------------------------------------------------------------------
@@ -746,7 +747,7 @@ def verify_rf_identities(
             trace = synthesize_twist_trace(spec, MarkedTuple(*t), tol=tol)
         except ScenarioError:
             return agreement([a, b])
-        return agreement([a, b, 0 if trace is None else rf_trace(trace, tol)])
+        return agreement([a, b, rf_trace(trace, tol)])
 
     records.append(identity_record(
         "methods_agree", inputs,

@@ -91,30 +91,16 @@ class RadialProfile:
         return self.breakpoints[-1][1]
 
     def locally_constant_value(self, r: float) -> float | None:
-        """The constant value of rho on a neighborhood of r, or None."""
-        bps = self.breakpoints
-        if len(bps) == 1:
-            return bps[0][1]
-        if r < bps[0][0]:
-            return bps[0][1]
-        if r > bps[-1][0]:
-            return bps[-1][1]
-        values_around = []
-        if r == bps[0][0]:
-            values_around = [bps[0][1], bps[1][1]]
-        elif r == bps[-1][0]:
-            values_around = [bps[-2][1], bps[-1][1]]
-        else:
-            for i, ((r0, v0), (r1, v1)) in enumerate(zip(bps, bps[1:])):
-                if r0 < r < r1:
-                    values_around = [v0, v1]
-                    break
-                if r == r1:
-                    values_around = [v0, v1, bps[i + 2][1]]
-                    break
-        if values_around and all(v == values_around[0] for v in values_around):
-            return values_around[0]
-        return None
+        """The constant value of rho on a neighborhood of r, or None; None
+        for a NaN r unless the profile is one breakpoint, constant everywhere."""
+        radii = self._radii
+        if len(radii) > 1 and math.isnan(r):
+            return None
+        # the breakpoints next to r on either side, and r's own when it is one
+        i = bisect_left(radii, r)
+        end = i + 2 if i < len(radii) and radii[i] == r else i + 1
+        values = {v for _, v in self.breakpoints[max(i - 1, 0):end]}
+        return values.pop() if len(values) == 1 else None
 
     def total_variation(self) -> float:
         bps = self.breakpoints

@@ -73,24 +73,33 @@ def test_tuple_classification():
     assert MarkedTuple(1 + 0j, 2j, 3j, 2j).classify() == "mixed"
 
 
-def test_trace_must_avoid_context_points():
-    # a run round |z - 5| = 2, whose circle passes through x3 = 5 + 2j
-    chart = MobiusTransform(1, -5, 0, 1)
-    with pytest.raises(PointOnLoop):
-        IsotopyTrace(((chart, 2.0, 1),), 5 + 0j, INFINITY, 5 + 2j, 7 + 0j)
-    assert rf_trace(IsotopyTrace(((chart, 2.0, 1),), 5 + 0j, INFINITY, 5 + 3j, 7 + 0j)) == 1
+def test_trace_reads_a_tie_on_one_fixed_circle_as_zero():
+    # x1 and x4 both on |z - 5| = 2, where rho = 1: the term between them
+    # is 0 whichever way the tie is read, and the rest is g-form
+    spec = MobiusConjugate(MobiusTransform(1, -5, 0, 1),
+                           RadialTwist(RadialProfile(((1, 0), (3, 2)))))
+    for x3, value in ((5.5, 0), (8.5, -1), (5 + 3j, -1)):
+        t = MarkedTuple(5 + 2j, INFINITY, x3, 7)
+        assert rf_trace(synthesize_twist_trace(spec, t)) == value
+        assert RfEvaluator(spec).value(*t.points) == value
+
+
+# rho is 1 on the circle |z| = 2 and 0 beyond a relative 1e-13 of it
+RIDGE = (MobiusTransform(1, 0, 0, 1), RadialProfile(((2 * (1 - 1e-13), 0), (2, 1),
+                                                     (2 * (1 + 1e-13), 0))))
 
 
 @pytest.mark.parametrize("offset, refused", [(0.9e-12, True), (-0.9e-12, True),
                                              (1.1e-12, False), (-1.1e-12, False)])
 def test_trace_refuses_a_context_point_within_a_relative_1e_12_of_its_circle(offset, refused):
-    run = ((MobiusTransform(1, 0, 0, 1), 2.0, 3),)
-    x1 = 2.0 * (1 + offset)
+    # x1 turns 0 times and x4 once: within a relative 1e-12 their order
+    # decides the value and is not trusted
+    trace = IsotopyTrace((RIDGE,), 2.0 * (1 + offset), INFINITY, 0.5, 2.0)
     if refused:
         with pytest.raises(PointOnLoop):
-            IsotopyTrace(run, x1, INFINITY, 0.5, 2.0)
+            rf_trace(trace)
     else:  # classified exactly, on the side it lies on
-        assert rf_trace(IsotopyTrace(run, x1, INFINITY, 0.5, 2.0)) == (3 if offset < 0 else 0)
+        assert rf_trace(trace) == (1 if offset < 0 else 0)
 
 
 # ---------------------------------------------------------------------------
@@ -155,11 +164,11 @@ def test_trace_refuses_a_profile_value_without_fractional_bits():
     coaxial = Compose((RadialTwist(RadialProfile(((1, 0), (2, 2**53)))),
                        RadialTwist(RadialProfile(((1, 0), (2, 1))))))
     with pytest.raises(InconclusiveComputation):
-        synthesize_twist_trace(coaxial, AXIS_TUPLE)
+        rf_trace(synthesize_twist_trace(coaxial, AXIS_TUPLE))
     # a context point on a plateau at 2**52 turns
     far = RadialTwist(RadialProfile(((1, 2**52), (2, 2**52 + 1))))
     with pytest.raises(InconclusiveComputation):
-        synthesize_twist_trace(far, AXIS_TUPLE)
+        rf_trace(synthesize_twist_trace(far, AXIS_TUPLE))
     steep = RadialTwist(RadialProfile(((1, 0), (2, 2**52 - 1))))
     assert rf_trace(synthesize_twist_trace(steep, AXIS_TUPLE)) == 2**52 - 1
 
@@ -313,14 +322,13 @@ def test_identity_suite_all_pass_on_twist():
 def test_trace_method_agrees_and_concatenates():
     spec = golden_twist_spec(2)
     trace = synthesize_twist_trace(spec, AXIS_TUPLE)
-    assert trace is not None
     assert rf_trace(trace) == 2
     # running the isotopy twice concatenates to the square of the map
     assert rf_trace(concatenate_traces(trace, trace)) == 4
 
 
-def test_trace_none_when_nothing_moves():
-    assert synthesize_twist_trace(golden_twist_spec(0), AXIS_TUPLE) is None
+def test_trace_is_zero_when_nothing_moves():
+    assert rf_trace(synthesize_twist_trace(golden_twist_spec(0), AXIS_TUPLE)) == 0
 
 
 def test_trace_unavailable_for_disjoint_composition():
@@ -462,6 +470,17 @@ def test_double_blowup_iterate_additivity():
     spec = double_blowup_spec()
     assert rf_double_blowup(Power(2, spec), 0j, INFINITY) == pytest.approx(1.5, abs=1e-12)
     assert rf_double_blowup(iterate_spec(spec, 2), 0j, INFINITY) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_double_blowup_compiles_its_spec_once(monkeypatch):
+    import rotquad.maps as maps
+
+    calls = []
+    real = maps.compile_map
+    monkeypatch.setattr(maps, "compile_map", lambda *a, **k: calls.append(a) or real(*a, **k))
+    assert rf_double_blowup(golden_twist_spec(2), 0j, INFINITY) == 2.0
+    assert rf_double_blowup(golden_twist_spec(2), 0.5 + 0j, 3 + 0j) == -2.0
+    assert len(calls) == 2  # one per double blow-up: the fixed-point check
 
 
 def test_double_blowup_rejects_shear_germ():

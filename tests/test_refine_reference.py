@@ -1,8 +1,9 @@
 """The refinement hot path against a reference copy of its plain form.
 
 The reference below is the straightforward form of the pieces every
-certified piece of a refined path goes through: the profile's linear scan
-over its breakpoints, the twist's point and enclosure steps, the padded
+certified piece of a refined path goes through: the profile's linear scans
+over its breakpoints (for its value, and for a constant value about a
+radius, which the germs at fixed points read), the twist's point and enclosure steps, the padded
 disk, the compiled chain, the bisection driver, the certified refinement
 and the turning sum.  The library finds a profile segment by bisection,
 shares the twist's work between its point and enclosure steps, inlines the
@@ -76,6 +77,33 @@ def reference_value(profile: RadialProfile, r: float) -> float:
                 return v1
             return v0 + (v1 - v0) * (r - r0) / (r1 - r0)
     raise AssertionError("unreachable")
+
+
+def reference_locally_constant_value(profile: RadialProfile, r: float) -> float | None:
+    """The constant value of rho on a neighborhood of r, or None."""
+    bps = profile.breakpoints
+    if len(bps) == 1:
+        return bps[0][1]
+    if r < bps[0][0]:
+        return bps[0][1]
+    if r > bps[-1][0]:
+        return bps[-1][1]
+    values_around = []
+    if r == bps[0][0]:
+        values_around = [bps[0][1], bps[1][1]]
+    elif r == bps[-1][0]:
+        values_around = [bps[-2][1], bps[-1][1]]
+    else:
+        for i, ((r0, v0), (r1, v1)) in enumerate(zip(bps, bps[1:])):
+            if r0 < r < r1:
+                values_around = [v0, v1]
+                break
+            if r == r1:
+                values_around = [v0, v1, bps[i + 2][1]]
+                break
+    if values_around and all(v == values_around[0] for v in values_around):
+        return values_around[0]
+    return None
 
 
 def reference_padded_disk(centre: complex, radius: float, outside: bool, pad: float):
@@ -291,6 +319,14 @@ def test_profile_value_matches_the_linear_scan(profile):
             # |z| is exactly r on the axes, so the twist sees the probe itself
             for z in (complex(r, 0.0), complex(0.0, -r)):
                 _assert_same(point, reference_point, z)
+
+
+@given(_profiles(), st.lists(st.floats(-1.0, 9.0), max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_locally_constant_value_matches_the_linear_scan(profile, extra):
+    for r in (*_probes(profile), *extra):
+        _assert_same(profile.locally_constant_value,
+                     lambda r: reference_locally_constant_value(profile, r), r)
 
 
 @given(_profiles(), st.complex_numbers(max_magnitude=12, allow_nan=False, allow_infinity=False),

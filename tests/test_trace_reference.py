@@ -1,23 +1,30 @@
-"""The exact trace against a reference copy of the sampled trace it replaced.
+"""The g-form trace against a reference copy of the sampled trace before it.
 
-The reference below is the trace as it was read before: x4's run round its
-circle in the twist's chart sampled at 24 points a turn, mapped back, and
-classified by ``loop_class`` as a polygon.  The library reads the same run's
-class exactly, from which side of the circle x1 and x2 lie on.  On every
-ordered distinct 4-tuple of every catalog scenario's points the two must
-give the same value, or raise the same exception class.  Off the catalog
-they may differ, where the polygon cuts a point off that the circle holds:
-that case is the regression test of the exact trace.
+The reference below is the trace as it was read before: a search for one
+whole-turn shift of the profile that fixes x1, x2 and x3, then x4's run
+round its circle in the twist's chart sampled at 24 points a turn, mapped
+back, and classified by ``loop_class`` as a polygon.  On every ordered
+distinct 4-tuple of every catalog scenario's points the library's trace
+must give the sampler's value wherever the sampler gives one.  Where the
+shift search finds no isotopy for a map that reduces to one twist, the
+trace must give loop and lift's value; a map that does not reduce has no
+trace.  Off the catalog the two may differ, where the polygon cuts a point
+off that the circle holds: that case is the regression test of the exact
+trace.
 """
 
 import cmath
 import itertools
 import math
+import random
 from dataclasses import dataclass
+
+import pytest
 
 from rotquad import (
     INFINITY,
     MarkedTuple,
+    Power,
     RadialProfile,
     RadialTwist,
     RfEvaluator,
@@ -143,20 +150,40 @@ def _outcome(synthesize, value, spec, t, tol):
         return type(exc)
 
 
-def test_exact_trace_reads_every_catalog_tuple_as_the_sampled_one():
-    values = nonzero = 0
+def test_trace_reads_every_catalog_tuple_as_the_sampler_or_loop_and_lift():
+    sampled = refused = irreducible = 0
     for sc in identity_scenarios():
+        ev = RfEvaluator(sc.map_spec, sc.tolerances, sc.seed)
+        reducible = twist_chart(sc.map_spec) is not None
         for points in itertools.permutations(sc.points.values(), 4):
             t = MarkedTuple(*points)
             got = _outcome(synthesize_twist_trace, rf_trace, sc.map_spec, t, sc.tolerances)
             want = _outcome(reference_synthesize_twist_trace, reference_rf_trace,
                             sc.map_spec, t, sc.tolerances)
+            if isinstance(want, int):
+                sampled += 1
+            elif want is ScenarioError and reducible:
+                # no one shift fixes x1, x2 and x3, or x4 is on the axis
+                want = ev.value(*points)
+                refused += 1
+            else:
+                irreducible += want is ScenarioError
             assert got == want, (sc.name, points)
-            if isinstance(got, int):
-                values += 1
-                nonzero += got != 0
-    # most tuples have no trace (ScenarioError); the rest carry values
-    assert values > 1000 and nonzero > 100
+    assert (sampled, refused, irreducible) == (1890, 3510, 1680)
+
+
+@pytest.mark.parametrize("q", [-2, 3])
+def test_trace_of_a_power_is_loop_and_lift(q):
+    # twenty seeded tuples of each catalog map that reduces to one twist
+    rng = random.Random(q)
+    for sc in identity_scenarios():
+        if twist_chart(sc.map_spec) is None:
+            continue
+        spec = Power(q, sc.map_spec)
+        ev = RfEvaluator(spec, sc.tolerances, sc.seed)
+        for points in rng.sample(list(itertools.permutations(sc.points.values(), 4)), 20):
+            trace = synthesize_twist_trace(spec, MarkedTuple(*points), tol=sc.tolerances)
+            assert rf_trace(trace, sc.tolerances) == ev.value(*points), (sc.name, points)
 
 
 def test_near_circle_point_is_inside_where_the_polygon_cut_it_off():
