@@ -32,13 +32,14 @@ class DegenerateCrossing(GeometryFailure):
 
 class SamplingFailure(GeometryFailure):
     """Adaptive refinement could not certify an edge: it still fails after
-    the bisection depth limit (another path may cure that), or the point
-    budget ran out (BudgetExhausted)."""
+    the bisection depth limit, or the point budget ran out
+    (BudgetExhausted).  Both come from how steeply the image turns, which
+    another path or a jitter does not change, so evaluators report either
+    at once instead of retrying."""
 
 
 class BudgetExhausted(SamplingFailure):
-    """Adaptive refinement used up ``max_refine_points``.  No other path
-    can cure that, so evaluators report it at once instead of retrying."""
+    """Adaptive refinement used up ``max_refine_points``."""
 
 
 class MixedCoincidence(RotquadError):

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BudgetExhausted,
     GeometryFailure,
     InconclusiveComputation,
     MixedCoincidence,
     NotFixed,
     PointOnLoop,
+    SamplingFailure,
     ScenarioError,
     TangentCondition,
 )
@@ -41,6 +41,7 @@ from .geometry import (
     mobius_normalize,
     mobius_step,
     path_turns,
+    point_segment_distance,
     refine_path_view,
     snap_turns,
     winding_number,  # unused here; kept as the name perfbench's tracer wraps
@@ -154,14 +155,20 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
             raise PointOnLoop(f"the connecting path passes through {p!r}")
 
 
-def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances):
+def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances, steps=None):
     """The refined image path in the chart h (x1 -> 0, x2 -> inf), the path's
     own exact turning there (arg h(z) = arg(z - x1) - arg(z - x2) + const, a
     point at infinity adding nothing), and the path's ends h(x3), h(x4).
-    The spec's steps are walked once, for the fixed-point check and the view."""
-    steps = _steps(spec)
-    _require_fixed(CompiledMap(steps), t.points, tol)
-    _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
+
+    steps are spec's steps (maps._steps).  A caller that passes them has
+    checked t's points fixed under them and built beta with
+    connecting_path, which validates it.  Without them the spec is walked
+    here, once for the fixed-point check and the view, and beta is
+    validated."""
+    if steps is None:
+        steps = _steps(spec)
+        _require_fixed(CompiledMap(steps), t.points, tol)
+        _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
     h = mobius_normalize(t.x1, t.x2)
     forward = refine_path_view(beta.vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
     base = sum(sign * path_turns(beta.vertices, p.value)
@@ -174,10 +181,10 @@ def _loop_winding(forward: list[complex], base: float, ends, tol: Tolerances) ->
     """Winding around 0 of the loop (image path) * (path reversed): the image
     path joined to the path's ends by straight edges, less the path's exact
     turning.  The path avoids x1, so only the image side is checked."""
-    image = Polyline(tuple(dedupe_consecutive([ends[0], *forward, ends[1]])))
-    if image.passes_within(0j, tol.eps_edge):
+    loop = dedupe_consecutive([ends[0], *forward, ends[1]])
+    if any(point_segment_distance(0j, a, b) <= tol.eps_edge for a, b in zip(loop, loop[1:])):
         raise PointOnLoop("reference point 0j lies on a loop edge")
-    return snap_turns(path_turns(image.vertices) - base, tol)
+    return snap_turns(path_turns(loop) - base, tol)
 
 
 def _lift_turns(forward: list[complex], base: float, tol: Tolerances) -> int:
@@ -211,9 +218,11 @@ def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     return _lift_turns(forward, base, tol)
 
 
-def _loop_and_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances) -> tuple[int, int]:
-    """rf_loop and rf_lift of a distinct tuple, read off one refinement."""
-    forward, base, ends = _refined_paths(spec, t, beta, tol)
+def _loop_and_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances,
+                   steps=None) -> tuple[int, int]:
+    """rf_loop and rf_lift of a distinct tuple, read off one refinement
+    (steps as for _refined_paths)."""
+    forward, base, ends = _refined_paths(spec, t, beta, tol, steps)
     return _loop_winding(forward, base, ends, tol), _lift_turns(forward, base, tol)
 
 
@@ -469,22 +478,25 @@ def connecting_path(
     jitter: complex = 0j,
     tol: Tolerances = DEFAULT_TOL,
 ) -> Polyline:
-    """A polyline from x3 to x4 bowed away from the points to avoid.
+    """A polyline of four edges from x3 to x4 bowed away from the points to avoid.
 
     Different variants bow to different sides and by different amounts, so
-    retrying with the next variant gives a genuinely different path.
+    retrying with the next variant gives a genuinely different path.  The
+    path is validated here: it runs exactly from x3 to x4 and keeps at
+    least tol.eps_edge (and 1e-6 of the points' scale) from every point to
+    avoid.  The refinement bisects its edges wherever the map needs it.
     """
     x3 = complex(x3)
     x4 = complex(x4)
     finite_avoid = [p.value for p in map(as_sphere_point, avoid) if not p.is_infinity]
     span = x4 - x3
     scale = max([abs(span)] + [abs(p - x3) for p in finite_avoid] + [1e-9])
-    margin = 1e-6 * scale
+    margin = max(1e-6 * scale, tol.eps_edge)
     for k in range(variant, variant + 25):
         side = 1.0 if k % 2 == 0 else -1.0
         bulge = 0.31 + 0.23 * (k // 2)
         ctrl = 0.5 * (x3 + x4) + side * bulge * (1j * span) + jitter
-        n = 16
+        n = 4
         verts = []
         for j in range(n + 1):
             s = j / n
@@ -522,10 +534,14 @@ class RfEvaluator:
     first.  Degenerate geometry (a path or loop grazing a marked point, a
     non-integer winding) triggers a retry with the next path variant and a
     small deterministic jitter; if all attempts fail the computation is
-    reported inconclusive, never passed.  An exhausted refinement budget is
-    reported inconclusive at once: jitter does not make the image twist
-    less.  That failure is cached like a value and raised again on the
-    next request for the tuple; geometric failures are not cached.
+    reported inconclusive, never passed.  A refinement that cannot certify
+    an edge (SamplingFailure: the bisection depth limit, or an exhausted
+    budget) is reported inconclusive at once: jitter does not make the
+    image twist less.  That failure is cached like a value and raised
+    again on the next request for the tuple; geometric failures are not
+    cached.  The spec is walked into steps once per chart it is evaluated
+    in (itself, or its conjugate by a tuple's prechart), and each point is
+    checked fixed once per chart.
     """
 
     def __init__(self, spec: MapSpec, tol: Tolerances = DEFAULT_TOL, seed: int = 0):
@@ -533,6 +549,24 @@ class RfEvaluator:
         self.tol = tol
         self.seed = seed
         self._cache: dict[tuple, int | InconclusiveComputation] = {}
+        # chart's spec -> (its steps, their compiled map, the points checked fixed)
+        self._charts: dict[MapSpec, tuple[list, CompiledMap, set]] = {}
+
+    def _checked_steps(self, spec: MapSpec, points) -> list:
+        """spec's steps, with points checked fixed under them: spec is
+        self.spec or a prechart's conjugate of it.  Each spec is walked
+        once, and each point checked once under it, in order, so the first
+        point that moves raises NotFixed as _require_fixed does."""
+        entry = self._charts.get(spec)
+        if entry is None:
+            steps = _steps(spec)
+            entry = self._charts[spec] = steps, CompiledMap(steps), set()
+        steps, f, fixed = entry
+        for p in points:
+            if p not in fixed:
+                _require_fixed(f, (p,), self.tol)
+                fixed.add(p)
+        return steps
 
     def value(self, x1, x2, x3, x4) -> int:
         t = MarkedTuple(x1, x2, x3, x4)
@@ -553,9 +587,9 @@ class RfEvaluator:
         y1, y2, y3, y4 = moved.points
         last_error: Exception | None = None
         for attempt in range(self.tol.jitter_attempts + 1):
-            rng = random.Random(f"{self.seed}|{key!r}|{attempt}")
             jitter = 0j
             if attempt > 0:
+                rng = random.Random(f"{self.seed}|{key!r}|{attempt}")
                 jitter = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
                 jitter *= self.tol.jitter_magnitude * max(abs(y4.value - y3.value), 1.0)
             try:
@@ -563,14 +597,15 @@ class RfEvaluator:
                     y3.value, y4.value, avoid=(y1, y2), variant=attempt,
                     jitter=jitter, tol=self.tol,
                 )
-                value, check = _loop_and_lift(spec, moved, beta, self.tol)
+                steps = self._checked_steps(spec, moved.points)
+                value, check = _loop_and_lift(spec, moved, beta, self.tol, steps)
                 if check != value:
                     raise InconclusiveComputation(
                         f"loop and lift methods disagree: {value} vs {check}"
                     )
                 self._cache[key] = value
                 return value
-            except BudgetExhausted as err:
+            except SamplingFailure as err:
                 failure = InconclusiveComputation(f"{err}; not retried")
                 self._cache[key] = failure
                 raise failure from err
@@ -673,13 +708,14 @@ def verify_rf_identities(
         raise ScenarioError("the identity suite needs at least five marked points")
     if len(set(pts)) != len(pts):
         raise ScenarioError("marked points must be pairwise distinct")
-    require_fixed(spec, pts, tol)
+    ev = RfEvaluator(spec, tol, seed)
+    ev._checked_steps(spec, pts)
     if g_spec is not None:
-        require_fixed(g_spec, pts, tol)
+        g_ev = RfEvaluator(g_spec, tol, seed)
+        g_ev._checked_steps(g_spec, pts)
 
     x1, x2, x3, x4, w = x = tuple(pts[:5])
     t = x[:4]
-    ev = RfEvaluator(spec, tol, seed)
     inputs = "x=(p1,p2,p3,p4)"  # the i-th point is labelled p<i>
     records = [
         identity_record(name, inputs + (" w=p5" if any(4 in ix for ix in indices) else ""),
@@ -716,19 +752,19 @@ def verify_rf_identities(
     if g_spec is not None:
         records.append(identity_record(
             "composition_adds", inputs, "R_of_composition(x) = R_f(x) + R_g(x)",
-            signed_sum, [(1, ev, t), (1, RfEvaluator(g_spec, tol, seed), t),
+            signed_sum, [(1, ev, t), (1, g_ev, t),
                          (-1, RfEvaluator(Compose((spec, g_spec)), tol, seed), t)]))
 
     spec0, t0 = _prechart(spec, MarkedTuple(*t))
 
     @functools.cache
     def refined(variant: int):
-        """_refined_paths along the variant's connecting path: variant 0's
-        serves both probes below.  A failure is not cached, so each probe
-        meets it on its own."""
+        """_refined_paths along the variant's connecting path, on ev's
+        steps: variant 0's serves both probes below.  A failure is not
+        cached, so each probe meets it on its own."""
         beta = connecting_path(t0.x3.value, t0.x4.value, avoid=(t0.x1, t0.x2),
                                variant=variant, tol=tol)
-        return _refined_paths(spec0, t0, beta, tol)
+        return _refined_paths(spec0, t0, beta, tol, ev._checked_steps(spec0, t0.points))
 
     def agreement(values):
         return tuple(values), len(set(values)) == 1, float(max(values) - min(values))

@@ -506,7 +506,11 @@ def _require_fixed(f: CompiledMap, points, tol: Tolerances) -> None:
 
 
 def twist_chart(spec: MapSpec) -> tuple[MobiusTransform, RadialProfile] | None:
-    """Reduce spec to (chart H, profile) with spec = H^{-1} o twist o H, if possible."""
+    """Reduce spec to (chart H, profile) with spec = H^{-1} o twist o H, if possible.
+
+    A composition reduces when every part does and their charts agree up to
+    a scaling w -> lambda w (see _profile_in_chart), in the first part's
+    chart."""
     if isinstance(spec, Identity):
         return MOBIUS_IDENTITY, RadialProfile(((1.0, 0.0),))
     if isinstance(spec, RadialTwist):
@@ -531,14 +535,36 @@ def twist_chart(spec: MapSpec) -> tuple[MobiusTransform, RadialProfile] | None:
         reduced = [twist_chart(part) for part in spec.parts]
         if any(r is None for r in reduced):
             return None
-        charts = {r[0] for r in reduced}
-        if len(charts) != 1:
-            return None
-        total = reduced[0][1]
-        for _, prof in reduced[1:]:
+        chart, total = reduced[0]
+        for h, prof in reduced[1:]:
+            prof = _profile_in_chart(h, prof, chart)
+            if prof is None:
+                return None
             total = total.added(prof)
-        return reduced[0][0], total
+        return chart, total
     return None
+
+
+def _profile_in_chart(h: MobiusTransform, profile: RadialProfile,
+                      chart: MobiusTransform) -> RadialProfile | None:
+    """The twist h^-1 o T o h (T the twist by profile) as a profile in chart.
+
+    When h = m o chart with m(w) = lambda w, that is m fixes 0 and infinity
+    exactly, the twist is the twist by rho(|lambda| r) in chart: the
+    rotation part of lambda commutes with every twist, so only |lambda|
+    enters, folded into the radii.  None when h is no such m o chart, or
+    when m or the folded radii are degenerate in floats.
+    """
+    if h == chart:
+        return profile
+    try:
+        m = h.compose(chart.inverse())
+        if m.b != 0 or m.c != 0:
+            return None
+        k = abs(m.a / m.d)
+        return RadialProfile(tuple((r / k, v) for r, v in profile.breakpoints))
+    except (ValueError, ZeroDivisionError):
+        return None
 
 
 def iterate_spec(spec: MapSpec, n: int) -> MapSpec:

@@ -151,3 +151,15 @@ def test_exact_blowup_keeps_the_sign_of_zero():
         est = rf_mixed(spec, MarkedTuple(INFINITY, 0j, 3 + 0j, INFINITY), 10_000,
                        extrapolate=extrapolate)
         assert est.value == 0.0 and math.copysign(1.0, est.value) == -1.0
+
+
+@pytest.mark.parametrize("n_iters", (10, 100, 4000))
+def test_a_coaxial_composition_blows_up_exactly(spy, n_iters):
+    # an eighth-turn twist conjugated by z -> 2z is the twist by
+    # rho(2 r) in the quarter-turn twist's chart; chained, the enclosure of
+    # n repetitions wraps, and the value is inconclusive at n = 100
+    spec = Compose((RadialTwist(RadialProfile(((1, 0.25), (2, 0)))),
+                    MobiusConjugate(MobiusTransform(2, 0, 0, 1),
+                                    RadialTwist(RadialProfile(((1, 0.125), (1.5, 0)))))))
+    assert rf_blowup(spec, 0j, INFINITY, 3 + 0j, n_iters).value == -0.375
+    assert spy.calls == 0

@@ -1,6 +1,9 @@
 """The four-point invariant: exactness, symmetry, traces, blow-ups, periodics."""
 
+import cmath
+import itertools
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -46,12 +49,13 @@ from rotquad.catalog import (
     blowup_consistency_spec,
     double_blowup_spec,
     golden_twist_spec,
+    homomorphism_pairs,
     quarter_turn_blowup_spec,
     scenario_by_name,
     sqrt2_blowup_spec,
 )
-from rotquad.geometry import DEFAULT_TOL, refine_path_view
-from rotquad.maps import compile_map
+from rotquad.geometry import DEFAULT_TOL, apply_mobius, refine_path_view
+from rotquad.maps import compile_map, twist_chart
 from rotquad.report import PASS
 
 AXIS_TUPLE = MarkedTuple(0j, INFINITY, 0.5 + 0j, 3 + 0j)
@@ -258,15 +262,63 @@ def test_exhausted_budget_is_inconclusive_after_one_attempt(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(invariant, "refine_path_view", counting)
-    # the twist by 2 needs 24 certified pieces on its connecting path
-    ev = RfEvaluator(golden_twist_spec(2), Tolerances(max_refine_points=20))
-    with pytest.raises(InconclusiveComputation, match="max_refine_points=20"):
+    # the twist by 2 needs 19 certified pieces on its connecting path
+    ev = RfEvaluator(golden_twist_spec(2), Tolerances(max_refine_points=12))
+    with pytest.raises(InconclusiveComputation, match="max_refine_points=12"):
         ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
     assert len(calls) == 1
     # the failure is cached like a value: asking again refines nothing
-    with pytest.raises(InconclusiveComputation, match="max_refine_points=20"):
+    with pytest.raises(InconclusiveComputation, match="max_refine_points=12"):
         ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
     assert len(calls) == 1
+
+
+def test_an_edge_that_cannot_be_refined_is_inconclusive_after_one_attempt(monkeypatch):
+    import rotquad.invariant as invariant
+
+    calls = []
+    real = invariant.refine_path_view
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(invariant, "refine_path_view", counting)
+    # the millionth power of the rotated disjoint twists turns too steeply
+    # for any path; jitter does not change that
+    sc = scenario_by_name("compose-disjoint-rotated")
+    ev = RfEvaluator(Power(10**6, sc.map_spec))
+    for _ in range(2):
+        with pytest.raises(InconclusiveComputation, match="cannot be refined further; not retried"):
+            ev.value(*list(sc.points.values())[:4])
+        assert len(calls) == 1  # the failure is cached like a value
+
+
+def test_evaluator_walks_each_chart_once_and_checks_each_point_once(monkeypatch):
+    import rotquad.invariant as invariant
+
+    walked, checked = [], []
+    real_steps, real_check = invariant._steps, invariant._require_fixed
+
+    def steps(spec):
+        walked.append(spec)
+        return real_steps(spec)
+
+    def require_fixed(f, points, tol):
+        checked.extend((f, p) for p in points)
+        return real_check(f, points, tol)
+
+    monkeypatch.setattr(invariant, "_steps", steps)
+    monkeypatch.setattr(invariant, "_require_fixed", require_fixed)
+    points = [0j, INFINITY, 0.5 + 0j, 3 + 0j, 4j]
+    records = verify_rf_identities(scenario_by_name("twist-by-2").map_spec, None, points)
+    assert all(r.status == PASS for r in records)
+    # the five evaluators (the map, its inverse and three powers) each walk
+    # their spec once; the map's evaluator walks it once more in each of the
+    # two precharts its tuples with infinity third or fourth need
+    assert len(walked) == len(set(walked)) == 7
+    assert sum(isinstance(spec, MobiusConjugate) for spec in walked) == 2
+    assert len(checked) == len(set(checked))
 
 
 def test_geometric_failures_are_retried_on_every_request(monkeypatch):
@@ -339,6 +391,26 @@ def test_trace_unavailable_for_disjoint_composition():
     t = MarkedTuple(0j, INFINITY, 10 + 0j, 3 + 0j)
     with pytest.raises(ScenarioError):
         synthesize_twist_trace(spec, t)
+
+
+def test_a_scaled_conjugate_composition_is_one_twist_in_affine_charts():
+    # f o g of the pair whose g is a twist conjugated by z -> 3z: in every
+    # affine chart, loop and lift (cross-checked by the evaluator), the
+    # trace and f + g agree
+    pair = next(p for p in homomorphism_pairs() if p.name == "twist-with-scaled-conjugate")
+    rng = random.Random(5)
+    for _ in range(3):
+        a = cmath.rect(2.0 ** rng.uniform(-1, 1), rng.uniform(0, math.tau))
+        H = MobiusTransform(1, -complex(rng.uniform(-3, 3), rng.uniform(-3, 3)), 0, a)
+        f, g = MobiusConjugate(H, pair.f), MobiusConjugate(H, pair.g)
+        fg = Compose((f, g))
+        assert twist_chart(fg) is not None
+        points = [apply_mobius(H.inverse(), p) for p in pair.points]
+        for t in rng.sample(list(itertools.permutations(points, 4)), 6):
+            t = MarkedTuple(*t)
+            value = RfEvaluator(fg).value(*t.points)
+            assert value == rf_trace(synthesize_twist_trace(fg, t))
+            assert value == RfEvaluator(f).value(*t.points) + RfEvaluator(g).value(*t.points)
 
 
 def test_trace_concatenation_requires_matching_context():

@@ -511,6 +511,27 @@ def test_compiled_images_near_the_literal_walk_at_zero_infinity_and_poles():
             _assert_near_the_literal_walk(spec, p)
 
 
+def test_coaxial_twists_reduce_when_their_charts_differ_by_a_scaling():
+    quarter = RadialTwist(RadialProfile(((1, 0.25), (2, 0))))
+    eighth = RadialTwist(RadialProfile(((1, 0.125), (1.5, 0))))
+    # z -> 2z fixes 0 and infinity: in the first chart the second twist is
+    # r -> rho(2 r)
+    scaled = Compose((quarter, MobiusConjugate(MobiusTransform(2, 0, 0, 1), eighth)))
+    assert twist_chart(scaled) == (MOBIUS_IDENTITY, RadialProfile(
+        ((0.5, 0.375), (0.75, 0.25), (1, 0.25), (2, 0))))
+    # one map, compared as a projective map
+    same = Compose((MobiusConjugate(MobiusTransform(2, 0, 0, 1), quarter),
+                    MobiusConjugate(MobiusTransform(4, 0, 0, 2), eighth)))
+    assert twist_chart(same) == (MobiusTransform(2, 0, 0, 1), quarter.profile.added(eighth.profile))
+    # a chart change that moves the axis does not reduce
+    moved = Compose((quarter, MobiusConjugate(MobiusTransform(2, -1, 0, 1), eighth)))
+    assert twist_chart(moved) is None
+    for spec in (scaled, same, Power(-2, scaled)):
+        for z in (0j, 0.3 + 0.1j, 0.6j, -0.7 + 0.2j, 1.2 - 0.4j, 1.7j, 2.5 + 0j):
+            _assert_near_the_literal_walk(spec, SpherePoint(z))
+        _assert_near_the_literal_walk(spec, INFINITY)
+
+
 def test_compiled_evaluation_rejects_overflow():
     # |h(z)| overflows the float range, as a SpherePoint would refuse to hold
     spec = MobiusConjugate(MobiusTransform(1e300, 0, 0, 1), golden_twist_spec(1))

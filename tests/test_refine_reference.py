@@ -378,9 +378,9 @@ class _Recorder:
         self.source = None
         self.paths = []
 
-    def refined_paths(self, spec, t, beta, tol):
+    def refined_paths(self, spec, t, beta, tol, steps=None):
         self.source = (spec, mobius_normalize(t.x1, t.x2))
-        return _refined_paths(spec, t, beta, tol)
+        return _refined_paths(spec, t, beta, tol, steps)
 
     def compile_map(self, spec, then=None):
         self.source = (spec, then)
