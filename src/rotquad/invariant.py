@@ -155,28 +155,6 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
             raise PointOnLoop(f"the connecting path passes through {p!r}")
 
 
-def _refined_paths(spec, t: MarkedTuple, beta: Polyline, tol: Tolerances, steps=None):
-    """The refined image path in the chart h (x1 -> 0, x2 -> inf), the path's
-    own exact turning there (arg h(z) = arg(z - x1) - arg(z - x2) + const, a
-    point at infinity adding nothing), and the path's ends h(x3), h(x4).
-
-    steps are spec's steps (maps._steps).  A caller that passes them has
-    checked t's points fixed under them and built beta with
-    connecting_path, which validates it.  Without them the spec is walked
-    here, once for the fixed-point check and the view, and beta is
-    validated."""
-    if steps is None:
-        steps = _steps(spec)
-        _require_fixed(CompiledMap(steps), t.points, tol)
-        _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
-    h = mobius_normalize(t.x1, t.x2)
-    forward = refine_path_view(beta.vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
-    base = sum(sign * path_turns(beta.vertices, p.value)
-               for sign, p in ((1, t.x1), (-1, t.x2)) if not p.is_infinity)
-    at = mobius_step(h)
-    return forward, base, (at(t.x3.value), at(t.x4.value))
-
-
 def _loop_winding(forward: list[complex], base: float, ends, tol: Tolerances) -> int:
     """Winding around 0 of the loop (image path) * (path reversed): the image
     path joined to the path's ends by straight edges, less the path's exact
@@ -202,7 +180,7 @@ def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    return _loop_winding(*_refined_paths(spec, t, beta, tol), tol)
+    return _loop_winding(*RfEvaluator(spec, tol)._refined(t, beta), tol)
 
 
 def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -214,16 +192,8 @@ def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    forward, base, _ = _refined_paths(spec, t, beta, tol)
+    forward, base, _ = RfEvaluator(spec, tol)._refined(t, beta)
     return _lift_turns(forward, base, tol)
-
-
-def _loop_and_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances,
-                   steps=None) -> tuple[int, int]:
-    """rf_loop and rf_lift of a distinct tuple, read off one refinement
-    (steps as for _refined_paths)."""
-    forward, base, ends = _refined_paths(spec, t, beta, tol, steps)
-    return _loop_winding(forward, base, ends, tol), _lift_turns(forward, base, tol)
 
 
 def rf_trace(trace: IsotopyTrace, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -323,7 +293,7 @@ def rf_blowup(
         raise ValueError("p, x2, x4 must be pairwise distinct")
     require_fixed(spec, (p, x2, x4), tol)
     # rigid_rotation_angle, less its second check that p is fixed
-    if _structural_rotation(spec, p, rigid_only=True, tol=tol) is None:
+    if _structural_rotation(spec, p, tol) is None:
         raise TangentCondition(
             f"the germ at {p!r} is not an exact rigid rotation; "
             "the tangent-circle dynamics cannot be certified"
@@ -348,9 +318,10 @@ def _blowup_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex, n_iters: in
     n rho.  T adds n (rho(|end|) - rho(|start|)) turns to a path that
     misses 0 and infinity, and a Mobius map that fixes both keeps
     turnings, one that swaps them negates them.  So when m fixes or swaps
-    0 and infinity (exactly, not within a tolerance), the estimate is a
-    difference of rho at the moduli of the path's ends in H's coordinates,
-    the same for every n, and no path is refined.
+    0 and infinity (exactly, not within a tolerance), the estimate is read
+    at its limit as the path's start approaches p: rho at m(y4) less rho
+    at the axis end that m takes p to, negated when m swaps the axis.  It
+    is the same for every n, and no path is refined.
     """
     exact = _axis_wrapping(spec, h, y4)
     if exact is not None:
@@ -369,19 +340,17 @@ def _axis_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex) -> float | No
         return None
     chart, profile = reduced
     m = chart.compose(h.inverse())
-    if m.b == 0 and m.c == 0:
-        ends = (y4 * 1e-6, y4)
-    elif m.a == 0 and m.d == 0:
-        # the turning is negated: take the difference the other way round,
-        # which keeps the sign of a zero
-        ends = (y4, y4 * 1e-6)
-    else:
+    fixes = m.b == 0 and m.c == 0
+    if not (fixes or m.a == 0 and m.d == 0):
         return None
-    at = mobius_step(m)
-    start, end = at(ends[0]), at(ends[1])
-    if not (start and end):
-        return None  # an end underflowed onto the axis
-    return profile.value(abs(end)) - profile.value(abs(start))
+    end = mobius_step(m)(y4)
+    if not end:
+        return None  # the end underflowed onto the axis
+    if fixes:
+        return profile.value(abs(end)) - profile.value_at_zero
+    # the turning is negated: take the difference the other way round,
+    # which keeps the sign of a zero
+    return profile.value_at_infinity - profile.value(abs(end))
 
 
 def _refined_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex, n_iters: int,
@@ -411,8 +380,8 @@ def rf_double_blowup(spec: MapSpec, p1, p2, tol: Tolerances = DEFAULT_TOL) -> fl
     require_fixed(spec, (p1, p2), tol)
     h = mobius_normalize(p1, p2)
     normalized = spec if h == MOBIUS_IDENTITY else MobiusConjugate(h.inverse(), spec)
-    inner = _structural_rotation(normalized, SpherePoint(0j), rigid_only=True, tol=tol)
-    outer = _structural_rotation(normalized, INFINITY, rigid_only=True, tol=tol)
+    inner = _structural_rotation(normalized, SpherePoint(0j), tol)
+    outer = _structural_rotation(normalized, INFINITY, tol)
     if inner is None or outer is None:
         raise TangentCondition("both germs must be exact rigid rotations")
     return outer - inner
@@ -568,6 +537,36 @@ class RfEvaluator:
                 fixed.add(p)
         return steps
 
+    def _refined(self, t: MarkedTuple, beta: Polyline | None = None, variant: int = 0,
+                 jitter: complex = 0j):
+        """The refined image of a connecting path in the chart h (x1 -> 0,
+        x2 -> inf), the path's own exact turning there (arg h(z) =
+        arg(z - x1) - arg(z - x2) + const, a point at infinity adding
+        nothing), and the path's ends h(x3), h(x4).
+
+        A caller's beta is validated against t after t's points are checked
+        fixed.  Without one, t is precharted and the path is the variant's
+        connecting_path, with jitter scaled to the distance from x3 to x4
+        (connecting_path validates it), and then t's points are checked
+        fixed in the prechart's chart."""
+        spec, tol = self.spec, self.tol
+        if beta is not None:
+            steps = self._checked_steps(spec, t.points)
+            _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
+        else:
+            spec, t = _prechart(spec, t)
+            if jitter:
+                jitter *= tol.jitter_magnitude * max(abs(t.x4.value - t.x3.value), 1.0)
+            beta = connecting_path(t.x3.value, t.x4.value, avoid=(t.x1, t.x2),
+                                   variant=variant, jitter=jitter, tol=tol)
+            steps = self._checked_steps(spec, t.points)
+        h = mobius_normalize(t.x1, t.x2)
+        forward = refine_path_view(beta.vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
+        base = sum(sign * path_turns(beta.vertices, p.value)
+                   for sign, p in ((1, t.x1), (-1, t.x2)) if not p.is_infinity)
+        at = mobius_step(h)
+        return forward, base, (at(t.x3.value), at(t.x4.value))
+
     def value(self, x1, x2, x3, x4) -> int:
         t = MarkedTuple(x1, x2, x3, x4)
         kind = t.classify()
@@ -583,22 +582,16 @@ class RfEvaluator:
             if isinstance(cached, InconclusiveComputation):
                 raise cached.with_traceback(None)
             return cached
-        spec, moved = _prechart(self.spec, t)
-        y1, y2, y3, y4 = moved.points
         last_error: Exception | None = None
         for attempt in range(self.tol.jitter_attempts + 1):
             jitter = 0j
             if attempt > 0:
                 rng = random.Random(f"{self.seed}|{key!r}|{attempt}")
                 jitter = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                jitter *= self.tol.jitter_magnitude * max(abs(y4.value - y3.value), 1.0)
             try:
-                beta = connecting_path(
-                    y3.value, y4.value, avoid=(y1, y2), variant=attempt,
-                    jitter=jitter, tol=self.tol,
-                )
-                steps = self._checked_steps(spec, moved.points)
-                value, check = _loop_and_lift(spec, moved, beta, self.tol, steps)
+                forward, base, ends = self._refined(t, variant=attempt, jitter=jitter)
+                value = _loop_winding(forward, base, ends, self.tol)
+                check = _lift_turns(forward, base, self.tol)
                 if check != value:
                     raise InconclusiveComputation(
                         f"loop and lift methods disagree: {value} vs {check}"
@@ -708,11 +701,11 @@ def verify_rf_identities(
         raise ScenarioError("the identity suite needs at least five marked points")
     if len(set(pts)) != len(pts):
         raise ScenarioError("marked points must be pairwise distinct")
+    require_fixed(spec, pts, tol)
     ev = RfEvaluator(spec, tol, seed)
-    ev._checked_steps(spec, pts)
     if g_spec is not None:
+        require_fixed(g_spec, pts, tol)
         g_ev = RfEvaluator(g_spec, tol, seed)
-        g_ev._checked_steps(g_spec, pts)
 
     x1, x2, x3, x4, w = x = tuple(pts[:5])
     t = x[:4]
@@ -755,16 +748,12 @@ def verify_rf_identities(
             signed_sum, [(1, ev, t), (1, g_ev, t),
                          (-1, RfEvaluator(Compose((spec, g_spec)), tol, seed), t)]))
 
-    spec0, t0 = _prechart(spec, MarkedTuple(*t))
-
     @functools.cache
     def refined(variant: int):
-        """_refined_paths along the variant's connecting path, on ev's
-        steps: variant 0's serves both probes below.  A failure is not
-        cached, so each probe meets it on its own."""
-        beta = connecting_path(t0.x3.value, t0.x4.value, avoid=(t0.x1, t0.x2),
-                               variant=variant, tol=tol)
-        return _refined_paths(spec0, t0, beta, tol, ev._checked_steps(spec0, t0.points))
+        """ev's refinement along the variant's connecting path: variant 0's
+        serves both probes below.  A failure is not cached, so each probe
+        meets it on its own."""
+        return ev._refined(MarkedTuple(*t), variant=variant)
 
     def agreement(values):
         return tuple(values), len(set(values)) == 1, float(max(values) - min(values))

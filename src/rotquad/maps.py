@@ -619,38 +619,35 @@ def _walk_points(spec: MapSpec):
             yield from _walk_points(part)
 
 
-def _structural_rotation(
-    spec: MapSpec,
-    p: SpherePoint,
-    rigid_only: bool,
-    tol: Tolerances = DEFAULT_TOL,
-) -> float | None:
-    """Unreduced local rotation angle at a fixed point, by structure.
+def _structural_rotation(spec: MapSpec, p: SpherePoint,
+                         tol: Tolerances = DEFAULT_TOL) -> float | None:
+    """The exact local rotation angle at a fixed point when the germ there is
+    a rigid rotation, else None.
 
+    A spec that twist_chart reduces to (H, rho) is read off the profile at
+    q = H(p): rho at infinity when q is infinity, else rho's constant value
+    on a neighborhood of |q|, and None when rho is not constant there.
     The angle at infinity is reported in finite-chart sense (the angular
     speed around the origin), which is the negative of the angle read in
     the 1/z chart; this is the bookkeeping under which same-axis twists
-    report profile values at both ends of the axis.  Returns None when the
-    structure does not determine the angle (callers fall back to finite
-    differences).  With rigid_only, also returns None when the germ at p
-    is not an exact rigid rotation.
+    report profile values at both ends of the axis.  Any other spec is
+    walked: conjugates move p, compositions sum their parts' angles when
+    every part fixes p, inverses negate and powers scale.
     """
-    if isinstance(spec, Identity):
-        return 0.0
-    if isinstance(spec, RadialTwist):
-        prof = spec.profile
-        if p.is_infinity:
-            return prof.value_at_infinity
-        z = p.value
-        if z == 0:
-            return prof.value_at_zero
-        const = prof.locally_constant_value(abs(z))
-        if const is not None:
-            return const
-        return None if rigid_only else prof.value(abs(z))
+    reduced = twist_chart(spec)
+    if reduced is not None:
+        chart, profile = reduced
+        q = p if chart == MOBIUS_IDENTITY else apply_mobius(chart, p)
+        if q.is_infinity:
+            angle = profile.value_at_infinity
+        else:
+            angle = profile.locally_constant_value(abs(q.value))
+            if angle is None:
+                return None
+        return -angle if p.is_infinity != q.is_infinity else angle
     if isinstance(spec, MobiusConjugate):
         q = apply_mobius(spec.h, p)
-        inner = _structural_rotation(spec.inner, q, rigid_only, tol)
+        inner = _structural_rotation(spec.inner, q, tol)
         if inner is None:
             return None
         flip = -1.0 if (p.is_infinity != q.is_infinity) else 1.0
@@ -660,16 +657,16 @@ def _structural_rotation(
         for part in spec.parts:
             if fixed_residual(part, p) >= tol.fixed_tol:
                 return None
-            a = _structural_rotation(part, p, rigid_only, tol)
+            a = _structural_rotation(part, p, tol)
             if a is None:
                 return None
             total += a
         return total
     if isinstance(spec, Inverse):
-        inner = _structural_rotation(spec.inner, p, rigid_only, tol)
+        inner = _structural_rotation(spec.inner, p, tol)
         return None if inner is None else -inner
     if isinstance(spec, Power):
-        inner = _structural_rotation(spec.inner, p, rigid_only, tol)
+        inner = _structural_rotation(spec.inner, p, tol)
         return None if inner is None else spec.q * inner
     raise TypeError(f"not a map spec: {spec!r}")
 
@@ -718,7 +715,7 @@ def differential_rotation(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> fl
     """
     p = as_sphere_point(p)
     require_fixed(spec, (p,), tol)
-    angle = _structural_rotation(spec, p, rigid_only=False, tol=tol)
+    angle = _structural_rotation(spec, p, tol)
     if angle is None:
         angle = _fd_rotation(spec, p)
     return angle % 1.0
@@ -728,4 +725,4 @@ def rigid_rotation_angle(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> flo
     """The exact local angle when the germ at p is a rigid rotation, else None."""
     p = as_sphere_point(p)
     require_fixed(spec, (p,), tol)
-    return _structural_rotation(spec, p, rigid_only=True, tol=tol)
+    return _structural_rotation(spec, p, tol)

@@ -28,11 +28,13 @@ from rotquad import (
     connecting_path,
     mobius_normalize,
     rf_blowup,
+    rf_lift,
+    rf_loop,
     rf_trace,
     synthesize_twist_trace,
 )
 from rotquad.catalog import identity_scenarios, scenario_by_name
-from rotquad.invariant import _loop_and_lift, _prechart
+from rotquad.invariant import _prechart
 from rotquad.maps import compile_map
 
 _SCENARIOS = identity_scenarios()
@@ -138,7 +140,8 @@ def test_coarse_paths_give_the_trace_value_or_inconclusive(name):
         spec, moved = _prechart(sc.map_spec, t)
         for beta in _coarse_paths(moved):
             try:
-                loop, lift = _loop_and_lift(spec, moved, beta, sc.tolerances)
+                loop = rf_loop(spec, moved, beta, sc.tolerances)
+                lift = rf_lift(spec, moved, beta, sc.tolerances)
             except GeometryFailure:
                 continue
             assert (loop, lift) == (expected, expected)

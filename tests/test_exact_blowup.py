@@ -22,7 +22,6 @@ from rotquad import (
     MarkedTuple,
     MobiusConjugate,
     MobiusTransform,
-    PointOnLoop,
     Power,
     RadialProfile,
     RadialTwist,
@@ -134,10 +133,22 @@ def test_only_off_axis_blowups_refine(spy):
     est = rf_blowup(near, 0j, INFINITY, 4 + 1j, 250)
     assert abs(est.value + 0.875) <= est.error_bound
     assert spy.calls == 4
-    # a path end that underflows onto the axis is refined, and refused there
-    with pytest.raises(PointOnLoop):
-        rf_blowup(_outer(0.3), 0j, INFINITY, 1e-320, 250)
-    assert spy.calls == 5
+    # a subnormal x4 is read exactly: the path starts at p itself, not at
+    # x4 * 1e-6, which underflows onto the axis
+    assert rf_blowup(_outer(0.3), 0j, INFINITY, 1e-320, 250).value == 0.0
+    assert spy.calls == 4
+
+
+# rho is 0 at the axis and beyond 3, but 0.5 from 1e-8 to 2, where a path
+# from x4 * 1e-6 would start: the limit is 0, not -0.5
+_STEEP_AT_AXIS = RadialTwist(RadialProfile(((1e-9, 0), (1e-8, 0.5), (2, 0.5), (3, 0))))
+
+
+@pytest.mark.parametrize("spec", (_STEEP_AT_AXIS, MobiusConjugate(_SCALE, _STEEP_AT_AXIS)),
+                         ids=("plain", "conjugate z -> 2z"))
+def test_an_axis_blowup_reads_rho_at_the_axis(spy, spec):
+    assert rf_blowup(spec, 0j, INFINITY, 8 + 0j, 1000).value == 0.0
+    assert spy.calls == 0
 
 
 def test_exact_blowup_keeps_the_sign_of_zero():

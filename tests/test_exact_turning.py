@@ -28,6 +28,7 @@ from rotquad import (
     Identity,
     MarkedTuple,
     Polyline,
+    RfEvaluator,
     SpherePoint,
     loop_class,
 )
@@ -39,7 +40,6 @@ from rotquad.geometry import (
     refine_path_view,
     winding_number,
 )
-from rotquad.invariant import _refined_paths
 from rotquad.maps import compile_map
 
 from helpers import circle
@@ -98,7 +98,7 @@ def _normalized_view(x1, x2):
 def test_exact_base_turning_matches_the_refined_image(config):
     beta, x1, x2 = config
     t = MarkedTuple(x1, x2, beta.start, beta.end)
-    _, base, ends = _refined_paths(Identity(), t, beta, DEFAULT_TOL)
+    _, base, ends = RfEvaluator(Identity())._refined(t, beta)
     image = refine_path_view(_dense(beta.vertices, closed=False), _normalized_view(x1, x2))
     assert abs(base - path_turns(image)) / math.tau < 1e-9
     assert ends == (image[0], image[-1])

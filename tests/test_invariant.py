@@ -223,13 +223,13 @@ def _count_refinements(monkeypatch) -> list:
     import rotquad.invariant as invariant
 
     calls = []
-    real = invariant._refined_paths
+    real = invariant.RfEvaluator._refined
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(invariant, "_refined_paths", counting)
+    monkeypatch.setattr(invariant.RfEvaluator, "_refined", counting)
     return calls
 
 

@@ -51,7 +51,7 @@ from rotquad.geometry import (
     path_turns,
     refine_path_view,
 )
-from rotquad.invariant import _refined_paths
+from rotquad.invariant import _prechart
 from rotquad.maps import _TAU_I, TAU, compile_map
 
 from test_enclosure import _SCENARIOS, _default_tuples
@@ -368,9 +368,12 @@ def test_compiled_chain_at_infinity_and_on_an_unknown_disk():
 # refined image paths and their turning: every catalog value and blow-up
 
 
+_REFINED = RfEvaluator._refined
+
+
 class _Recorder:
-    """Wraps invariant's view builders (_refined_paths for a tuple's value,
-    compile_map for a blow-up) and invariant.refine_path_view: each
+    """Wraps invariant's view builders (RfEvaluator._refined for a tuple's
+    value, compile_map for a blow-up) and invariant.refine_path_view: each
     refinement also runs through the reference view of the spec and chart
     last built, and both must agree, on the image path and on its turning."""
 
@@ -378,9 +381,11 @@ class _Recorder:
         self.source = None
         self.paths = []
 
-    def refined_paths(self, spec, t, beta, tol, steps=None):
-        self.source = (spec, mobius_normalize(t.x1, t.x2))
-        return _refined_paths(spec, t, beta, tol, steps)
+    def refined(self, ev, t, beta=None, variant=0, jitter=0j):
+        # the spec and tuple _refined refines: precharted without a beta
+        spec, moved = (ev.spec, t) if beta is not None else _prechart(ev.spec, t)
+        self.source = (spec, mobius_normalize(moved.x1, moved.x2))
+        return _REFINED(ev, t, beta, variant, jitter)
 
     def compile_map(self, spec, then=None):
         self.source = (spec, then)
@@ -402,7 +407,8 @@ class _Recorder:
 @pytest.fixture
 def recorder(monkeypatch):
     rec = _Recorder()
-    monkeypatch.setattr(invariant, "_refined_paths", rec.refined_paths)
+    monkeypatch.setattr(invariant.RfEvaluator, "_refined",
+                        lambda ev, *args, **kwargs: rec.refined(ev, *args, **kwargs))
     monkeypatch.setattr(invariant, "compile_map", rec.compile_map)
     monkeypatch.setattr(invariant, "refine_path_view", rec.refine_path_view)
     return rec
