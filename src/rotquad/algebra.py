@@ -14,9 +14,11 @@ Klein four-group.  Everything here is exact arithmetic.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import add, and_, is_, itemgetter, ne, neg, not_, or_, sub
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import ParseError, RelationViolated
@@ -235,14 +237,20 @@ class FunctionTable:
     map invariant have no values on the remaining repeated-entry tuples
     (get returns None there); tables built from a two-variable g are total.
 
-    The checks read a table as columns, one values.get per key: its
-    distinct tuples in distinct_tuples() order, and for the splitting
-    relation the 4-fold label product in order, where every zero-convention
-    tuple reads 0 whatever is stored there.  Keys are validated in bulk.
+    A table is read-only.  values is a read-only copy of the mapping it was
+    built from: assigning to table.values[t] raises TypeError, and a later
+    change to the caller's mapping changes no answer of the table.  A
+    changed table is a new table (perturbed).  Keys are validated in bulk.
+
+    The checks read a table once, into its product column (see
+    _ProductLayout): one values.get per key, on first use, kept with the
+    table.  build_f_from_g and perturbed hand their column over, so they
+    read no values back.  The relation results are kept with the table
+    too, so check_relations and decompose_g scan each relation once.
     """
 
     labels: tuple
-    values: dict = field(default_factory=dict)
+    values: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -250,17 +258,47 @@ class FunctionTable:
             raise ValueError("labels must be distinct")
         if len(labels) < 4:
             raise ValueError("need at least four labels")
-        object.__setattr__(self, "labels", labels)
+        values = dict(self.values)
         label_set = set(labels)
         try:
-            valid = (set(map(len, self.values)) <= {4}
-                     and label_set.issuperset(itertools.chain.from_iterable(self.values)))
+            valid = (set(map(len, values)) <= {4}
+                     and label_set.issuperset(itertools.chain.from_iterable(values)))
         except TypeError:  # a key with no length; the scan below raises on it
             valid = False
         if not valid:
-            for t in self.values:
+            for t in values:
                 if len(t) != 4 or not label_set.issuperset(t):
                     raise ValueError(f"bad tuple key {t!r}")
+        self._keep(labels, values, None)
+
+    def _keep(self, labels: tuple, values: dict, product) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", MappingProxyType(values))
+        object.__setattr__(self, "_product", product)
+        object.__setattr__(self, "_checks", {})
+
+    @classmethod
+    def _with_column(cls, labels: tuple, values: dict, column: list,
+                     missing: list | None) -> "FunctionTable":
+        """A table on checked labels whose values dict and product column
+        (with its missing mask) agree by construction: nothing is checked
+        or read back."""
+        table = object.__new__(cls)
+        table._keep(labels, values, (column, missing))
+        return table
+
+    def _column(self) -> tuple[list, list | None]:
+        """The product column (see _ProductLayout) and its missing mask
+        (None when no entry is missing), read on first use only."""
+        if self._product is None:
+            column, missing = _read(self.values, itertools.compress(
+                itertools.product(self.labels, repeat=4),
+                _product_layout(len(self.labels)).mask))
+            column.append(0)
+            if missing:
+                missing.append(False)
+            object.__setattr__(self, "_product", (column, missing))
+        return self._product
 
     def get(self, t):
         t = tuple(t)
@@ -286,14 +324,29 @@ class FunctionTable:
         """A copy with one entry shifted; for fault-injection tests.
 
         A tuple that is zero by convention has no entry to shift (get never
-        reads one there), so it raises ValueError.
+        reads one there), so it raises ValueError, as does a tuple that is
+        not a key of this table.  The copy shares no state with this table:
+        it holds a copy of the product column with one slot changed.
         """
         t = tuple(t)
         if len(t) == 4 and (t[0] == t[1] or t[2] == t[3]):
             raise ValueError(f"{t!r} is zero by convention; there is no entry to perturb")
-        values = dict(self.values)
-        values[t] = self.get(t) + delta if self.get(t) is not None else delta
-        return FunctionTable(self.labels, values)
+        if len(t) != 4 or not set(self.labels).issuperset(t):
+            raise ValueError(f"bad tuple key {t!r}")
+        i = _product_layout(len(self.labels)).position[tuple(map(self.labels.index, t))]
+        column, missing = self._column()
+        column = column.copy()
+        if missing and missing[i]:
+            column[i] = delta
+            missing = missing.copy()
+            missing[i] = False
+            if True not in missing:
+                missing = None
+        else:
+            column[i] += delta
+        values = self.values.copy()
+        values[t] = column[i]
+        return FunctionTable._with_column(self.labels, values, column, missing)
 
 
 def table_from_function(labels, fn) -> FunctionTable:
@@ -406,9 +459,12 @@ class _ProductLayout(NamedTuple):
     distinct gathers its distinct tuples; base, left and right gather
     F(t), F(x1, w, x3, x4) and F(w, x2, x3, x4) for every pair (t, w) in
     split_w's scan order: t over distinct tuples, then w over labels.
+    position maps a label-index 4-tuple that is not zero by convention to
+    its place in the column.
     """
 
     mask: tuple[bool, ...]
+    position: dict[tuple[int, ...], int]
     distinct: itemgetter
     base: itemgetter
     left: itemgetter
@@ -428,7 +484,7 @@ def _product_layout(n: int) -> _ProductLayout:
         left += [position.get((x1, w, x3, x4), zero) for w in range(n)]
         right += [position.get((w, x2, x3, x4), zero) for w in range(n)]
     distinct = itemgetter(*map(position.__getitem__, itertools.permutations(range(n), 4)))
-    return _ProductLayout(mask, distinct, itemgetter(*base), itemgetter(*left),
+    return _ProductLayout(mask, position, distinct, itemgetter(*base), itemgetter(*left),
                           itemgetter(*right))
 
 
@@ -462,14 +518,14 @@ def _read(values: dict, keys) -> tuple[list, list | None]:
     return column, missing
 
 
-def _product_column(F: FunctionTable, layout: _ProductLayout) -> tuple[list, list | None]:
-    """F's product column (see _ProductLayout) and its missing mask."""
-    column, missing = _read(
-        F.values, itertools.compress(itertools.product(F.labels, repeat=4), layout.mask))
-    column.append(0)
-    if missing:
-        missing.append(False)
-    return column, missing
+def _distinct_column(F: FunctionTable) -> tuple[tuple, tuple | None]:
+    """F's values at its distinct tuples, in distinct_tuples() order and with
+    every missing value set to 0, and the mask of the missing ones (None
+    when none is missing): gathers of the kept product column."""
+    column, missing = F._column()
+    distinct = _product_layout(len(F.labels)).distinct
+    m = distinct(missing) if missing else None
+    return distinct(column), (m if m is not None and True in m else None)
 
 
 def _rows(*columns):
@@ -509,30 +565,40 @@ def check_relations(F: FunctionTable) -> dict[str, RelationCheck]:
     split_w:      the first-pair splitting through every admissible w
     Each result carries the first counterexample, if any.
 
-    F is read once, as a product column: split_w reads F at tuples with an
-    entry repeated across the pairs, which are not distinct tuples.  Each
+    F is read once, as its product column: split_w reads F at tuples with
+    an entry repeated across the pairs, which are not distinct tuples.  Each
     relation's sides are index gathers of that column, and their
     difference is formed for all rows at once.  An exact zero difference
     implies _eq for every value type (equal infinities differ by NaN).
     Only a row whose difference is not exactly zero, or that reads a
     missing entry, is checked on its own with _eq, in the plain scan's
     order, reading F again, so a missing entry raises the scan's KeyError.
+    Each result is kept with F, so decompose_g scans no relation again.
     """
     return _relations(F, cyclic_sum=True)
 
 
 def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
     """check_relations, with cyclic_sum only when asked for or when a distinct
-    entry is missing: the scans' order decides which one the KeyError names."""
-    n = len(F.labels)
-    layout = _product_layout(n)
-    keys = list(F.distinct_tuples())
-    column, missing = _product_column(F, layout)
-    col = layout.distinct(column)
-    gathers, getters = _gathers(n), _getters(n)
-    out: dict[str, RelationCheck] = {}
+    entry is missing: the scans' order decides which one the KeyError names.
 
-    m = layout.distinct(missing) if missing else None
+    A relation's result is kept with F when its scan ends, and a kept
+    result is not scanned again.  A scan depends on F alone, so every
+    result, and the KeyError of a scan that reads a missing entry, is the
+    same as when all the scans run.
+    """
+    col, m = _distinct_column(F)
+    names = ("swap_sign", "split_w")
+    if cyclic_sum or m is not None:
+        names = ("cyclic_sum", *names)
+    kept = F._checks
+    todo = [name for name in names if name not in kept]
+    if not todo:
+        return {name: kept[name] for name in names}
+
+    n = len(F.labels)
+    keys = list(F.distinct_tuples())
+    gathers, getters = _gathers(n), _getters(n)
 
     def reads_missing(*sigmas):
         """Flags of the rows that read a missing entry, at a row or its images."""
@@ -545,35 +611,25 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
         a, b, c = F(keys[i]), read(i, TAU_CYCLE), read(i, TAU_SQUARED)
         return None if _eq(a + b + c, 0) else (keys[i], (a, b, c))
 
-    if cyclic_sum or (m is not None and True in m):
+    if "cyclic_sum" in todo:
         shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
         flags = [list(map(add, map(add, col, shift(col)), twice(col))),
                  *reads_missing(TAU_CYCLE, TAU_SQUARED)]
         i, witness = _first_failure(_rows(*flags), cyclic)
-        out["cyclic_sum"] = RelationCheck(
+        kept["cyclic_sum"] = RelationCheck(
             "cyclic_sum", witness is None, len(keys) if witness is None else i + 1, witness)
 
     def swap(i):
         base, a, b = F(keys[i]), read(i, SIGMA1), read(i, SIGMA3)
         return None if _eq(a, -base) and _eq(b, -base) else (keys[i], (base, a, b))
 
-    first, second = getters[SIGMA1], getters[SIGMA3]
-    flags = [list(map(add, first(col), col)), list(map(add, second(col), col)),
-             *reads_missing(SIGMA1, SIGMA3)]
-    i, witness = _first_failure(_rows(*flags), swap)
-    out["swap_sign"] = RelationCheck(
-        "swap_sign", witness is None, len(keys) if witness is None else i + 1, witness)
-
-    base, left, right = layout.base(column), layout.left(column), layout.right(column)
-    differs = list(map(sub, base, map(add, left, right)))
-    if missing:
-        # a pair with a missing side is skipped; a missing F(t) raises
-        valid = list(map(not_, map(or_, layout.left(missing), layout.right(missing))))
-        to_check = map(or_, layout.base(missing), map(ne, differs, itertools.repeat(0)))
-        flags = [list(map(and_, valid, to_check))]
-    else:
-        valid = None
-        flags = [differs]
+    if "swap_sign" in todo:
+        first, second = getters[SIGMA1], getters[SIGMA3]
+        flags = [list(map(add, first(col), col)), list(map(add, second(col), col)),
+                 *reads_missing(SIGMA1, SIGMA3)]
+        i, witness = _first_failure(_rows(*flags), swap)
+        kept["swap_sign"] = RelationCheck(
+            "swap_sign", witness is None, len(keys) if witness is None else i + 1, witness)
 
     def split(q):
         i, w = divmod(q, n)
@@ -582,13 +638,26 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
             return None
         return (keys[i], F.labels[w]), (here, left[q], right[q])
 
-    q, witness = _first_failure(_rows(*flags), split)
-    if valid is None:
-        checked = len(base) if witness is None else q + 1
-    else:
-        checked = valid.count(True) if witness is None else valid[:q + 1].count(True)
-    out["split_w"] = RelationCheck("split_w", witness is None, checked, witness)
-    return out
+    if "split_w" in todo:
+        layout = _product_layout(n)
+        column, missing = F._column()
+        base, left, right = layout.base(column), layout.left(column), layout.right(column)
+        differs = list(map(sub, base, map(add, left, right)))
+        if missing:
+            # a pair with a missing side is skipped; a missing F(t) raises
+            valid = list(map(not_, map(or_, layout.left(missing), layout.right(missing))))
+            to_check = map(or_, layout.base(missing), map(ne, differs, itertools.repeat(0)))
+            flags = [list(map(and_, valid, to_check))]
+        else:
+            valid = None
+            flags = [differs]
+        q, witness = _first_failure(_rows(*flags), split)
+        if valid is None:
+            checked = len(base) if witness is None else q + 1
+        else:
+            checked = valid.count(True) if witness is None else valid[:q + 1].count(True)
+        kept["split_w"] = RelationCheck("split_w", witness is None, checked, witness)
+    return {name: kept[name] for name in names}
 
 
 @dataclass(frozen=True)
@@ -605,7 +674,7 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     equality is exact (or within 1e-9 for float tables).  The witness on
     failure is (cycle notation, tuple, expected, got).
 
-    F is read once, as a column over distinct_tuples(); the triples are
+    F is read as its kept column, over distinct_tuples(); the triples are
     that column and two gathers of it.  Each transport matrix is a signed
     permutation, so each component of a transported triple is plus or
     minus a triple column, compared at once with a gather of one.  Row k
@@ -620,10 +689,10 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     """
     n = len(F.labels)
     keys = list(F.distinct_tuples())
-    col, missing = _read(F.values, keys)
+    col, missing = _distinct_column(F)
     gathers, getters = _gathers(n), _getters(n)
     shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
-    triple = (tuple(col), shift(col), twice(col))
+    triple = (col, shift(col), twice(col))
     negated = tuple(tuple(map(neg, x)) for x in triple)
     odd = list(map(ne, map(sub, col, col), itertools.repeat(0)))
     if missing:
@@ -665,7 +734,8 @@ def build_f_from_g(g, labels=None) -> FunctionTable:
     """The total table F(x1,x2,x3,x4) = g(x1,x3) - g(x1,x4) - g(x2,x3) + g(x2,x4).
 
     g is a mapping on ordered label pairs or a two-argument callable.  A
-    mapping is read once, in label-pair order, and F is four gathers of it.
+    mapping is read once, in label-pair order, and F's product column is
+    four gathers of it; the table keeps that column and reads nothing back.
     """
     if callable(g):
         if labels is None:
@@ -679,7 +749,10 @@ def build_f_from_g(g, labels=None) -> FunctionTable:
     labels = FunctionTable(labels).labels  # the label checks, before g is read
     keys = itertools.compress(itertools.product(labels, repeat=4),
                               _product_layout(len(labels)).mask)
-    return FunctionTable(labels, dict(zip(keys, _coboundary(g, labels))))
+    column = _coboundary(g, labels)
+    values = dict(zip(keys, column))
+    column.append(0)
+    return FunctionTable._with_column(labels, values, column, None)
 
 
 def normalize_g(g: dict, a, b) -> dict:
@@ -762,7 +835,7 @@ def decompose_g(F: FunctionTable, a=None, b=None) -> dict:
     # exactly is looked at on its own.  The swap_sign check has read every
     # distinct entry, so none is missing.
     keys = list(F.distinct_tuples())
-    want = list(map(F.values.get, keys))
+    want, _ = _distinct_column(F)
     got = _product_layout(len(F.labels)).distinct(_coboundary(g, F.labels))
     for i in _rows(list(map(sub, want, got))):
         if not _eq(want[i], got[i]):

@@ -24,6 +24,7 @@ from rotquad import (
     theta_kernel_image,
     verify_triple_symmetry,
 )
+from rotquad import algebra
 from rotquad.algebra import MAT_ID, mat_mul, mat_vec
 
 IDENTITY = Permutation((1, 2, 3, 4))
@@ -179,6 +180,79 @@ def test_function_table_distinct_tuples_and_perturbation():
     G = F.perturbed((0, 1, 2, 3), 1)
     assert G((0, 1, 2, 3)) == F((0, 1, 2, 3)) + 1
     assert G((1, 0, 2, 3)) == F((1, 0, 2, 3))
+
+
+def test_a_table_is_read_only():
+    values = dict(quadratic_table(range(5)).values)
+    F = FunctionTable(range(5), values)
+    with pytest.raises(TypeError):
+        F.values[(0, 1, 2, 3)] = 5
+    # a change to the caller's dict after construction changes no answer,
+    # neither of get nor of a check that first reads the table afterwards
+    values[(0, 1, 2, 3)] += 1
+    del values[(1, 0, 2, 3)]
+    fresh = quadratic_table(range(5))
+    assert F((0, 1, 2, 3)) == fresh((0, 1, 2, 3))
+    assert F.get((1, 0, 2, 3)) == fresh.get((1, 0, 2, 3))
+    assert verify_triple_symmetry(F) == verify_triple_symmetry(fresh)
+    assert check_relations(F) == check_relations(fresh)
+    assert decompose_g(F, 0, 1) == decompose_g(fresh, 0, 1)
+
+
+def test_a_table_is_read_into_a_column_at_most_once(monkeypatch):
+    reads = []
+    read = algebra._read
+
+    def counted(values, keys):
+        reads.append(values)
+        return read(values, keys)
+
+    monkeypatch.setattr(algebra, "_read", counted)
+
+    def check_all(F):
+        verify_triple_symmetry(F)
+        check_relations(F)
+        decompose_g(F, 1, 2)
+        verify_triple_symmetry(F.perturbed((0, 1, 2, 3), 1))
+
+    built = build_f_from_g({(u, v): u * v for u in range(5) for v in range(5)}, range(5))
+    check_all(built)
+    assert reads == []  # the build hands its column over
+    given = FunctionTable(built.labels, dict(built.values))
+    check_all(given)
+    check_all(given)
+    assert len(reads) == 1
+
+
+def test_decompose_after_check_relations_scans_no_relation_again(monkeypatch):
+    scans = []
+    first_failure = algebra._first_failure
+
+    def counted(rows, rule):
+        scans.append(rule.__name__)
+        return first_failure(rows, rule)
+
+    monkeypatch.setattr(algebra, "_first_failure", counted)
+    g = {(u, v): u * v for u in range(5) for v in range(5)}
+    F = build_f_from_g(g, range(5))
+    check_relations(F)
+    assert scans == ["cyclic", "swap", "split"]
+    decompose_g(F, 0, 1)
+    decompose_g(F, 2, 3)
+    assert scans == ["cyclic", "swap", "split"]
+    # the other way round, check_relations runs only the scan decompose_g
+    # had no use for
+    scans.clear()
+    G = build_f_from_g(g, range(5))
+    decompose_g(G, 0, 1)
+    check_relations(G)
+    assert scans == ["swap", "split", "cyclic"]
+
+
+@pytest.mark.parametrize("t", [(0, 1, 2), (0, 1, 2, 9), (0, 1, 2, 3, 4)])
+def test_perturbing_a_tuple_that_is_no_key_is_refused(t):
+    with pytest.raises(ValueError, match="bad tuple key"):
+        quadratic_table(range(4)).perturbed(t, 1)
 
 
 @pytest.mark.parametrize("t", [(0, 0, 1, 2), (1, 2, 3, 3), (2, 2, 3, 3)])

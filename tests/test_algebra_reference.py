@@ -499,3 +499,102 @@ def test_deleted_entries_of_a_zero_table(shape):
         G = FunctionTable(labels, {k: v for k, v in F.values.items() if k not in (first, second)})
         assert_same_checks(G)
         assert_same_outcomes(G)
+
+
+# ---------------------------------------------------------------------------
+# read-once tables: every construction path, and the checks in either order
+
+
+def reference_perturbed(F: FunctionTable, t, delta) -> FunctionTable:
+    t = tuple(t)
+    values = dict(F.values)
+    values[t] = F.get(t) + delta if F.get(t) is not None else delta
+    return FunctionTable(F.labels, values)
+
+
+def construction_paths(labels, g):
+    """(name, table, reference table) for each way a table is built: the
+    constructor, build_f_from_g, and perturbed of a total table, of a
+    distinct-only table at a distinct entry and at a missing one, and of a
+    table with a deleted distinct entry at that entry.  The library tables
+    are new objects on every call."""
+    t, repeated = labels[:4], (labels[0], labels[1], labels[0], labels[2])
+    R = reference_build_f_from_g(g, labels)
+    distinct = {k: v for k, v in R.values.items() if len(set(k)) == 4}
+    deleted = {k: v for k, v in distinct.items() if k != t}
+    D, X = FunctionTable(labels, distinct), FunctionTable(labels, deleted)
+    return [
+        ("constructor", FunctionTable(labels, R.values), R),
+        ("build", build_f_from_g(g, labels), R),
+        ("perturbed total", build_f_from_g(g, labels).perturbed(t, 1),
+         reference_perturbed(R, t, 1)),
+        ("perturbed distinct-only", FunctionTable(labels, distinct).perturbed(t, -2),
+         reference_perturbed(D, t, -2)),
+        ("perturbed missing", FunctionTable(labels, distinct).perturbed(repeated, 1),
+         reference_perturbed(D, repeated, 1)),
+        ("perturbed deleted", FunctionTable(labels, deleted).perturbed(t, 3),
+         reference_perturbed(X, t, 3)),
+        ("perturbed twice", build_f_from_g(g, labels).perturbed(t, 1).perturbed(t, -1),
+         reference_perturbed(reference_perturbed(R, t, 1), t, -1)),
+    ]
+
+
+CHECK_ORDERS = {
+    "relations first": ("symmetry", "relations", "decompose", "decompose at anchors"),
+    "decompose first": ("decompose", "decompose at anchors", "relations", "symmetry"),
+}
+
+
+def checks(a, b, library: bool) -> dict:
+    if library:
+        return {"symmetry": verify_triple_symmetry, "relations": check_relations,
+                "decompose": decompose_g, "decompose at anchors": lambda G: decompose_g(G, a, b)}
+    return {"symmetry": reference_verify_triple_symmetry, "relations": reference_check_relations,
+            "decompose": reference_decompose_g,
+            "decompose at anchors": lambda G: reference_decompose_g(G, a, b)}
+
+
+G_KINDS = {
+    "cyclic": lambda rng, labels: cyclic_g(rng, labels),
+    "asymmetric": lambda rng, labels: {(u, v): rng.randint(-9, 9) for u in labels for v in labels},
+    "float": lambda rng, labels: {k: v + 0.25 for k, v in cyclic_g(rng, labels).items()},
+}
+
+
+@pytest.mark.parametrize("order", CHECK_ORDERS)
+@pytest.mark.parametrize("kind", G_KINDS)
+@pytest.mark.parametrize("labels", [(0, 1, 2, 3, 4), (4, 2, 0, 1, 3), ("a", "b", "c", "d")])
+def test_read_once_tables_check_as_the_reference(labels, kind, order):
+    # one table object runs every check in the given order, so a later check
+    # reads what an earlier one kept; the reference reads afresh each time
+    g = G_KINDS[kind](random.Random(31), labels)
+    a, b = labels[-1], labels[1]
+    for name, F, R in construction_paths(labels, g):
+        assert list(F.values.items()) == list(R.values.items()), name
+        library, reference = checks(a, b, True), checks(a, b, False)
+        got = [_caught(library[check], F) for check in CHECK_ORDERS[order]]
+        want = [_caught(reference[check], R) for check in CHECK_ORDERS[order]]
+        assert repr(got) == repr(want), name
+        # and again on the same object, from what it kept
+        assert repr([_caught(library[check], F) for check in CHECK_ORDERS[order]]) == repr(want)
+
+
+@pytest.mark.parametrize("order", CHECK_ORDERS)
+def test_read_once_tables_name_the_same_missing_entry(order):
+    # deleted entries make the scans raise; a scan that raises keeps
+    # nothing, so every later call raises the same KeyError again
+    labels = tuple(range(5))
+    F = distinct_only(build_f_from_g(cyclic_g(random.Random(37), labels), labels))
+    keys = list(F.distinct_tuples())
+    for gone in ([keys[0]], [keys[40], keys[3]], [keys[-1]]):
+        values = {k: v for k, v in F.values.items() if k not in gone}
+        G, R = FunctionTable(labels, values), FunctionTable(labels, values)
+        library, reference = checks(2, 4, True), checks(2, 4, False)
+        want = [_caught(reference[check], R) for check in CHECK_ORDERS[order]]
+        for _ in range(2):
+            got = [_caught(library[check], G) for check in CHECK_ORDERS[order]]
+            assert repr(got) == repr(want), gone
+        P = G.perturbed(gone[0], 1)
+        want = [_caught(reference[check], reference_perturbed(R, gone[0], 1))
+                for check in CHECK_ORDERS[order]]
+        assert repr([_caught(library[check], P) for check in CHECK_ORDERS[order]]) == repr(want)

@@ -18,6 +18,7 @@ from rotquad import (
     Power,
     RadialProfile,
     RadialTwist,
+    RfEvaluator,
     SpherePoint,
     as_sphere_point,
     differential_rotation,
@@ -25,6 +26,7 @@ from rotquad import (
     fixed_points,
     invert_spec,
     iterate_spec,
+    rf_double_blowup,
     rigid_rotation_angle,
 )
 from rotquad.catalog import (
@@ -180,6 +182,17 @@ def test_power_exponent_is_exact_as_a_float():
     assert Power(2**53 - 1, f).q == 2**53 - 1
 
 
+def test_powers_by_one_and_minus_one_are_maps():
+    # the smallest exponents: f itself and its inverse, read on the first
+    # four points of twist-by-2 in sorted-name order
+    sc = scenario_by_name("twist-by-2")
+    t = [sc.points[k] for k in sorted(sc.points)][:4]
+    f = sc.map_spec
+    values = [RfEvaluator(spec, sc.tolerances, sc.seed).value(*t)
+              for spec in (f, Power(1, f), Power(-1, f))]
+    assert values == [2, 2, -2]
+
+
 def test_iterate_matches_pointwise_power():
     spec = Compose((golden_twist_spec(1), RadialTwist(RadialProfile(((4.0, 0.0), (5.0, 1.0))))))
     g = iterate_spec(spec, 2)
@@ -278,6 +291,22 @@ def test_rigid_rotation_angle_is_unreduced():
     assert rigid_rotation_angle(f, INFINITY) == pytest.approx(1.0)
     g = iterate_spec(f, 2)
     assert rigid_rotation_angle(g, INFINITY) == pytest.approx(2.0)
+
+
+def test_walked_germ_of_a_conjugate_that_swaps_the_point_with_infinity():
+    # the composition of two twists with different axes does not reduce, so
+    # the germ at infinity is walked through the conjugation by 1/z, which
+    # sends infinity to 0: the angle read at 0 flips sign once, as for the
+    # reducible conjugate of the first part alone
+    invert = MobiusTransform(0, 1, 1, 0)
+    a = RadialTwist(RadialProfile(((1, 0.125), (2, 0))))
+    b = MobiusConjugate(MobiusTransform(1, -10, 0, 1),
+                        RadialTwist(RadialProfile(((1, 0.5), (2, 0)))))
+    spec = MobiusConjugate(invert, Compose((a, b)))
+    assert twist_chart(spec) is None
+    assert rigid_rotation_angle(MobiusConjugate(invert, a), INFINITY) == -0.125
+    assert rigid_rotation_angle(spec, INFINITY) == -0.125
+    assert rf_double_blowup(spec, 0j, INFINITY) == -0.125
 
 
 def test_rigid_rotation_angle_none_on_ramp_germ():
