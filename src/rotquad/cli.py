@@ -65,7 +65,7 @@ from .invariant import (
     tuple_terms,
     verify_rf_identities,
 )
-from .maps import Compose
+from .maps import Compose, require_fixed
 from .report import PASS, Report, _fmt_value, make_record
 from .scenario import Scenario, load_scenario, tolerances_from_json
 
@@ -189,6 +189,8 @@ def cmd_compute(args) -> int:
         "extrapolate": bool(args.extrapolate),
     })
     ev = RfEvaluator(scenario.map_spec, tol, seed)
+    # refused up front, naming the budget: a map whose one evaluation exceeds it
+    require_fixed(scenario.map_spec, (), tol)
 
     for names in scenario.tuples:
         label = "(" + ",".join(names) + ")"

@@ -39,7 +39,8 @@ class SamplingFailure(GeometryFailure):
 
 
 class BudgetExhausted(SamplingFailure):
-    """Adaptive refinement used up ``max_refine_points``."""
+    """Adaptive refinement used up ``max_refine_points``, or one evaluation
+    of the map alone would take more step applications than that."""
 
 
 class MixedCoincidence(RotquadError):

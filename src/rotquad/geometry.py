@@ -479,27 +479,35 @@ def refine_path_view(
     vertices,
     view,
     tol: Tolerances = DEFAULT_TOL,
+    punctures=(0j, None),
 ) -> list[complex]:
     """Map an open polyline through ``view``, bisecting until each piece is certified.
 
     ``view(z)`` is the image of a point: a complex number, or None for the
     point at infinity.  ``view.enclose(disk)`` is a disk containing the
-    image of a disk (``mobius_disk`` gives the form), or None.  A piece
-    [za, zb] is accepted only when the enclosure of its source disk,
-    centred at its midpoint with 1.125 times its half-chord as radius (so
-    an end on a pole lies strictly inside), is a proper disk that excludes
-    the origin and contains both computed end images.  The image arc and
-    the chord then lie in one disk that misses 0, so they are homotopic in
-    the punctured plane and the returned points' ``path_turns`` is the
-    image curve's turning, certified piece by piece.  Raises PointOnLoop
-    when the image hits the origin or escapes the chart (None, or a
-    magnitude past 1e100: the source ran into a pole), BudgetExhausted
-    when the point budget runs out, SamplingFailure when a piece is not
-    certified after 60 bisections.
+    image of a disk (``mobius_disk`` gives the form), or None.  The two
+    punctures are points of the image chart, None for infinity; at most
+    one may be None.  A piece [za, zb] is accepted only when the enclosure
+    of its source disk, centred at its midpoint with 1.125 times its
+    half-chord as radius (so an end on a pole lies strictly inside), is a
+    proper disk (so it misses infinity) that excludes both punctures and
+    contains both computed end images.  The image arc and the chord then
+    lie in one disk that misses the punctures, so they are homotopic in
+    the twice-punctured sphere and the returned points' ``path_turns``
+    about each finite puncture is the image curve's turning, certified
+    piece by piece.  Raises PointOnLoop when the image hits a puncture or
+    escapes the chart (None, or a magnitude past 1e100: the source ran
+    into a pole), BudgetExhausted when the point budget runs out,
+    SamplingFailure when a piece is not certified after 60 bisections.
     """
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
         raise ValueError("need at least two vertices")
+    finite = [complex(p) for p in punctures if p is not None]
+    if not finite:
+        raise ValueError("need a finite puncture")
+    # a lone finite puncture is tested twice, which costs less than a branch
+    p, q = finite[0], finite[-1]
     enclose = view.enclose
 
     def evaluate(z: complex) -> complex:
@@ -507,12 +515,13 @@ def refine_path_view(
         if w is None:
             raise PointOnLoop("image path passes through the chart pole")
         w = complex(w)
-        # 0 < |w| <= 1e100 fails on 0, on a non-finite w (|w| is inf or
-        # NaN) and on an escaped one
-        if not 0.0 < abs(w) <= _BLOWUP_MAGNITUDE:
-            if w == 0:
-                raise PointOnLoop("image path passes through the chart origin")
+        # |w| <= 1e100 fails on a non-finite w (|w| is inf or NaN) and on
+        # an escaped one
+        if not abs(w) <= _BLOWUP_MAGNITUDE:
             raise PointOnLoop("image path escapes the chart (source hits a pole)")
+        if w == p or w == q:
+            raise PointOnLoop("image path passes through the chart origin" if w == 0
+                              else f"image path passes through the puncture {w!r}")
         return w
 
     def certified(za: complex, zb: complex, wa: complex, wb: complex) -> bool:
@@ -520,7 +529,8 @@ def refine_path_view(
         if disk is None:
             return False
         c, r, outside = disk
-        return not outside and abs(c) > r and abs(wa - c) <= r and abs(wb - c) <= r
+        return (not outside and abs(c - p) > r and abs(wa - c) <= r and abs(wb - c) <= r
+                and abs(c - q) > r)
 
     return bisect_path(verts, evaluate, certified, tol,
                        SamplingFailure("edge cannot be refined further"))

@@ -56,8 +56,8 @@ from .maps import (
     Power,
     RadialProfile,
     _mobius_pair,
+    _charted_steps,
     _require_fixed,
-    _steps,
     _structural_rotation,
     compile_map,
     eval_map,  # unused here; kept as the name perfbench's tracer wraps
@@ -155,19 +155,33 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
             raise PointOnLoop(f"the connecting path passes through {p!r}")
 
 
-def _loop_winding(forward: list[complex], base: float, ends, tol: Tolerances) -> int:
-    """Winding around 0 of the loop (image path) * (path reversed): the image
-    path joined to the path's ends by straight edges, less the path's exact
-    turning.  The path avoids x1, so only the image side is checked."""
+def _turning(points, punctures) -> float:
+    """The turning of a point sequence about the first puncture less its
+    turning about the second, a puncture at infinity (None) adding
+    nothing: the turning about 0 in any chart that sends the first to 0
+    and the second to infinity."""
+    first, second = punctures
+    turning = 0.0 if first is None else path_turns(points, first)
+    return turning if second is None else turning - path_turns(points, second)
+
+
+def _loop_winding(forward: list[complex], base: float, ends, punctures, tol: Tolerances) -> int:
+    """Winding about the punctures (_turning) of the loop (image path) *
+    (path reversed): the image path joined to the path's ends by straight
+    edges, less the path's exact turning.  The path avoids the punctures,
+    so only the image side is checked."""
     loop = dedupe_consecutive([ends[0], *forward, ends[1]])
-    if any(point_segment_distance(0j, a, b) <= tol.eps_edge for a, b in zip(loop, loop[1:])):
-        raise PointOnLoop("reference point 0j lies on a loop edge")
-    return snap_turns(path_turns(loop) - base, tol)
+    for p in punctures:
+        if p is not None and any(point_segment_distance(p, a, b) <= tol.eps_edge
+                                 for a, b in zip(loop, loop[1:])):
+            raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
+    return snap_turns(_turning(loop, punctures) - base, tol)
 
 
-def _lift_turns(forward: list[complex], base: float, tol: Tolerances) -> int:
-    """Whole turns between the arguments swept by the image path and the path."""
-    return snap_turns(path_turns(forward) - base, tol)
+def _lift_turns(forward: list[complex], base: float, punctures, tol: Tolerances) -> int:
+    """Whole turns between the arguments swept by the image path and the
+    path, about the punctures (_turning)."""
+    return snap_turns(_turning(forward, punctures) - base, tol)
 
 
 def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -192,8 +206,8 @@ def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    forward, base, _ = RfEvaluator(spec, tol)._refined(t, beta)
-    return _lift_turns(forward, base, tol)
+    forward, base, _, punctures = RfEvaluator(spec, tol)._refined(t, beta)
+    return _lift_turns(forward, base, punctures, tol)
 
 
 def rf_trace(trace: IsotopyTrace, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -498,19 +512,20 @@ class RfEvaluator:
     """Caching evaluator with deterministic retry on degenerate geometry.
 
     Each value is computed by the loop method and cross-checked by the
-    lift method, both read off one refinement; tuples with a point at
-    infinity in the path slots are conjugated to the normalizing chart
-    first.  Degenerate geometry (a path or loop grazing a marked point, a
-    non-integer winding) triggers a retry with the next path variant and a
-    small deterministic jitter; if all attempts fail the computation is
+    lift method, both read off one refinement, in one of two charts (see
+    _refined).  Degenerate geometry (a path or loop grazing a marked point,
+    a non-integer winding) triggers a retry with the next path variant and
+    a small deterministic jitter; if all attempts fail the computation is
     reported inconclusive, never passed.  A refinement that cannot certify
-    an edge (SamplingFailure: the bisection depth limit, or an exhausted
-    budget) is reported inconclusive at once: jitter does not make the
-    image twist less.  That failure is cached like a value and raised
+    an edge (SamplingFailure: the bisection depth limit, an exhausted
+    budget, or a map whose one evaluation takes more step applications
+    than the budget) is reported inconclusive at once: jitter does not make
+    the image twist less.  That failure is cached like a value and raised
     again on the next request for the tuple; geometric failures are not
     cached.  The spec is walked into steps once per chart it is evaluated
     in (itself, or its conjugate by a tuple's prechart), and each point is
-    checked fixed once per chart.
+    checked fixed once per chart; its twist's chart comes from the same
+    walk.
     """
 
     def __init__(self, spec: MapSpec, tol: Tolerances = DEFAULT_TOL, seed: int = 0):
@@ -518,54 +533,91 @@ class RfEvaluator:
         self.tol = tol
         self.seed = seed
         self._cache: dict[tuple, int | InconclusiveComputation] = {}
-        # chart's spec -> (its steps, their compiled map, the points checked fixed)
-        self._charts: dict[MapSpec, tuple[list, CompiledMap, set]] = {}
+        # chart's spec, None for self.spec (spared hashing) -> (H's point
+        # step, None for the identity, and the twist in H's chart when spec
+        # reduces to one twist in an affine chart H, else None; its steps;
+        # their compiled map; the points checked fixed)
+        self._charts: dict[MapSpec | None, tuple] = {}
+
+    def _chart(self, spec: MapSpec) -> tuple:
+        """spec's entry in self._charts, walked on first use: spec is
+        self.spec or a prechart's conjugate of it."""
+        key = None if spec is self.spec else spec
+        entry = self._charts.get(key)
+        if entry is None:
+            h, core, steps = _charted_steps(spec)
+            twist = None
+            if h is not None and h.c == 0:
+                twist = (None if h == MOBIUS_IDENTITY else mobius_step(h)), CompiledMap(core)
+            entry = self._charts[key] = twist, steps, CompiledMap(steps), set()
+        return entry
 
     def _checked_steps(self, spec: MapSpec, points) -> list:
-        """spec's steps, with points checked fixed under them: spec is
-        self.spec or a prechart's conjugate of it.  Each spec is walked
-        once, and each point checked once under it, in order, so the first
-        point that moves raises NotFixed as _require_fixed does."""
-        entry = self._charts.get(spec)
-        if entry is None:
-            steps = _steps(spec)
-            entry = self._charts[spec] = steps, CompiledMap(steps), set()
-        steps, f, fixed = entry
+        """spec's steps, with points checked fixed under them.  Each point
+        is checked once per spec, in order, so the first point that moves
+        raises NotFixed as _require_fixed does."""
+        _, steps, f, fixed = self._chart(spec)
         for p in points:
             if p not in fixed:
                 _require_fixed(f, (p,), self.tol)
                 fixed.add(p)
         return steps
 
+    def _in_twist_chart(self, t: MarkedTuple):
+        """t's coordinates in the chart H of self.spec's one twist (None at
+        infinity), with the twist there, when H is affine and x3 and x4
+        are finite; else None.  An affine H sends infinity to infinity
+        exactly.  None too when H's rounding merges two of the points."""
+        if t.x3.is_infinity or t.x4.is_infinity:
+            return None
+        twist = self._chart(self.spec)[0]
+        if twist is None:
+            return None
+        move, f = twist
+        path = tuple(p.z if move is None else move(p.z) for p in t.points)
+        return (path, f) if len(set(path)) == 4 else None
+
     def _refined(self, t: MarkedTuple, beta: Polyline | None = None, variant: int = 0,
                  jitter: complex = 0j):
-        """The refined image of a connecting path in the chart h (x1 -> 0,
-        x2 -> inf), the path's own exact turning there (arg h(z) =
-        arg(z - x1) - arg(z - x2) + const, a point at infinity adding
-        nothing), and the path's ends h(x3), h(x4).
+        """The refined image of a connecting path, the path's own exact
+        turning, its ends in the image's chart, and the two punctures both
+        turnings are read about (_turning).
 
-        A caller's beta is validated against t after t's points are checked
-        fixed.  Without one, t is precharted and the path is the variant's
-        connecting_path, with jitter scaled to the distance from x3 to x4
-        (connecting_path validates it), and then t's points are checked
-        fixed in the prechart's chart."""
+        Without a beta, a tuple with x3 and x4 finite of a spec that
+        twist_chart reduces to one twist in an affine chart H is read in
+        H's chart: the path runs from H(x3) to H(x4) and avoids the
+        punctures H(x1) and H(x2), and its image is the twist alone.  Any
+        other tuple, precharted, and a caller's beta, which is validated
+        after t's points are checked fixed, is read through the spec's
+        steps and then the chart h (x1 -> 0, x2 -> inf), about 0 and
+        infinity.  Without a beta the path is the variant's
+        connecting_path, jitter scaled to the distance between its ends,
+        and t's points are then checked fixed in the spec's (or the
+        prechart's) chart."""
         spec, tol = self.spec, self.tol
+        twisted = None
         if beta is not None:
             steps = self._checked_steps(spec, t.points)
             _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
         else:
-            spec, t = _prechart(spec, t)
+            twisted = self._in_twist_chart(t)
+            if twisted is None:
+                spec, t = _prechart(spec, t)
+            z1, z2, z3, z4 = twisted[0] if twisted else (p.z for p in t.points)
             if jitter:
-                jitter *= tol.jitter_magnitude * max(abs(t.x4.value - t.x3.value), 1.0)
-            beta = connecting_path(t.x3.value, t.x4.value, avoid=(t.x1, t.x2),
-                                   variant=variant, jitter=jitter, tol=tol)
+                jitter *= tol.jitter_magnitude * max(abs(z4 - z3), 1.0)
+            beta = connecting_path(z3, z4, avoid=(z1, z2), variant=variant, jitter=jitter,
+                                   tol=tol)
             steps = self._checked_steps(spec, t.points)
+        if twisted is not None:
+            punctures = z1, z2
+            forward = refine_path_view(beta.vertices, twisted[1], tol=tol, punctures=punctures)
+            return forward, _turning(beta.vertices, punctures), (z3, z4), punctures
         h = mobius_normalize(t.x1, t.x2)
         forward = refine_path_view(beta.vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
-        base = sum(sign * path_turns(beta.vertices, p.value)
-                   for sign, p in ((1, t.x1), (-1, t.x2)) if not p.is_infinity)
         at = mobius_step(h)
-        return forward, base, (at(t.x3.value), at(t.x4.value))
+        base = _turning(beta.vertices, (t.x1.z, t.x2.z))
+        return forward, base, (at(t.x3.value), at(t.x4.value)), (0j, None)
 
     def value(self, x1, x2, x3, x4) -> int:
         t = MarkedTuple(x1, x2, x3, x4)
@@ -589,9 +641,9 @@ class RfEvaluator:
                 rng = random.Random(f"{self.seed}|{key!r}|{attempt}")
                 jitter = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             try:
-                forward, base, ends = self._refined(t, variant=attempt, jitter=jitter)
-                value = _loop_winding(forward, base, ends, self.tol)
-                check = _lift_turns(forward, base, self.tol)
+                forward, base, ends, punctures = self._refined(t, variant=attempt, jitter=jitter)
+                value = _loop_winding(forward, base, ends, punctures, self.tol)
+                check = _lift_turns(forward, base, punctures, self.tol)
                 if check != value:
                     raise InconclusiveComputation(
                         f"loop and lift methods disagree: {value} vs {check}"
@@ -766,8 +818,9 @@ def verify_rf_identities(
         "rf_loop agrees across three different connecting paths", probe_path_choice))
 
     def probe_methods():
-        forward, base, ends = refined(0)
-        a, b = _loop_winding(forward, base, ends, tol), _lift_turns(forward, base, tol)
+        forward, base, ends, punctures = refined(0)
+        a = _loop_winding(forward, base, ends, punctures, tol)
+        b = _lift_turns(forward, base, punctures, tol)
         try:
             trace = synthesize_twist_trace(spec, MarkedTuple(*t), tol=tol)
         except ScenarioError:

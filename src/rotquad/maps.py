@@ -17,7 +17,7 @@ from cmath import isfinite
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import NotFixed
+from .errors import BudgetExhausted, NotFixed
 from .geometry import (
     DEFAULT_TOL,
     INFINITY,
@@ -322,6 +322,11 @@ def _built(step):
     return step.built() if isinstance(step, _Deferred) else step
 
 
+def _applications(step) -> int:
+    """Step applications per call of a step: a repeated chain counts each pass."""
+    return getattr(step, "applications", 1)
+
+
 def _repeat_step(steps: list, n: int):
     """The steps applied n times over; point and enclosure steps alike."""
     def step(z):
@@ -330,6 +335,7 @@ def _repeat_step(steps: list, n: int):
                 z = s(z)
         return z
 
+    step.applications = n * sum(map(_applications, steps))
     return step
 
 
@@ -347,42 +353,59 @@ def _steps(spec: MapSpec) -> list:
     ``twist_chart`` reduces is one twist between its charts, and a power of
     commuting twists the composition of their powers: chained steps would
     cost a step per factor or repetition, and an enclosure would compound
-    each twist's radius growth as often.
+    each twist's radius growth as often.  A power of anything else repeats
+    its steps, and counts each pass (``_applications``).
     """
-    if isinstance(spec, Power):
+    return _charted_steps(spec)[2]
+
+
+def _charted_steps(spec: MapSpec) -> tuple[MobiusTransform | None, list, list]:
+    """_steps(spec) with the chart they run in, from one ``twist_chart`` walk.
+
+    Returns (H, core, steps): the steps are H's chart change, the core and
+    its inverse (the core alone when H is the identity), where H is the
+    chart ``twist_chart`` reduces spec to, after the power rewrites, and
+    the core is its one twist (no step for the identity).  A spec that
+    does not reduce gives H = None and its steps as the core.
+    """
+    while isinstance(spec, Power):
         inner = spec.inner
         if isinstance(inner, Identity):
-            return []
-        if isinstance(inner, MobiusConjugate):
-            return _steps(MobiusConjugate(inner.h, Power(spec.q, inner.inner)))
-        if isinstance(inner, Inverse):
-            return _steps(Power(-spec.q, inner.inner))
-        if isinstance(inner, Power):
-            return _steps(Power(spec.q * inner.q, inner.inner))
+            spec = inner
+        elif isinstance(inner, MobiusConjugate):
+            spec = MobiusConjugate(inner.h, Power(spec.q, inner.inner))
+        elif isinstance(inner, Inverse):
+            spec = Power(-spec.q, inner.inner)
+        elif isinstance(inner, Power):
+            spec = Power(spec.q * inner.q, inner.inner)
+        else:
+            break
     if isinstance(spec, Identity):
-        return []
+        return MOBIUS_IDENTITY, [], []
     reduced = twist_chart(spec)
     if reduced is not None:
         h, profile = reduced
-        twist = (_twist_step(profile), _Deferred(_twist_disk, profile))
+        core = [(_twist_step(profile), _Deferred(_twist_disk, profile))]
         if h == MOBIUS_IDENTITY:
-            return [twist]
-        return [_mobius_pair(h), twist, _mobius_pair(h.inverse())]
+            return h, core, core
+        return h, core, [_mobius_pair(h), *core, _mobius_pair(h.inverse())]
     if isinstance(spec, MobiusConjugate):
-        return [_mobius_pair(spec.h), *_steps(spec.inner), _mobius_pair(spec.h.inverse())]
-    if isinstance(spec, Compose):
-        return [s for part in reversed(spec.parts) for s in _steps(part)]
-    if isinstance(spec, Inverse):
-        return _steps(invert_spec(spec.inner))
-    if isinstance(spec, Power):
+        steps = [_mobius_pair(spec.h), *_steps(spec.inner), _mobius_pair(spec.h.inverse())]
+    elif isinstance(spec, Compose):
+        steps = [s for part in reversed(spec.parts) for s in _steps(part)]
+    elif isinstance(spec, Inverse):
+        steps = _steps(invert_spec(spec.inner))
+    elif isinstance(spec, Power):
         inner = spec.inner if spec.q > 0 else invert_spec(spec.inner)
         if _commuting_twists(inner):
-            return _steps(Compose(tuple(Power(abs(spec.q), part) for part in inner.parts)))
-        n, steps = abs(spec.q), _steps(inner)
-        disks = [d for _, d in steps]
-        return [(_repeat_step([p for p, _ in steps], n),
-                 _Deferred(lambda: _repeat_step([_built(d) for d in disks], n)))]
-    raise TypeError(f"not a map spec: {spec!r}")
+            return _charted_steps(Compose(tuple(Power(abs(spec.q), part) for part in inner.parts)))
+        n, chain = abs(spec.q), _steps(inner)
+        disks = [d for _, d in chain]
+        steps = [(_repeat_step([p for p, _ in chain], n),
+                  _Deferred(lambda: _repeat_step([_built(d) for d in disks], n)))]
+    else:
+        raise TypeError(f"not a map spec: {spec!r}")
+    return None, steps, steps
 
 
 def _support_disk(spec: MapSpec):
@@ -439,12 +462,16 @@ def _chain(steps: tuple):
 class CompiledMap:
     """A spec compiled once: ``f(z)`` maps a coordinate (None is infinity),
     ``f.enclose(disk)`` a disk (``geometry.mobius_disk`` gives the form).
-    The enclosure chain is built when ``enclose`` is first read."""
+    The enclosure chain is built when ``enclose`` is first read.
+    ``f.applications`` is the number of step applications one evaluation
+    takes."""
 
-    __slots__ = ("_point", "_disks", "_enclose")
+    __slots__ = ("_point", "_disks", "_enclose", "applications")
 
     def __init__(self, steps: list):
-        self._point = _chain(tuple(point for point, _ in steps))
+        points = tuple(point for point, _ in steps)
+        self.applications = sum(map(_applications, points))
+        self._point = _chain(points)
         self._disks = tuple(disk for _, disk in steps)
         self._enclose = None
 
@@ -494,11 +521,20 @@ def _residual(f: CompiledMap, p: SpherePoint) -> float:
 
 
 def require_fixed(spec: MapSpec, points, tol: Tolerances) -> None:
-    """Raise NotFixed for the first of points that spec moves by fixed_tol or more."""
+    """Raise NotFixed for the first of points that spec moves by fixed_tol or
+    more, and BudgetExhausted first when one evaluation of spec takes more
+    step applications than tol.max_refine_points."""
     _require_fixed(compile_map(spec), points, tol)
 
 
 def _require_fixed(f: CompiledMap, points, tol: Tolerances) -> None:
+    """require_fixed under the compiled map f.  A map whose one evaluation
+    takes more step applications than tol.max_refine_points is refused
+    before any point is evaluated, with BudgetExhausted."""
+    if f.applications > tol.max_refine_points:
+        raise BudgetExhausted(
+            f"one evaluation takes {f.applications} step applications, more than "
+            f"max_refine_points={tol.max_refine_points}")
     for p in points:
         res = _residual(f, p)
         if res >= tol.fixed_tol:

@@ -266,6 +266,20 @@ def test_refine_rejects_sample_at_origin():
         refine_path_view([-1 + 0j, 1 + 0j], _IDENTITY_VIEW, tol=DEFAULT_TOL)
 
 
+def test_refinement_certifies_each_piece_against_both_punctures():
+    # the identity view encloses a piece by its own source disk: every
+    # accepted piece's disk must miss the puncture at 1 + 1e-3i, whichever
+    # place it has, and the image may pass through 0 when 0 is none
+    near = 1 + 1e-3j
+    for punctures in ((5j, near), (near, 5j), (None, near), (near, None)):
+        out = refine_path_view([-1 + 0j, 2 + 0j], _IDENTITY_VIEW, punctures=punctures)
+        assert out[0] == -1 and out[-1] == 2 and len(out) > 4
+        for a, b in zip(out, out[1:]):
+            assert abs(0.5 * (a + b) - near) > 0.5625 * abs(b - a)
+    with pytest.raises(PointOnLoop, match="puncture"):
+        refine_path_view([0j, 2 + 0j], _IDENTITY_VIEW, punctures=(5j, 1 + 0j))
+
+
 def test_refine_rejects_sample_at_the_pole():
     # a view returns None for the point at infinity: the source hit the pole
     view = _View(lambda z: None if z == 0.5 else 1 / (z - 0.5),

@@ -243,12 +243,40 @@ def test_identity_suite_refines_the_first_path_once(monkeypatch):
     assert len(calls) == 17
 
 
+class _WorkView:
+    """A refinement's view, counting evaluations, certification calls and
+    the step applications each of them takes."""
+
+    def __init__(self, view, work):
+        self.view, self.work = view, work
+
+    def __call__(self, z):
+        self.work["evaluations"] += 1
+        self.work["point steps"] += self.view.applications
+        return self.view(z)
+
+    def enclose(self, disk):
+        self.work["certifications"] += 1
+        self.work["enclosure steps"] += self.view.applications
+        return self.view.enclose(disk)
+
+
 def test_verify_battery_refinement_count(monkeypatch, capsys):
+    import rotquad.invariant as invariant
     from rotquad.cli import main
 
     calls = _count_refinements(monkeypatch)
+    work = dict.fromkeys(("evaluations", "certifications", "point steps", "enclosure steps"), 0)
+    real = invariant.refine_path_view
+    monkeypatch.setattr(invariant, "refine_path_view",
+                        lambda vertices, view, **k: real(vertices, _WorkView(view, work), **k))
     assert main(["verify"]) == 0
     assert len(calls) == 855
+    # read through the whole chain in the normalizing chart, the same
+    # refinements took 53,018 point-step and 90,388 enclosure-step
+    # applications; a twist's own chart takes one step
+    assert work["evaluations"] <= 17_197 and work["certifications"] <= 29_264, work
+    assert work["point steps"] <= 40_800 and work["enclosure steps"] <= 69_700, work
 
 
 def test_exhausted_budget_is_inconclusive_after_one_attempt(monkeypatch):
@@ -297,19 +325,25 @@ def test_an_edge_that_cannot_be_refined_is_inconclusive_after_one_attempt(monkey
 def test_evaluator_walks_each_chart_once_and_checks_each_point_once(monkeypatch):
     import rotquad.invariant as invariant
 
-    walked, checked = [], []
-    real_steps, real_check = invariant._steps, invariant._require_fixed
+    walked, checked, compiled = [], [], []
+    real_walk, real_check, real_compiled = (invariant._charted_steps, invariant._require_fixed,
+                                            invariant.CompiledMap)
 
-    def steps(spec):
+    def walk(spec):
         walked.append(spec)
-        return real_steps(spec)
+        return real_walk(spec)
 
     def require_fixed(f, points, tol):
         checked.extend((f, p) for p in points)
         return real_check(f, points, tol)
 
-    monkeypatch.setattr(invariant, "_steps", steps)
+    def compile_steps(steps):
+        compiled.append(len(steps))
+        return real_compiled(steps)
+
+    monkeypatch.setattr(invariant, "_charted_steps", walk)
     monkeypatch.setattr(invariant, "_require_fixed", require_fixed)
+    monkeypatch.setattr(invariant, "CompiledMap", compile_steps)
     points = [0j, INFINITY, 0.5 + 0j, 3 + 0j, 4j]
     records = verify_rf_identities(scenario_by_name("twist-by-2").map_spec, None, points)
     assert all(r.status == PASS for r in records)
@@ -319,6 +353,13 @@ def test_evaluator_walks_each_chart_once_and_checks_each_point_once(monkeypatch)
     assert len(walked) == len(set(walked)) == 7
     assert sum(isinstance(spec, MobiusConjugate) for spec in walked) == 2
     assert len(checked) == len(set(checked))
+    # each walk compiles its steps for the fixed-point checks (a twist, or
+    # a conjugated twist in a prechart), and each of the five own charts
+    # its one twist, which every tuple with x3 and x4 finite is refined
+    # through; only the two precharted tuples compile a chain of their own,
+    # the steps and then the normalizing chart.  Read there, each of the
+    # 17 refinements compiled a chain: 24 compiles in all
+    assert sorted(compiled) == [1] * 10 + [3, 3, 4, 4]
 
 
 def test_geometric_failures_are_retried_on_every_request(monkeypatch):
@@ -599,3 +640,27 @@ def test_mixed_patterns_route_to_signed_blowups(pattern, expected):
 def test_mixed_rejects_distinct_tuples():
     with pytest.raises(ValueError):
         rf_mixed(LEDGE, MarkedTuple(0j, INFINITY, 3 + 0j, 5 + 0j))
+
+
+# ---------------------------------------------------------------------------
+# powers that chain their steps
+
+
+def _chained_power(q: int) -> Power:
+    # two twists about 0 and 0.5 neither reduce to one twist nor commute,
+    # so each evaluation of the power runs q passes of their four steps
+    twist = RadialTwist(RadialProfile(((1, 0.25), (2, 0))))
+    return Power(q, Compose((twist, MobiusConjugate(MobiusTransform(1, -0.5, 0, 1), twist))))
+
+
+def test_a_chained_power_past_the_budget_is_refused_before_evaluating():
+    start = time.perf_counter()
+    ev = RfEvaluator(_chained_power(10**7))
+    for _ in range(2):  # the refusal is cached like a value
+        with pytest.raises(InconclusiveComputation,
+                           match="40000000 step applications, more than max_refine_points=1048576"):
+            ev.value(5, -5, 6j, -6j)
+    assert time.perf_counter() - start < 1.0
+    # within the budget the same map evaluates
+    assert compile_map(_chained_power(3)).applications == 12
+    assert RfEvaluator(_chained_power(3)).value(5, -5, 6j, -6j) == 0

@@ -54,6 +54,8 @@ from rotquad.geometry import (
 from rotquad.invariant import _prechart
 from rotquad.maps import _TAU_I, TAU, compile_map
 
+from test_chart_reference import ReferenceEvaluator
+from test_chart_reference import outcome as chart_outcome
 from test_enclosure import _SCENARIOS, _default_tuples
 from test_maps import _ALL_SPECS
 
@@ -375,23 +377,31 @@ class _Recorder:
     """Wraps invariant's view builders (RfEvaluator._refined for a tuple's
     value, compile_map for a blow-up) and invariant.refine_path_view: each
     refinement also runs through the reference view of the spec and chart
-    last built, and both must agree, on the image path and on its turning."""
+    last built, and both must agree, on the image path and on its turning.
+    A tuple the evaluator reads in its twist's chart has no such reference
+    view: its refinements are recorded in ``twisted`` and not compared."""
 
     def __init__(self):
         self.source = None
         self.paths = []
+        self.twisted = []
 
     def refined(self, ev, t, beta=None, variant=0, jitter=0j):
         # the spec and tuple _refined refines: precharted without a beta
         spec, moved = (ev.spec, t) if beta is not None else _prechart(ev.spec, t)
         self.source = (spec, mobius_normalize(moved.x1, moved.x2))
+        if beta is None and ev._in_twist_chart(t) is not None:
+            self.source = None
         return _REFINED(ev, t, beta, variant, jitter)
 
     def compile_map(self, spec, then=None):
         self.source = (spec, then)
         return compile_map(spec, then)
 
-    def refine_path_view(self, vertices, view, tol=DEFAULT_TOL):
+    def refine_path_view(self, vertices, view, tol=DEFAULT_TOL, punctures=(0j, None)):
+        if self.source is None:
+            self.twisted.append(list(vertices))
+            return refine_path_view(vertices, view, tol, punctures)
         spec, then = self.source
         self.paths.append(list(vertices))
         got, out = _outcome(refine_path_view, vertices, view, tol)
@@ -415,19 +425,30 @@ def recorder(monkeypatch):
 
 
 def test_every_catalog_value_refines_as_the_reference(recorder):
+    twisted = 0
     for sc in _SCENARIOS:
         for t in _default_tuples(sc):
             recorder.paths.clear()
+            recorder.twisted.clear()
             try:
-                RfEvaluator(sc.map_spec, sc.tolerances, sc.seed).value(*t.points)
-            except (InconclusiveComputation, GeometryFailure):
-                pass  # only the refinements are compared here
+                value = RfEvaluator(sc.map_spec, sc.tolerances, sc.seed).value(*t.points)
+            except (InconclusiveComputation, GeometryFailure) as exc:
+                value = type(exc)
+            if recorder.twisted:
+                # read in its twist's chart: its pieces differ from the
+                # chain's, so the value is compared, not the pieces
+                assert not recorder.paths
+                assert value == chart_outcome(
+                    ReferenceEvaluator(sc.map_spec, sc.tolerances, sc.seed), t.points)
+                twisted += 1
+                continue
             assert recorder.paths
             # the source path's own turning about the tuple's first two points
             for path in recorder.paths:
                 for p in (t.x1, t.x2):
                     if not p.is_infinity:
                         _assert_same(path_turns, reference_path_turns, path, p.value)
+    assert twisted > 0
 
 
 @pytest.mark.parametrize("n_iters", (250, 4000))

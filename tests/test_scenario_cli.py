@@ -6,6 +6,7 @@ import math
 import os
 import tempfile
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,10 +16,16 @@ from hypothesis import strategies as st
 
 from rotquad import (
     INFINITY,
+    Compose,
     Inverse,
+    MobiusConjugate,
+    MobiusTransform,
     Polyline,
     Power,
+    RadialProfile,
+    RadialTwist,
     ScenarioError,
+    SpherePoint,
     load_scenario,
     save_scenario,
     scenario_from_json,
@@ -415,3 +422,19 @@ def test_catalog_lookup():
     assert sc.name == "twist-by-2"
     with pytest.raises(KeyError):
         scenario_by_name("no-such-scenario")
+
+
+def test_cli_compute_refuses_a_chained_power_past_the_budget(tmp_path, capsys):
+    twist = RadialTwist(RadialProfile(((1, 0.25), (2, 0))))
+    chained = Power(10**7, Compose((twist, MobiusConjugate(MobiusTransform(1, -0.5, 0, 1), twist))))
+    points = {"a": SpherePoint(5), "b": SpherePoint(-5), "c": SpherePoint(6j), "d": SpherePoint(-6j)}
+    sc = replace(golden_twist_scenario(1), map_spec=chained, points=points,
+                 tuples=(("a", "b", "c", "d"),), paths={})
+    path = tmp_path / "chained.json"
+    save_scenario(sc, path)
+    for method in ("loop", "all"):
+        start = time.perf_counter()
+        assert main(["compute", str(path), "--method", method]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "BudgetExhausted" in err and "max_refine_points=1048576" in err
