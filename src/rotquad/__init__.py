@@ -42,13 +42,7 @@ from .geometry import (
     segment_crossing,
     winding_number,
 )
-from .intersection import (
-    MarkedPathPair,
-    algebraic_intersection,
-    homeo_invariance_check,
-    loop_class,
-    signed_crossing_sum,
-)
+from .intersection import loop_class, signed_crossing_sum
 from .maps import (
     Compose,
     Identity,
@@ -58,9 +52,7 @@ from .maps import (
     Power,
     RadialProfile,
     RadialTwist,
-    differential_rotation,
     eval_map,
-    fixed_points,
     invert_spec,
     iterate_spec,
     rigid_rotation_angle,

@@ -317,9 +317,6 @@ class FunctionTable:
     def distinct_tuples(self):
         return itertools.permutations(self.labels, 4)
 
-    def is_total_on_distinct(self) -> bool:
-        return None not in map(self.values.get, self.distinct_tuples())
-
     def perturbed(self, t, delta) -> "FunctionTable":
         """A copy with one entry shifted; for fault-injection tests.
 

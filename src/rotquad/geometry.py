@@ -37,9 +37,17 @@ class Tolerances:
     """Numerical thresholds shared across the pipeline.
 
     eps_edge   minimum separation between a reference point and a loop edge
-    eps_deg    degeneracy cutoff for orientation determinants of crossings
+    eps_deg    degeneracy cutoff for the orientation determinants of a
+               segment crossing, relative to the product of the two
+               segments' lengths
     winding_snap  how far an angle sum may sit from an integer turn count
     fixed_tol  residual allowed when validating a declared fixed point
+    max_refine_points  pieces a refined path, and step applications one
+               map evaluation, may take before BudgetExhausted
+    jitter_magnitude  how far a retry moves the connecting path's control
+               point, times max(|x4 - x3|, 1)
+    jitter_attempts  retries with a moved connecting path after a geometry
+               failure
     """
 
     eps_edge: float = 1e-9
@@ -307,9 +315,6 @@ class Polyline:
         """Whether some edge comes within eps of the point p."""
         return any(point_segment_distance(p, a, b) <= eps for a, b in self.edges())
 
-    def reversed_(self) -> "Polyline":
-        return Polyline(self.vertices[::-1], self.closed)
-
     @property
     def start(self) -> complex:
         return self.vertices[0]
@@ -400,13 +405,15 @@ def segment_crossing(
     positively oriented, -1 when negative, None when the open interiors do
     not meet.  Endpoint touches, collinear overlaps and near-parallel
     crossings raise DegenerateCrossing: those configurations have no
-    trustworthy sign and callers are expected to jitter and retry.
+    trustworthy sign and callers are expected to jitter and retry.  Each
+    orientation determinant is compared with ``tol.eps_deg`` times
+    |s1| |s2|, so scaling both segments by one factor changes no outcome.
     """
     p, p2 = complex(s1[0]), complex(s1[1])
     q, q2 = complex(s2[0]), complex(s2[1])
     d1 = p2 - p
     d2 = q2 - q
-    eps = tol.eps_deg
+    eps = tol.eps_deg * abs(d1) * abs(d2)
 
     o1 = _cross(d1, q - p)
     o2 = _cross(d1, q2 - p)

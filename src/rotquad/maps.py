@@ -102,10 +102,6 @@ class RadialProfile:
         values = {v for _, v in self.breakpoints[max(i - 1, 0):end]}
         return values.pop() if len(values) == 1 else None
 
-    def total_variation(self) -> float:
-        bps = self.breakpoints
-        return sum(abs(b[1] - a[1]) for a, b in zip(bps, bps[1:]))
-
     def scaled(self, k) -> "RadialProfile":
         return RadialProfile(tuple((r, k * v) for r, v in self.breakpoints))
 
@@ -219,7 +215,7 @@ def invert_spec(spec: MapSpec) -> MapSpec:
 # pair is _twist_step with _twist_disk.  Like SpherePoint, a point step
 # rejects a non-finite coordinate with ValueError.  An enclosure step is
 # _Deferred: built on its first use, so callers that only evaluate points
-# (fixed-point checks, finite differences) never build one.
+# (fixed-point checks) never build one.
 
 _TAU_I = 1j * TAU
 
@@ -301,7 +297,7 @@ def _twist_disk(profile: RadialProfile):
 
 
 class _Deferred:
-    """An enclosure step built by build(*args) when first called or asked for."""
+    """An enclosure step built by build(*args) when first asked for."""
 
     __slots__ = ("_build", "_args", "_step")
 
@@ -312,9 +308,6 @@ class _Deferred:
         if self._step is None:
             self._step = self._build(*self._args)
         return self._step
-
-    def __call__(self, disk):
-        return self.built()(disk)
 
 
 def _built(step):
@@ -613,48 +606,6 @@ def iterate_spec(spec: MapSpec, n: int) -> MapSpec:
     return Power(n, spec)
 
 
-def fixed_points(spec: MapSpec, extra=(), tol: Tolerances = DEFAULT_TOL) -> list[SpherePoint]:
-    """Declared and structural fixed points, each validated against eval_map.
-
-    Declared marks (node metadata or the extra argument) must validate or
-    NotFixed is raised; structural candidates that the full composition
-    happens not to fix are dropped silently.
-    """
-    declared = list(_marks_tuple(extra))
-    walked = list(_walk_points(spec))
-    marks = [p for p, is_mark in walked if is_mark]
-    f = compile_map(spec)
-    _require_fixed(f, declared + marks, tol)
-    must_hold = set(marks)
-
-    seen: list[SpherePoint] = []
-    for cand in [p for p, _ in walked] + declared:
-        if cand in seen:
-            continue
-        if cand in must_hold or _residual(f, cand) < tol.fixed_tol:
-            seen.append(cand)
-    return seen
-
-
-def _walk_points(spec: MapSpec):
-    """Every declared mark and twist axis point, transported to the
-    outermost coordinates, as (point, is_mark) pairs."""
-    for m in spec.marks:
-        yield m, True
-    if isinstance(spec, RadialTwist):
-        yield SpherePoint(0j), False
-        yield INFINITY, False
-    elif isinstance(spec, MobiusConjugate):
-        back = spec.h.inverse()
-        for q, is_mark in _walk_points(spec.inner):
-            yield apply_mobius(back, q), is_mark
-    elif isinstance(spec, (Inverse, Power)):
-        yield from _walk_points(spec.inner)
-    elif isinstance(spec, Compose):
-        for part in spec.parts:
-            yield from _walk_points(part)
-
-
 def _structural_rotation(spec: MapSpec, p: SpherePoint,
                          tol: Tolerances = DEFAULT_TOL) -> float | None:
     """The exact local rotation angle at a fixed point when the germ there is
@@ -705,56 +656,6 @@ def _structural_rotation(spec: MapSpec, p: SpherePoint,
         inner = _structural_rotation(spec.inner, p, tol)
         return None if inner is None else spec.q * inner
     raise TypeError(f"not a map spec: {spec!r}")
-
-
-def _fd_rotation(spec: MapSpec, p: SpherePoint) -> float:
-    """Finite-difference rotation angle in turns, approximate, mod 1."""
-    step = 1e-6
-    f_map = compile_map(spec)
-    if p.is_infinity:
-        def g(w: complex) -> complex:
-            image = f_map(None if w == 0 else 1.0 / w)
-            return 0j if image is None else (1.0 / image if image != 0 else complex(1e300))
-        j11, j21 = _fd_column(g, 0j, step)
-        j12, j22 = _fd_column(g, 0j, step * 1j)
-        angle = math.atan2(j21 - j12, j11 + j22) / TAU
-        return -angle
-
-    z = p.value
-
-    def f(w: complex) -> complex:
-        image = f_map(w)
-        if image is None:
-            raise NotFixed(p, math.inf)
-        return image
-
-    j11, j21 = _fd_column(f, z, step)
-    j12, j22 = _fd_column(f, z, step * 1j)
-    return math.atan2(j21 - j12, j11 + j22) / TAU
-
-
-def _fd_column(f, z: complex, dz: complex) -> tuple[float, float]:
-    d = (f(z + dz) - f(z - dz)) / (2 * abs(dz))
-    return d.real, d.imag
-
-
-def differential_rotation(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Rotation angle of the derivative at a fixed point, in turns mod 1.
-
-    The derivative only sees the angle modulo full turns, so the result is
-    reduced to [0, 1); callers that need the unreduced profile bookkeeping
-    (the blow-up forms do) use rigid_rotation_angle instead.  For the
-    structural family (twists at their axis points and on constant profile
-    zones, conjugates, sums, inverses, powers) the value is exact; outside
-    it the angle comes from central finite differences (step 1e-6) and is
-    approximate.
-    """
-    p = as_sphere_point(p)
-    require_fixed(spec, (p,), tol)
-    angle = _structural_rotation(spec, p, tol)
-    if angle is None:
-        angle = _fd_rotation(spec, p)
-    return angle % 1.0
 
 
 def rigid_rotation_angle(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> float | None:

@@ -330,50 +330,17 @@ def save_scenario(sc: Scenario, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# value-table codecs
-
-
-def _value_to_json(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return v
-
-
-def _value_from_json(v):
-    if isinstance(v, str):
-        return Fraction(v)
-    return v
-
-
-def table_to_json(table) -> dict:
-    """FunctionTable -> JSON; labels must themselves be JSON scalars."""
-    return {
-        "labels": list(table.labels),
-        "values": [
-            [list(t), _value_to_json(v)] for t, v in sorted(table.values.items())
-        ],
-    }
-
-
-def table_from_json(obj):
-    from .algebra import FunctionTable
-
-    try:
-        labels = tuple(obj["labels"])
-        values = {
-            tuple(t): _value_from_json(v) for t, v in obj["values"]
-        }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"bad table object: {exc}") from exc
-    return FunctionTable(labels, values)
+# g-table codecs: a Fraction value is the string "p/q"
 
 
 def g_to_json(g: dict) -> dict:
-    return {"entries": [[u, v, _value_to_json(val)] for (u, v), val in sorted(g.items())]}
+    return {"entries": [[u, v, f"{val.numerator}/{val.denominator}" if isinstance(val, Fraction)
+                         else val] for (u, v), val in sorted(g.items())]}
 
 
 def g_from_json(obj) -> dict:
     try:
-        return {(u, v): _value_from_json(val) for u, v, val in obj["entries"]}
+        return {(u, v): Fraction(val) if isinstance(val, str) else val
+                for u, v, val in obj["entries"]}
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad g-table object: {exc}") from exc

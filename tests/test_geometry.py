@@ -141,7 +141,6 @@ def test_polyline_accessors():
     p = Polyline((0j, 1 + 0j, 1 + 1j))
     assert p.start == 0j and p.end == 1 + 1j
     assert len(list(p.edges())) == 2
-    assert p.reversed_().vertices == (1 + 1j, 1 + 0j, 0j)
     loop = Polyline((0j, 1 + 0j, 1j), closed=True)
     assert len(list(loop.edges())) == 3  # wrap edge included
 
@@ -167,7 +166,7 @@ def test_dedupe_consecutive():
 def test_winding_of_circle():
     loop = circle(0j, 1.0)
     assert winding_number(loop, 0j) == 1
-    assert winding_number(loop.reversed_(), 0j) == -1
+    assert winding_number(Polyline(loop.vertices[::-1], closed=True), 0j) == -1
     assert winding_number(loop, 3 + 0j) == 0
     assert winding_number(circle(2j, 0.5, turns=3), 2j) == 3
     assert winding_number(circle(2j, 0.5, turns=-2), 2j) == -2

@@ -29,13 +29,7 @@ from rotquad import (
 )
 from rotquad.catalog import homomorphism_pairs, identity_scenarios
 from rotquad.geometry import DEFAULT_TOL, apply_mobius
-from rotquad.maps import (
-    _fd_rotation,
-    _structural_rotation,
-    differential_rotation,
-    fixed_residual,
-    rigid_rotation_angle,
-)
+from rotquad.maps import _structural_rotation, fixed_residual, rigid_rotation_angle
 
 
 def reference_rotation(spec, p: SpherePoint, tol=DEFAULT_TOL):
@@ -132,10 +126,3 @@ def test_a_breakpoint_at_radius_zero_is_no_rigid_germ():
     with pytest.raises(TangentCondition):
         rf_blowup(spec, 0j, INFINITY, 3, 10**7)
 
-
-def test_a_sloped_zone_turns_by_its_derivative():
-    # a fixed circle where rho ramps: the germ is a shear, not the rotation
-    # by rho mod 1 that the walk reported
-    spec = RadialTwist(RadialProfile(((1, 0), (2, 2))))
-    assert differential_rotation(spec, 1.5) == _fd_rotation(spec, SpherePoint(1.5 + 0j))
-    assert differential_rotation(spec, 1.5) == pytest.approx(0.2332, abs=1e-4)

@@ -538,7 +538,8 @@ def _inline_seeded_blowup(spec, n_iters: int) -> float:
     iterate's total twist, rounded up) evenly spaced points."""
     iterated = iterate_spec(spec, n_iters)
     y4 = 3 + 0j
-    twist = spec.profile.scaled(n_iters).total_variation()
+    bps = spec.profile.scaled(n_iters).breakpoints
+    twist = sum(abs(b[1] - a[1]) for a, b in zip(bps, bps[1:]))
     n = int(min(DEFAULT_TOL.max_refine_points // 4, 32 * (2 + math.ceil(twist))))
     start = y4 * 1e-6
     beta = [start + (y4 - start) * (j / n) for j in range(n + 1)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotquad import (
+    DEFAULT_TOL,
     Compose,
     Identity,
     INFINITY,
@@ -20,10 +21,7 @@ from rotquad import (
     RadialTwist,
     RfEvaluator,
     SpherePoint,
-    as_sphere_point,
-    differential_rotation,
     eval_map,
-    fixed_points,
     invert_spec,
     iterate_spec,
     rf_double_blowup,
@@ -37,7 +35,7 @@ from rotquad.catalog import (
     scenario_by_name,
 )
 from rotquad.geometry import MOBIUS_IDENTITY
-from rotquad.maps import _commuting_twists, compile_map, fixed_residual, twist_chart
+from rotquad.maps import _commuting_twists, compile_map, fixed_residual, require_fixed, twist_chart
 
 RAMP = RadialProfile(((1.0, 0.0), (2.0, 1.0)))
 
@@ -88,8 +86,6 @@ def test_profile_arithmetic():
     assert q.value(0.0) == pytest.approx(1.25)
     assert q.value(10.0) == pytest.approx(1.75)
     assert q.value(1.5) == pytest.approx(1.5)
-    assert p.total_variation() == pytest.approx(0.5)
-    assert p.scaled(-3).total_variation() == pytest.approx(1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -210,55 +206,17 @@ def test_fixed_residual():
     assert fixed_residual(f, SpherePoint(0j)) == 0.0
     assert fixed_residual(f, INFINITY) == 0.0
     assert fixed_residual(f, SpherePoint(1.5 + 0j)) > 1e-3
-
-
-def test_fixed_points_includes_marks_and_axis():
-    f = golden_twist_spec(2)
-    fixed = fixed_points(f)
-    assert SpherePoint(0j) in fixed
-    assert INFINITY in fixed
-    for m in f.marks:
-        assert as_sphere_point(m) in fixed
-
-
-def test_fixed_points_rejects_bogus_declaration():
-    f = golden_twist_spec(1)  # rho(1.5) = 0.5, genuinely moved
-    with pytest.raises(NotFixed):
-        fixed_points(f, extra=(SpherePoint(1.5 + 0j),))
-    # declared marks are checked before node marks; the first moved one is named
-    bogus = RadialTwist(f.profile, marks=(1.25 + 0j,))
-    with pytest.raises(NotFixed) as err:
-        fixed_points(bogus, extra=(SpherePoint(1.5 + 0j),))
-    assert err.value.point == SpherePoint(1.5 + 0j)
-    assert err.value.residual == fixed_residual(bogus, SpherePoint(1.5 + 0j))
-    with pytest.raises(NotFixed) as err:
-        fixed_points(bogus)
-    assert err.value.point == SpherePoint(1.25 + 0j)
+    # require_fixed names the first moved point, with its residual
+    moved = (SpherePoint(1.5 + 0j), SpherePoint(1.25 + 0j))
+    for points in (moved, moved[::-1]):
+        with pytest.raises(NotFixed) as err:
+            require_fixed(f, (INFINITY, *points), DEFAULT_TOL)
+        assert err.value.point == points[0]
+        assert err.value.residual == fixed_residual(f, points[0])
 
 
 # ---------------------------------------------------------------------------
 # local rotation data
-
-
-def test_differential_rotation_at_axis():
-    assert differential_rotation(quarter_turn_blowup_spec(), 0j) == pytest.approx(0.25)
-    assert differential_rotation(golden_twist_spec(2), 0j) == pytest.approx(0.0)
-    assert differential_rotation(double_blowup_spec(), INFINITY) == pytest.approx(0.0)
-
-
-def test_differential_rotation_reduces_mod_one():
-    # three quarter turns at the origin of the tripled quarter twist
-    f = iterate_spec(quarter_turn_blowup_spec(), 3)
-    assert differential_rotation(f, 0j) == pytest.approx(0.75)
-    # a full turn reduces to zero
-    g = iterate_spec(quarter_turn_blowup_spec(), 4)
-    assert differential_rotation(g, 0j) == pytest.approx(0.0)
-
-
-def test_differential_rotation_conjugation_invariant():
-    h = MobiusTransform(1, -2, 0, 1)  # z - 2, moves the axis to 2
-    f = MobiusConjugate(h, quarter_turn_blowup_spec())
-    assert differential_rotation(f, 2 + 0j) == pytest.approx(0.25)
 
 
 def test_fd_jacobian_is_orientation_preserving():
@@ -291,6 +249,15 @@ def test_rigid_rotation_angle_is_unreduced():
     assert rigid_rotation_angle(f, INFINITY) == pytest.approx(1.0)
     g = iterate_spec(f, 2)
     assert rigid_rotation_angle(g, INFINITY) == pytest.approx(2.0)
+    # axis germs: three and four quarter turns stay 0.75 and 1, and a
+    # conjugation that moves the axis to 2 moves the germ with it
+    quarter = quarter_turn_blowup_spec()
+    assert rigid_rotation_angle(quarter, 0j) == pytest.approx(0.25)
+    assert rigid_rotation_angle(golden_twist_spec(2), 0j) == pytest.approx(0.0)
+    assert rigid_rotation_angle(iterate_spec(quarter, 3), 0j) == pytest.approx(0.75)
+    assert rigid_rotation_angle(iterate_spec(quarter, 4), 0j) == pytest.approx(1.0)
+    moved = MobiusConjugate(MobiusTransform(1, -2, 0, 1), quarter)
+    assert rigid_rotation_angle(moved, 2 + 0j) == pytest.approx(0.25)
 
 
 def test_walked_germ_of_a_conjugate_that_swaps_the_point_with_infinity():

@@ -164,7 +164,9 @@ def reference_twist_disk(profile: RadialProfile):
 class ReferenceCompiledMap:
     def __init__(self, steps: list):
         self._steps = tuple(point for point, _ in steps)
-        self._disks = tuple(disk for _, disk in steps)
+        # the library builds an enclosure step when first asked for; build
+        # them all here
+        self._disks = tuple(maps._built(disk) for _, disk in steps)
 
     def __call__(self, z):
         if z is not None and not cmath.isfinite(z):

@@ -39,11 +39,8 @@ from rotquad.scenario import (
     g_to_json,
     map_from_json,
     map_to_json,
-    table_from_json,
-    table_to_json,
     tolerances_from_json,
 )
-from rotquad.algebra import quadratic_table
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -105,15 +102,12 @@ def test_tolerance_overrides():
 
 
 def test_table_codec_with_fractions():
-    F = quadratic_table(range(4))
-    blob = table_to_json(F)
-    back = table_from_json(blob)
-    assert back.labels == F.labels
-    for x in F.distinct_tuples():
-        assert back(x) == F(x)
-    # rationals survive the trip as exact p/q strings
-    g = {(0, 1): Fraction(3, 2), (1, 0): Fraction(-7, 3)}
+    # a g-table's rationals survive the trip as exact p/q strings
+    g = {(0, 1): Fraction(3, 2), (1, 0): Fraction(-7, 3), (1, 1): 4}
+    assert g_to_json(g) == {"entries": [[0, 1, "3/2"], [1, 0, "-7/3"], [1, 1, 4]]}
     assert g_from_json(g_to_json(g)) == g
+    with pytest.raises(ScenarioError):
+        g_from_json({"entries": [[0, 1, "not a fraction"]]})
 
 
 # ---------------------------------------------------------------------------
