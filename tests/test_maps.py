@@ -206,6 +206,10 @@ def test_fixed_residual():
     assert fixed_residual(f, SpherePoint(0j)) == 0.0
     assert fixed_residual(f, INFINITY) == 0.0
     assert fixed_residual(f, SpherePoint(1.5 + 0j)) > 1e-3
+
+
+def test_fixed_points_rejects_bogus_declaration():
+    f = golden_twist_spec(1)  # rho(1.5) = 0.5, genuinely moved
     # require_fixed names the first moved point, with its residual
     moved = (SpherePoint(1.5 + 0j), SpherePoint(1.25 + 0j))
     for points in (moved, moved[::-1]):
@@ -249,15 +253,32 @@ def test_rigid_rotation_angle_is_unreduced():
     assert rigid_rotation_angle(f, INFINITY) == pytest.approx(1.0)
     g = iterate_spec(f, 2)
     assert rigid_rotation_angle(g, INFINITY) == pytest.approx(2.0)
-    # axis germs: three and four quarter turns stay 0.75 and 1, and a
-    # conjugation that moves the axis to 2 moves the germ with it
-    quarter = quarter_turn_blowup_spec()
-    assert rigid_rotation_angle(quarter, 0j) == pytest.approx(0.25)
+
+
+def test_differential_rotation_at_axis():
+    # the differential rotation at a fixed axis point is its rigid germ angle
+    assert rigid_rotation_angle(quarter_turn_blowup_spec(), 0j) == pytest.approx(0.25)
     assert rigid_rotation_angle(golden_twist_spec(2), 0j) == pytest.approx(0.0)
-    assert rigid_rotation_angle(iterate_spec(quarter, 3), 0j) == pytest.approx(0.75)
-    assert rigid_rotation_angle(iterate_spec(quarter, 4), 0j) == pytest.approx(1.0)
-    moved = MobiusConjugate(MobiusTransform(1, -2, 0, 1), quarter)
-    assert rigid_rotation_angle(moved, 2 + 0j) == pytest.approx(0.25)
+    assert rigid_rotation_angle(double_blowup_spec(), INFINITY) % 1.0 == pytest.approx(0.0)
+
+
+def test_differential_rotation_reduces_mod_one():
+    # three and four quarter turns at the origin stay 0.75 and 1 as germ
+    # angles; the differential rotation is the angle mod 1
+    quarter = quarter_turn_blowup_spec()
+    f = iterate_spec(quarter, 3)
+    assert rigid_rotation_angle(f, 0j) == pytest.approx(0.75)
+    assert rigid_rotation_angle(f, 0j) % 1.0 == pytest.approx(0.75)
+    g = iterate_spec(quarter, 4)
+    assert rigid_rotation_angle(g, 0j) == pytest.approx(1.0)
+    assert rigid_rotation_angle(g, 0j) % 1.0 == pytest.approx(0.0)
+
+
+def test_differential_rotation_conjugation_invariant():
+    # a conjugation that moves the axis to 2 moves the germ with it
+    h = MobiusTransform(1, -2, 0, 1)
+    f = MobiusConjugate(h, quarter_turn_blowup_spec())
+    assert rigid_rotation_angle(f, 2 + 0j) == pytest.approx(0.25)
 
 
 def test_walked_germ_of_a_conjugate_that_swaps_the_point_with_infinity():
