@@ -63,15 +63,12 @@ KEPT = {
     "algebra:_relations.<locals>.cyclic": "the cyclic-sum witness of a failing row",
     "algebra:_relations.<locals>.swap": "the swap-sign witness of a failing row",
     "algebra:_relations.<locals>.split": "the split witness of a failing row",
+    # a table's values made on first read: no command reads a built table's values
+    "algebra:FunctionTable.__getattr__": "makes a column-built table's values on first read",
     # error and repr helpers: no passing run raises or prints them
     "errors:NotFixed.__init__": "the error a moved declared point raises",
     "geometry:_non_finite": "the error a non-finite coordinate raises",
     "geometry:SpherePoint.__repr__": "the repr in error messages",
-    # catalog fixtures that only the tests use
-    "catalog:scenario_by_name": "a test fixture",
-    "catalog:quarter_turn_blowup_spec": "a test fixture",
-    "catalog:double_blowup_spec": "a test fixture",
-    "catalog:blowup_consistency_spec": "a test fixture",
 }
 
 

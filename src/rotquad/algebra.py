@@ -57,10 +57,7 @@ class Permutation:
         return Permutation(tuple(self(other(i)) for i in (1, 2, 3, 4)))
 
     def inverse(self) -> "Permutation":
-        inv = [0, 0, 0, 0]
-        for i in (1, 2, 3, 4):
-            inv[self(i) - 1] = i
-        return Permutation(tuple(inv))
+        return Permutation(tuple(sorted((1, 2, 3, 4), key=self)))
 
     def cycle_notation(self) -> str:
         seen = set()
@@ -128,6 +125,8 @@ SIGMA2 = parse_cycles("(23)")
 SIGMA3 = parse_cycles("(34)")
 TAU_CYCLE = parse_cycles("(123)")
 TAU_SQUARED = TAU_CYCLE.compose(TAU_CYCLE)
+# sigma3 then tau^k, for k = 0, 1, 2
+SIGMA3_WORDS = tuple(SIGMA3.compose(shift) for shift in (IDENTITY_PERM, TAU_CYCLE, TAU_SQUARED))
 
 
 def all_permutations() -> list[Permutation]:
@@ -169,37 +168,30 @@ def mat_vec(a: Mat3, v) -> tuple:
     return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
 
 
+def _by_words(start, generators: dict, step) -> dict:
+    """start at the identity, extended along every word in the generators:
+    the value at sigma.compose(gen) is step(the value at sigma,
+    generators[gen]).  Each permutation is reached along several words,
+    and the values along different words must coincide, which is asserted
+    (the extension is well defined), as is that the words reach all 24."""
+    table, order, confirmed = {IDENTITY_PERM: start}, [IDENTITY_PERM], set()
+    for sigma in order:  # order grows as it is read: breadth first
+        for gen, value in generators.items():
+            longer, product = sigma.compose(gen), step(table[sigma], value)
+            if longer in table:
+                assert table[longer] == product, f"word-dependent value at {longer.cycle_notation()}"
+                confirmed.add(longer)
+            else:
+                table[longer] = product
+                order.append(longer)
+    assert len(table) == len(confirmed) == 24
+    return table
+
+
 @lru_cache(maxsize=1)
 def _theta_table() -> dict[Permutation, Mat3]:
-    """Extend the generator assignment to all 24 elements by word search.
-
-    Every element is reached along several generator words; the matrix
-    products along different words must coincide, which is asserted here
-    (well-definedness of the extension), so the result does not depend on
-    the chosen factorization.
-    """
-    table: dict[Permutation, Mat3] = {IDENTITY_PERM: MAT_ID}
-    confirmations: dict[Permutation, int] = {IDENTITY_PERM: 0}
-    frontier = [IDENTITY_PERM]
-    while frontier:
-        nxt: list[Permutation] = []
-        for perm in frontier:
-            for gen, gen_mat in _GENERATORS:
-                longer = perm.compose(gen)
-                product = mat_mul(table[perm], gen_mat)
-                if longer not in table:
-                    table[longer] = product
-                    confirmations[longer] = 0
-                    nxt.append(longer)
-                else:
-                    assert table[longer] == product, (
-                        f"factorization-dependent matrix for {longer.cycle_notation()}"
-                    )
-                    confirmations[longer] += 1
-        frontier = nxt
-    assert len(table) == 24
-    assert all(n > 0 for n in confirmations.values())
-    return table
+    """The generator assignment, extended to all 24 elements by word search."""
+    return _by_words(MAT_ID, dict(_GENERATORS), mat_mul)
 
 
 def theta(sigma: Permutation) -> Mat3:
@@ -237,16 +229,17 @@ class FunctionTable:
     map invariant have no values on the remaining repeated-entry tuples
     (get returns None there); tables built from a two-variable g are total.
 
-    A table is read-only.  values is a read-only copy of the mapping it was
-    built from: assigning to table.values[t] raises TypeError, and a later
+    A table is read-only.  get and the checks read its product column (see
+    _ProductLayout).  A table made from a mapping keeps a copy of it, keys
+    validated in bulk, and reads the column from it on first use, one
+    values.get per key.  build_f_from_g and perturbed hand a column over
+    and keep no dict: values is then a view of a dict made on first read,
+    in the order a dict built beside the column would have.  values is
+    read-only: assigning to table.values[t] raises TypeError, and a later
     change to the caller's mapping changes no answer of the table.  A
-    changed table is a new table (perturbed).  Keys are validated in bulk.
-
-    The checks read a table once, into its product column (see
-    _ProductLayout): one values.get per key, on first use, kept with the
-    table.  build_f_from_g and perturbed hand their column over, so they
-    read no values back.  The relation results are kept with the table
-    too, so check_relations and decompose_g scan each relation once.
+    changed table is a new table (perturbed).  The relation results are
+    kept with the table too, so check_relations and decompose_g scan each
+    relation once.
     """
 
     labels: tuple
@@ -269,31 +262,36 @@ class FunctionTable:
             for t in values:
                 if len(t) != 4 or not label_set.issuperset(t):
                     raise ValueError(f"bad tuple key {t!r}")
-        self._keep(labels, values, None)
-
-    def _keep(self, labels: tuple, values: dict, product) -> None:
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", MappingProxyType(values))
+        self._keep(labels, None)
+
+    def _keep(self, labels: tuple, product) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "_index", dict(zip(labels, itertools.count())))
         object.__setattr__(self, "_product", product)
         object.__setattr__(self, "_checks", {})
 
     @classmethod
-    def _with_column(cls, labels: tuple, values: dict, column: list,
+    def _with_column(cls, labels: tuple, make, column: list,
                      missing: list | None) -> "FunctionTable":
-        """A table on checked labels whose values dict and product column
-        (with its missing mask) agree by construction: nothing is checked
-        or read back."""
+        """A table on checked labels that keeps a product column (with its
+        missing mask); its values are make()'s dict, made on first read."""
         table = object.__new__(cls)
-        table._keep(labels, values, (column, missing))
+        table._keep(labels, (column, missing))
+        object.__setattr__(table, "_make", make)
         return table
+
+    def __getattr__(self, name):
+        if name != "values":  # only a column-built table has no values yet
+            raise AttributeError(name)
+        object.__setattr__(self, "values", MappingProxyType(self._make()))
+        return self.values
 
     def _column(self) -> tuple[list, list | None]:
         """The product column (see _ProductLayout) and its missing mask
         (None when no entry is missing), read on first use only."""
         if self._product is None:
-            column, missing = _read(self.values, itertools.compress(
-                itertools.product(self.labels, repeat=4),
-                _product_layout(len(self.labels)).mask))
+            column, missing = _read(self.values, _product_keys(self.labels))
             column.append(0)
             if missing:
                 missing.append(False)
@@ -304,7 +302,9 @@ class FunctionTable:
         t = tuple(t)
         if t[0] == t[1] or t[2] == t[3]:
             return 0
-        return self.values.get(t)
+        i = _product_layout(len(self.labels)).position.get(tuple(map(self._index.get, t)))
+        column, missing = self._column()
+        return None if i is None or missing and missing[i] else column[i]
 
     def __call__(self, *t):
         if len(t) == 1:
@@ -322,15 +322,16 @@ class FunctionTable:
 
         A tuple that is zero by convention has no entry to shift (get never
         reads one there), so it raises ValueError, as does a tuple that is
-        not a key of this table.  The copy shares no state with this table:
-        it holds a copy of the product column with one slot changed.
+        not a key of this table.  The copy keeps a copy of the product
+        column with one slot changed; its values dict, when read, is this
+        table's with that entry set.
         """
         t = tuple(t)
         if len(t) == 4 and (t[0] == t[1] or t[2] == t[3]):
             raise ValueError(f"{t!r} is zero by convention; there is no entry to perturb")
         if len(t) != 4 or not set(self.labels).issuperset(t):
             raise ValueError(f"bad tuple key {t!r}")
-        i = _product_layout(len(self.labels)).position[tuple(map(self.labels.index, t))]
+        i = _product_layout(len(self.labels)).position[tuple(map(self._index.get, t))]
         column, missing = self._column()
         column = column.copy()
         if missing and missing[i]:
@@ -341,20 +342,15 @@ class FunctionTable:
                 missing = None
         else:
             column[i] += delta
-        values = self.values.copy()
-        values[t] = column[i]
-        return FunctionTable._with_column(self.labels, values, column, missing)
+        value = column[i]
+        return FunctionTable._with_column(
+            self.labels, lambda: {**self.values, t: value}, column, missing)
 
 
 def table_from_function(labels, fn) -> FunctionTable:
     """Tabulate fn on every 4-tuple that is not zero by convention."""
     labels = tuple(labels)
-    values = {}
-    for t in itertools.product(labels, repeat=4):
-        if t[0] == t[1] or t[2] == t[3]:
-            continue
-        values[t] = fn(*t)
-    return FunctionTable(labels, values)
+    return FunctionTable(labels, {t: fn(*t) for t in _product_keys(labels)})
 
 
 def quadratic_table(labels) -> FunctionTable:
@@ -401,18 +397,8 @@ def _gathers(n: int) -> dict[Permutation, tuple[int, ...]]:
     }
     # acting by sigma then rho is acting by sigma.compose(rho), so the
     # gather of the composite is rho's gather read at sigma's
-    gathers = {IDENTITY_PERM: tuple(range(len(tuples)))}
-    frontier = [IDENTITY_PERM]
-    while frontier:
-        reached = []
-        for sigma in frontier:
-            for gen, gather in generators.items():
-                longer = sigma.compose(gen)
-                if longer not in gathers:
-                    gathers[longer] = itemgetter(*gathers[sigma])(gather)
-                    reached.append(longer)
-        frontier = reached
-    return gathers
+    return _by_words(tuple(range(len(tuples))), generators,
+                     lambda gather, rho: itemgetter(*gather)(rho))
 
 
 @lru_cache(maxsize=4)
@@ -422,16 +408,19 @@ def _getters(n: int) -> dict[Permutation, itemgetter]:
 
 
 @lru_cache(maxsize=1)
-def _transport() -> list[tuple[Permutation, Mat3, tuple[tuple[int, int], ...]]]:
-    """Each permutation, its transport matrix, and that matrix as a signed
+def _transport() -> dict[Permutation, tuple[Mat3, tuple[tuple[int, int], ...]]]:
+    """Each permutation's transport matrix, and that matrix as a signed
     permutation: row k is sign * (unit row p), given as (p, sign).
 
     Row k of sigma's matrix is also row 0 of the matrix of sigma then
     tau^k, because component k of the triple at x acted on by sigma is
-    component 0 of the triple at x acted on by sigma then tau^k; this is
-    asserted here and verify_triple_symmetry relies on it.
+    component 0 of the triple at x acted on by sigma then tau^k.  That is
+    asserted here, with what verify_triple_symmetry's generator argument
+    needs: tau's matrix shifts a triple cyclically, and along the words in
+    tau and sigma3, which reach all 24 permutations, the matrix of sigma
+    then a generator is the generator's matrix times sigma's.
     """
-    out = []
+    out = {}
     for sigma in all_permutations():
         mat = theta_action(sigma)
         signed = []
@@ -439,11 +428,15 @@ def _transport() -> list[tuple[Permutation, Mat3, tuple[tuple[int, int], ...]]]:
             ((p, sign),) = ((p, m) for p, m in enumerate(row) if m)
             assert sign in (1, -1), f"transport of {sigma.cycle_notation()} is not signed"
             signed.append((p, sign))
-        out.append((sigma, mat, tuple(signed)))
-    for sigma, mat, _ in out:
+        out[sigma] = (mat, tuple(signed))
+    for sigma, (mat, _) in out.items():
         for k, shift in enumerate((IDENTITY_PERM, TAU_CYCLE, TAU_SQUARED)):
             assert theta_action(sigma.compose(shift))[0] == mat[k], (
                 f"row {k} of the transport of {sigma.cycle_notation()}")
+    assert out[TAU_CYCLE][1] == ((1, 1), (2, 1), (0, 1))
+    words = _by_words(MAT_ID, {gen: out[gen][0] for gen in (TAU_CYCLE, SIGMA3)},
+                      lambda mat, gen_mat: mat_mul(gen_mat, mat))
+    assert words == {sigma: mat for sigma, (mat, _) in out.items()}
     return out
 
 
@@ -485,21 +478,29 @@ def _product_layout(n: int) -> _ProductLayout:
                           itemgetter(*right))
 
 
-@lru_cache(maxsize=4)
-def _coboundary_getters(n: int) -> tuple[itemgetter, ...]:
+def _product_keys(labels: tuple):
+    """The tuples of a product column's entries, in its order."""
+    return itertools.compress(itertools.product(labels, repeat=4),
+                              _product_layout(len(labels)).mask)
+
+
+@lru_cache(maxsize=8)
+def _coboundary_getters(n: int, distinct: bool) -> tuple[itemgetter, ...]:
     """Gathers of g(x1,x3), g(x1,x4), g(x2,x3) and g(x2,x4) from g's values
-    in label-pair product order, over a product column's tuples x."""
-    tuples = list(itertools.compress(itertools.product(range(n), repeat=4),
-                                     _product_layout(n).mask))
+    in label-pair product order, over a product column's tuples x, or over
+    the distinct tuples x in distinct_tuples() order."""
+    tuples = (itertools.permutations(range(n), 4) if distinct else itertools.compress(
+        itertools.product(range(n), repeat=4), _product_layout(n).mask))
+    tuples = list(tuples)
     return tuple(itemgetter(*(t[i] * n + t[j] for t in tuples))
                  for i, j in ((0, 2), (0, 3), (1, 2), (1, 3)))
 
 
-def _coboundary(g, labels: tuple) -> list:
-    """g(x1,x3) - g(x1,x4) - g(x2,x3) + g(x2,x4) as a product column, with
-    the operations of the formula in its order."""
+def _coboundary(g, labels: tuple, distinct: bool = False) -> list:
+    """g(x1,x3) - g(x1,x4) - g(x2,x3) + g(x2,x4) as a product column, or at
+    the distinct tuples, with the operations of the formula in its order."""
     values = list(map(g.__getitem__, itertools.product(labels, repeat=2)))
-    g13, g14, g23, g24 = (get(values) for get in _coboundary_getters(len(labels)))
+    g13, g14, g23, g24 = (get(values) for get in _coboundary_getters(len(labels), distinct))
     return list(map(add, map(sub, map(sub, g13, g14), g23), g24))
 
 
@@ -674,36 +675,50 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     F is read as its kept column, over distinct_tuples(); the triples are
     that column and two gathers of it.  Each transport matrix is a signed
     permutation, so each component of a transported triple is plus or
-    minus a triple column, compared at once with a gather of one.  Row k
-    of sigma's matrix is row 0 of the matrix of sigma then tau^k, so when
-    the first components agree exactly under all 24 permutations, every
-    equation holds.  Exact agreement implies _eq only for finite values (a
+    minus a triple column, compared at once with a gather of one.
+
+    Exact agreement is settled on the generators tau = (123) and sigma3 =
+    (34).  tau's equation holds by definition: its matrix shifts the triple
+    cyclically, as acting by tau does.  sigma3's three components are the
+    first components under sigma3 then tau^k, k = 0, 1, 2 (row k of sigma's
+    matrix is row 0 of that of sigma then tau^k): three gathers.  Equations
+    that hold at every tuple for sigma and for a generator hold for sigma
+    then the generator, whose matrix is the generator's times sigma's, and
+    exactly so, since a signed permutation of equal triples gives equal
+    triples; the words in tau and sigma3 reach all 24 permutations (see
+    _transport).  Exact agreement implies _eq only for finite values (a
     NaN object equals itself in a tuple comparison, and the matrix product
-    turns an infinite entry into NaN).  Otherwise the permutations are
-    compared in full, and each row whose comparison fails, or that reads a
-    missing or non-finite entry, is checked with _eq in the plain scan's
-    order, reading F again, so a missing entry raises the scan's KeyError.
+    turns an infinite entry into NaN).  So with a missing or non-finite
+    entry, or when a generator disagrees, the permutations are compared in
+    full, and each row whose comparison fails, or that reads a missing or
+    non-finite entry, is checked with _eq in the plain scan's order,
+    reading F again, so a missing entry raises the scan's KeyError.
     """
     n = len(F.labels)
-    keys = list(F.distinct_tuples())
     col, missing = _distinct_column(F)
-    gathers, getters = _gathers(n), _getters(n)
+    getters, transport = _getters(n), _transport()
     shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
     triple = (col, shift(col), twice(col))
-    negated = tuple(tuple(map(neg, x)) for x in triple)
     odd = list(map(ne, map(sub, col, col), itertools.repeat(0)))
     if missing:
         odd = list(map(or_, odd, missing))
     odd_rows = list(map(or_, map(or_, odd, shift(odd)), twice(odd))) if any(odd) else None
 
+    if odd_rows is None:
+        # row 0 of the transport of sigma3 then tau^k is row k of sigma3's:
+        # F at sigma x is sign * F at a shift of x, so -F at sigma x is F there
+        negated = tuple(map(neg, col))
+        if all(getters[sigma](col if sign > 0 else negated) == triple[p]
+               for sigma, (p, sign) in zip(SIGMA3_WORDS, transport[SIGMA3][1])):
+            return SymmetryCheck(True, len(transport) * len(col))
+
+    keys, gathers = list(F.distinct_tuples()), _gathers(n)
+    negated = tuple(tuple(map(neg, x)) for x in triple)
+
     def column(p, sign):
         return triple[p] if sign > 0 else negated[p]
 
-    if odd_rows is None and all(getters[sigma](col) == column(*signed[0])
-                                for sigma, _, signed in _transport()):
-        return SymmetryCheck(True, len(_transport()) * len(keys))
-
-    for s, (sigma, mat, signed) in enumerate(_transport()):
+    for s, (sigma, (mat, signed)) in enumerate(transport.items()):
         gather = getters[sigma]
         got = tuple(map(gather, triple))
         want = tuple(column(*row) for row in signed)
@@ -720,7 +735,7 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
                     False, s * len(keys) + i + 1,
                     (sigma.cycle_notation(), keys[i], expected, there),
                 )
-    return SymmetryCheck(True, len(_transport()) * len(keys))
+    return SymmetryCheck(True, len(transport) * len(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -732,7 +747,7 @@ def build_f_from_g(g, labels=None) -> FunctionTable:
 
     g is a mapping on ordered label pairs or a two-argument callable.  A
     mapping is read once, in label-pair order, and F's product column is
-    four gathers of it; the table keeps that column and reads nothing back.
+    four gathers of it; the table keeps only that column (see FunctionTable).
     """
     if callable(g):
         if labels is None:
@@ -744,12 +759,10 @@ def build_f_from_g(g, labels=None) -> FunctionTable:
     if labels is None:
         labels = sorted({u for u, _ in g} | {v for _, v in g})
     labels = FunctionTable(labels).labels  # the label checks, before g is read
-    keys = itertools.compress(itertools.product(labels, repeat=4),
-                              _product_layout(len(labels)).mask)
     column = _coboundary(g, labels)
-    values = dict(zip(keys, column))
     column.append(0)
-    return FunctionTable._with_column(labels, values, column, None)
+    return FunctionTable._with_column(
+        labels, lambda: dict(zip(_product_keys(labels), column)), column, None)
 
 
 def normalize_g(g: dict, a, b) -> dict:
@@ -784,19 +797,8 @@ def decompose_g(F: FunctionTable, a=None, b=None) -> dict:
                 f"table fails the {rel} relation at {relations[rel].counterexample!r}"
             )
 
-    direct = {}
-    total = True
-    for u in F.labels:
-        for v in F.labels:
-            val = F.get((u, a, v, b))
-            if val is None:
-                total = False
-                break
-            direct[(u, v)] = val
-        if not total:
-            break
-
-    if total:
+    direct = {(u, v): F.get((u, a, v, b)) for u in F.labels for v in F.labels}
+    if None not in direct.values():
         g = direct
     else:
         if a == b:
@@ -828,16 +830,16 @@ def decompose_g(F: FunctionTable, a=None, b=None) -> dict:
             t0 = next(l for l in ordered if l not in (b, v, v0))
             g[(b, v)] = F((b, t0, v, v0)) + g[(t0, v)] - g[(t0, v0)]
 
-    # g's table as a column, against F's, where only an entry that differs
-    # exactly is looked at on its own.  The swap_sign check has read every
-    # distinct entry, so none is missing.
-    keys = list(F.distinct_tuples())
+    # g's table at the distinct tuples, against F's, where only an entry
+    # that differs exactly is looked at on its own.  The swap_sign check has
+    # read every distinct entry, so none is missing.
     want, _ = _distinct_column(F)
-    got = _product_layout(len(F.labels)).distinct(_coboundary(g, F.labels))
+    got = _coboundary(g, F.labels, distinct=True)
     for i in _rows(list(map(sub, want, got))):
         if not _eq(want[i], got[i]):
+            t = next(itertools.islice(F.distinct_tuples(), i, None))
             raise RelationViolated(
-                f"decomposition does not reproduce the table at {keys[i]!r}: "
+                f"decomposition does not reproduce the table at {t!r}: "
                 f"{want[i]} vs {got[i]}"
             )
     return g
@@ -867,7 +869,5 @@ def rf_table(
     require_fixed(spec, pts, tol)
     ev = RfEvaluator(spec, tol, seed)
     labels = tuple(range(len(pts)))
-    values = {}
-    for t in itertools.permutations(labels, 4):
-        values[t] = ev.value(*(pts[i] for i in t))
+    values = {t: ev.value(*(pts[i] for i in t)) for t in itertools.permutations(labels, 4)}
     return FunctionTable(labels, values)

@@ -216,13 +216,6 @@ def identity_scenarios() -> tuple[Scenario, ...]:
     return tuple(out)
 
 
-def scenario_by_name(name: str) -> Scenario:
-    for sc in identity_scenarios():
-        if sc.name == name:
-            return sc
-    raise KeyError(name)
-
-
 # ---------------------------------------------------------------------------
 # composition pairs with shared fixed points
 
@@ -293,23 +286,7 @@ def homomorphism_pairs() -> tuple[HomPair, ...]:
 # blow-up fixtures
 
 
-def quarter_turn_blowup_spec() -> RadialTwist:
-    """Rigid quarter turn near the origin, identity beyond radius 2."""
-    return _twist((1.0, 0.25), (2.0, 0.0), marks=(3.0 + 0j,))
-
-
 def sqrt2_blowup_spec() -> RadialTwist:
     """Irrational rigid rotation near the origin, identity beyond radius 2."""
     return _twist((1.0, SQRT2_MINUS_1), (2.0, 0.0), marks=(3.0 + 0j,))
 
-
-def double_blowup_spec() -> RadialTwist:
-    """Quarter turn near 0, full-turn plateau near infinity."""
-    return _twist((1.0, 0.25), (2.0, 1.0))
-
-
-def blowup_consistency_spec() -> RadialTwist:
-    """Irrational inner plateau, whole-turn outer plateau: a far fourth
-    point is then genuinely fixed and the single blow-up there must
-    reproduce the double blow-up within its reported bound."""
-    return _twist((1.0, SQRT2_MINUS_1), (2.0, 1.0), marks=(3.0 + 0j,))

@@ -435,53 +435,6 @@ def segment_crossing(
     return 1 if denom > 0 else -1
 
 
-def bisect_path(
-    vertices: list[complex],
-    evaluate,
-    accept,
-    tol: Tolerances,
-    stuck: Exception,
-) -> list[complex]:
-    """Map an open polyline through ``evaluate``, bisecting edges until ``accept``.
-
-    Each edge is bisected on the actual segment until ``accept(za, zb, wa,
-    wb)`` holds for every sub-segment [za, zb] and the images wa, wb of its
-    ends; returns the images of the vertices and of the inserted points, in
-    order.  Raises BudgetExhausted when more than ``tol.max_refine_points``
-    sub-segments are accepted, and ``stuck`` when one is still rejected
-    after 60 bisections.
-    """
-    budget = tol.max_refine_points
-    out = [evaluate(vertices[0])]
-    emit = out.append
-    # Sub-segments still to emit after the current one, nearest last.
-    stack = []
-    push, pop = stack.append, stack.pop
-    for a, b in zip(vertices, vertices[1:]):
-        sa, sb, swa, swb, depth = a, b, out[-1], evaluate(b), 0
-        while True:
-            if accept(sa, sb, swa, swb):
-                budget -= 1
-                if budget < 0:
-                    raise BudgetExhausted(
-                        f"refinement budget exhausted: more than "
-                        f"max_refine_points={tol.max_refine_points} pieces")
-                emit(swb)
-                if not stack:
-                    break
-                sa, sb, swa, swb, depth = pop()
-                continue
-            if depth > 60:
-                raise stuck
-            # go on with the near half; the far half waits on the stack
-            mid = 0.5 * (sa + sb)
-            wm = evaluate(mid)
-            depth += 1
-            push((mid, sb, wm, swb, depth))
-            sb, swb = mid, wm
-    return out
-
-
 def refine_path_view(
     vertices,
     view,
@@ -539,8 +492,37 @@ def refine_path_view(
         return (not outside and abs(c - p) > r and abs(wa - c) <= r and abs(wb - c) <= r
                 and abs(c - q) > r)
 
-    return bisect_path(verts, evaluate, certified, tol,
-                       SamplingFailure("edge cannot be refined further"))
+    # each edge is bisected on the actual segment until every piece is
+    # certified; out holds the images of the vertices and inserted points
+    budget = tol.max_refine_points
+    out = [evaluate(verts[0])]
+    emit = out.append
+    # pieces still to emit after the current one, nearest last
+    stack = []
+    push, pop = stack.append, stack.pop
+    for a, b in zip(verts, verts[1:]):
+        sa, sb, swa, swb, depth = a, b, out[-1], evaluate(b), 0
+        while True:
+            if certified(sa, sb, swa, swb):
+                budget -= 1
+                if budget < 0:
+                    raise BudgetExhausted(
+                        f"refinement budget exhausted: more than "
+                        f"max_refine_points={tol.max_refine_points} pieces")
+                emit(swb)
+                if not stack:
+                    break
+                sa, sb, swa, swb, depth = pop()
+                continue
+            if depth > 60:
+                raise SamplingFailure("edge cannot be refined further")
+            # go on with the near half; the far half waits on the stack
+            mid = 0.5 * (sa + sb)
+            wm = evaluate(mid)
+            depth += 1
+            push((mid, sb, wm, swb, depth))
+            sb, swb = mid, wm
+    return out
 
 
 def dedupe_consecutive(points, closed: bool = False) -> list[complex]:

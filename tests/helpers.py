@@ -1,4 +1,4 @@
-"""Shared geometry builders for the test suite.
+"""Shared geometry builders and catalog fixtures for the test suite.
 
 Everything here is deterministic given the seed; the loop builders keep
 an exact combinatorial handle on the winding class so tests can compare
@@ -11,7 +11,32 @@ import cmath
 import math
 import random
 
-from rotquad import Polyline
+from rotquad import Polyline, RadialTwist, Scenario
+from rotquad.catalog import SQRT2_MINUS_1, _twist, identity_scenarios
+
+
+def scenario_by_name(name: str) -> Scenario:
+    for sc in identity_scenarios():
+        if sc.name == name:
+            return sc
+    raise KeyError(name)
+
+
+def quarter_turn_blowup_spec() -> RadialTwist:
+    """Rigid quarter turn near the origin, identity beyond radius 2."""
+    return _twist((1.0, 0.25), (2.0, 0.0), marks=(3.0 + 0j,))
+
+
+def double_blowup_spec() -> RadialTwist:
+    """Quarter turn near 0, full-turn plateau near infinity."""
+    return _twist((1.0, 0.25), (2.0, 1.0))
+
+
+def blowup_consistency_spec() -> RadialTwist:
+    """Irrational inner plateau, whole-turn outer plateau: a far fourth
+    point is then genuinely fixed and the single blow-up there must
+    reproduce the double blow-up within its reported bound."""
+    return _twist((1.0, SQRT2_MINUS_1), (2.0, 1.0), marks=(3.0 + 0j,))
 
 
 def circle(center: complex, radius: float, n: int = 64, turns: int = 1) -> Polyline:

@@ -45,16 +45,14 @@ from rotquad.algebra import (
     theta_kernel_image,
 )
 from rotquad.catalog import (
-    double_blowup_spec,
     golden_twist_spec,
     homomorphism_pairs,
     identity_scenarios,
-    scenario_by_name,
     sqrt2_blowup_spec,
 )
 from rotquad.report import PASS
 
-from helpers import loop_path_instance
+from helpers import double_blowup_spec, loop_path_instance, scenario_by_name
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "twist_rf.json").read_text())
 

@@ -26,6 +26,7 @@ from rotquad import (
     check_relations,
     decompose_g,
     f_triple,
+    quadratic_table,
     table_from_function,
     verify_triple_symmetry,
 )
@@ -499,6 +500,74 @@ def test_deleted_entries_of_a_zero_table(shape):
         G = FunctionTable(labels, {k: v for k, v in F.values.items() if k not in (first, second)})
         assert_same_checks(G)
         assert_same_outcomes(G)
+
+
+# ---------------------------------------------------------------------------
+# the generator shortcut: verify_triple_symmetry settles an exact pass on
+# the rows of sigma3 then tau^k, so each table below fails in the reference
+# but passes one weakened form of that shortcut
+
+
+def _signed_infinity(v):
+    return math.copysign(math.inf, v) if v else 0.0
+
+
+SHORTCUT_TABLES = {
+    # antisymmetric under (x1, x2, x3, x4) -> (x4, x3, x1, x2), which is the
+    # row of sigma3 then tau (and of sigma3 then tau^2), not under sigma3
+    "sigma3 row 0 dropped": lambda labels: table_from_function(
+        labels, lambda a, b, c, d: a + b - c - d),
+    # antisymmetric in the first pair only: all that (12) and (123) see,
+    # since they generate the permutations that fix the fourth entry
+    "sigma1 for sigma3": lambda labels: table_from_function(
+        labels, lambda a, b, c, d: (a - b) * (c + d)),
+    # every equation holds exactly, but the transport turns 0 * inf into NaN
+    "signed infinities": lambda labels: FunctionTable(
+        labels, {t: _signed_infinity(v) for t, v in quadratic_table(labels).values.items()}),
+}
+
+
+@pytest.mark.parametrize("shape", ["total", "distinct_only"])
+@pytest.mark.parametrize("kind", SHORTCUT_TABLES)
+def test_tables_that_a_weakened_shortcut_would_pass(kind, shape):
+    F = SHORTCUT_TABLES[kind](tuple(range(5)))
+    if shape == "distinct_only":
+        F = distinct_only(F)
+    assert not reference_verify_triple_symmetry(F).passed
+    assert not verify_triple_symmetry(F).passed
+    assert_same_outcomes(F)
+
+
+# ---------------------------------------------------------------------------
+# the values of a table that keeps only its column
+
+
+def test_values_of_a_column_table_read_as_the_reference_dict():
+    labels = (4, 2, 0, 1, 3)
+    g = cyclic_g(random.Random(41), labels)
+    R = reference_build_f_from_g(g, labels)
+    t, repeated = labels[:4], (labels[0], labels[1], labels[0], labels[2])
+    distinct = {k: v for k, v in R.values.items() if len(set(k)) == 4}
+    cases = [
+        (build_f_from_g(g, labels), R),
+        (build_f_from_g(g, labels).perturbed(t, 2), reference_perturbed(R, t, 2)),
+        (FunctionTable(labels, distinct).perturbed(repeated, 1),
+         reference_perturbed(FunctionTable(labels, distinct), repeated, 1)),
+    ]
+    for F, want in cases:
+        plain = dict(want.values)
+        verify_triple_symmetry(F)
+        check_relations(F)
+        assert "values" not in vars(F)  # neither a build nor a check makes the dict
+        for x in itertools.product(labels, repeat=4):
+            assert F.get(x) == (0 if x[0] == x[1] or x[2] == x[3] else plain.get(x)), x
+        assert list(F.values.items()) == list(plain.items())
+        assert F.values == want.values and want.values == F.values
+        assert F.values is F.values
+        with pytest.raises(TypeError):
+            F.values[t] = 0
+        with pytest.raises(AttributeError):
+            F.no_such_attribute
 
 
 # ---------------------------------------------------------------------------

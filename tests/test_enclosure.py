@@ -33,9 +33,11 @@ from rotquad import (
     rf_trace,
     synthesize_twist_trace,
 )
-from rotquad.catalog import identity_scenarios, scenario_by_name
+from rotquad.catalog import identity_scenarios
 from rotquad.invariant import _prechart
 from rotquad.maps import compile_map
+
+from helpers import scenario_by_name
 
 _SCENARIOS = identity_scenarios()
 

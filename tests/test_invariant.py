@@ -45,18 +45,17 @@ from rotquad import (
     synthesize_twist_trace,
     verify_rf_identities,
 )
-from rotquad.catalog import (
-    blowup_consistency_spec,
-    double_blowup_spec,
-    golden_twist_spec,
-    homomorphism_pairs,
-    quarter_turn_blowup_spec,
-    scenario_by_name,
-    sqrt2_blowup_spec,
-)
+from rotquad.catalog import golden_twist_spec, homomorphism_pairs, sqrt2_blowup_spec
 from rotquad.geometry import DEFAULT_TOL, apply_mobius, refine_path_view
 from rotquad.maps import compile_map, twist_chart
 from rotquad.report import PASS
+
+from helpers import (
+    blowup_consistency_spec,
+    double_blowup_spec,
+    quarter_turn_blowup_spec,
+    scenario_by_name,
+)
 
 AXIS_TUPLE = MarkedTuple(0j, INFINITY, 0.5 + 0j, 3 + 0j)
 

@@ -27,15 +27,11 @@ from rotquad import (
     rf_double_blowup,
     rigid_rotation_angle,
 )
-from rotquad.catalog import (
-    double_blowup_spec,
-    golden_twist_spec,
-    identity_scenarios,
-    quarter_turn_blowup_spec,
-    scenario_by_name,
-)
+from rotquad.catalog import golden_twist_spec, identity_scenarios
 from rotquad.geometry import MOBIUS_IDENTITY
 from rotquad.maps import _commuting_twists, compile_map, fixed_residual, require_fixed, twist_chart
+
+from helpers import double_blowup_spec, quarter_turn_blowup_spec, scenario_by_name
 
 RAMP = RadialProfile(((1.0, 0.0), (2.0, 1.0)))
 

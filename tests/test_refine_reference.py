@@ -44,7 +44,6 @@ from rotquad.geometry import (
     _BLOWUP_MAGNITUDE,
     _PAD,
     _non_finite,
-    bisect_path,
     mobius_disk,
     mobius_normalize,
     mobius_step,
@@ -466,7 +465,7 @@ def test_blowup_sweep_rotations_refine_as_the_reference(recorder, n_iters):
 
 
 # ---------------------------------------------------------------------------
-# the failures of refine_path_view, and the bisection driver on its own
+# the failures of refine_path_view, and its bisection piece for piece
 
 
 class _View:
@@ -521,23 +520,26 @@ def test_refine_budget_stuck_overflow_and_real_images_match_the_reference():
        st.floats(0.05, 2.0))
 @settings(max_examples=100, deadline=None)
 def test_bisection_driver_matches_the_reference_call_for_call(vertices, width):
-    def run(driver):
+    def run(refine):
         calls = []
 
         def evaluate(z):
             calls.append(("evaluate", z))
-            return z * z
+            return z * z + 20
 
-        def accept(za, zb, wa, wb):
-            calls.append(("accept", za, zb, wa, wb))
-            # a rule that depends on where the piece sits, so pieces split unevenly
-            return abs(zb - za) * (1.0 + abs(za)) <= width
+        def enclose(disk):
+            calls.append(("enclose", disk))
+            c, r, _ = disk
+            # a rule that depends on where the piece sits, so pieces split
+            # unevenly; an accepted disk holds the image of the source disk
+            if r / 0.5625 * (1.0 + abs(c)) > width:
+                return None
+            return c * c + 20, r * (2 * abs(c) + r), False
 
-        outcome, _ = _outcome(driver, vertices, evaluate, accept, DEFAULT_TOL,
-                              SamplingFailure("stuck"))
+        outcome, _ = _outcome(refine, vertices, _View(evaluate, enclose), DEFAULT_TOL)
         return outcome, calls
 
-    assert run(bisect_path) == run(reference_bisect_path)
+    assert run(refine_path_view) == run(reference_refine_path_view)
 
 
 # ---------------------------------------------------------------------------

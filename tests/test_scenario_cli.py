@@ -31,7 +31,7 @@ from rotquad import (
     scenario_from_json,
     scenario_to_json,
 )
-from rotquad.catalog import golden_twist_scenario, identity_scenarios, scenario_by_name
+from rotquad.catalog import golden_twist_scenario, identity_scenarios
 from rotquad.cli import main
 from rotquad.geometry import DEFAULT_TOL
 from rotquad.scenario import (
@@ -41,6 +41,8 @@ from rotquad.scenario import (
     map_to_json,
     tolerances_from_json,
 )
+
+from helpers import scenario_by_name
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
