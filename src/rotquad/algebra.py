@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache
 from operator import add, and_, is_, itemgetter, ne, neg, not_, or_, sub
 from types import MappingProxyType
@@ -382,6 +383,17 @@ def f_triple(F: FunctionTable, x) -> tuple:
 
 
 @lru_cache(maxsize=4)
+def _tuples(n: int) -> tuple[tuple[int, ...], ...]:
+    """The distinct 4-tuples of label indices, in distinct_tuples() order."""
+    return tuple(itertools.permutations(range(n), 4))
+
+
+def _key(F: FunctionTable, i: int) -> tuple:
+    """F's i-th distinct tuple, in distinct_tuples() order."""
+    return tuple(map(F.labels.__getitem__, _tuples(len(F.labels))[i]))
+
+
+@lru_cache(maxsize=4)
 def _gathers(n: int) -> dict[Permutation, tuple[int, ...]]:
     """The action of each permutation on the distinct 4-tuples of n labels.
 
@@ -389,7 +401,7 @@ def _gathers(n: int) -> dict[Permutation, tuple[int, ...]]:
     of the i-th tuple acted on by sigma.  It depends on n only, so every
     table on n labels shares it.
     """
-    tuples = list(itertools.permutations(range(n), 4))
+    tuples = _tuples(n)
     position = dict(zip(tuples, itertools.count())).__getitem__
     generators = {
         gen: tuple(map(position, map(itemgetter(*(i - 1 for i in gen.images)), tuples)))
@@ -434,6 +446,7 @@ def _transport() -> dict[Permutation, tuple[Mat3, tuple[tuple[int, int], ...]]]:
             assert theta_action(sigma.compose(shift))[0] == mat[k], (
                 f"row {k} of the transport of {sigma.cycle_notation()}")
     assert out[TAU_CYCLE][1] == ((1, 1), (2, 1), (0, 1))
+    assert list(out)[:2] == [IDENTITY_PERM, SIGMA3]  # verify_triple_symmetry's stop at (34)
     words = _by_words(MAT_ID, {gen: out[gen][0] for gen in (TAU_CYCLE, SIGMA3)},
                       lambda mat, gen_mat: mat_mul(gen_mat, mat))
     assert words == {sigma: mat for sigma, (mat, _) in out.items()}
@@ -446,19 +459,17 @@ class _ProductLayout(NamedTuple):
     A product column holds a table's values at the tuples of the 4-fold
     label product that are not zero by convention (mask), in product
     order, followed by one 0 that every zero-convention tuple reads.
-    distinct gathers its distinct tuples; base, left and right gather
-    F(t), F(x1, w, x3, x4) and F(w, x2, x3, x4) for every pair (t, w) in
-    split_w's scan order: t over distinct tuples, then w over labels.
     position maps a label-index 4-tuple that is not zero by convention to
-    its place in the column.
+    its place in the column; distinct gathers its distinct tuples.  pivots
+    gathers base, left and right of split_w's shortcut (see check_relations):
+    F(t) = F(x1, w, x3, x4) + F(w, x2, x3, x4) through w = w0, x3, x4 for
+    each distinct t, then 0 = A(w0, w) + A(w, w0) when n > 4.
     """
 
     mask: tuple[bool, ...]
     position: dict[tuple[int, ...], int]
     distinct: itemgetter
-    base: itemgetter
-    left: itemgetter
-    right: itemgetter
+    pivots: tuple[itemgetter, itemgetter, itemgetter]
 
 
 @lru_cache(maxsize=4)
@@ -466,16 +477,32 @@ def _product_layout(n: int) -> _ProductLayout:
     product = list(itertools.product(range(n), repeat=4))
     mask = tuple(t[0] != t[1] and t[2] != t[3] for t in product)
     position = dict(zip(itertools.compress(product, mask), itertools.count()))
+    at, zero = position.get, len(position)
+    rows = [(position[t], at((t[0], w, t[2], t[3]), zero), at((w, t[1], t[2], t[3]), zero))
+            for t in _tuples(n) for w in (min({0, 1, 2} - {t[2], t[3]}), t[2], t[3])
+            if w not in t[:2]]  # trivial through x1 or x2
+    for x3, x4 in itertools.permutations(range(n), 2) if n > 4 else ():
+        w0 = min({0, 1, 2} - {x3, x4})  # the first label outside the pair
+        rows += [(zero, position[w0, w, x3, x4], position[w, w0, x3, x4])
+                 for w in range(n) if w not in (w0, x3, x4)]
+    return _ProductLayout(mask, position, itemgetter(*map(position.__getitem__, _tuples(n))),
+                          tuple(itemgetter(*side) for side in zip(*rows)))
+
+
+@lru_cache(maxsize=4)
+def _split_scan(n: int) -> tuple[itemgetter, itemgetter, itemgetter]:
+    """Gathers of F(t), F(x1, w, x3, x4) and F(w, x2, x3, x4) from a
+    product column, for every pair (t, w) in split_w's scan order: t over
+    distinct tuples, then w over labels."""
+    position = _product_layout(n).position
     zero = len(position)
     base, left, right = [], [], []
-    for t in itertools.permutations(range(n), 4):
+    for t in _tuples(n):
         x1, x2, x3, x4 = t
         base += [position[t]] * n
         left += [position.get((x1, w, x3, x4), zero) for w in range(n)]
         right += [position.get((w, x2, x3, x4), zero) for w in range(n)]
-    distinct = itemgetter(*map(position.__getitem__, itertools.permutations(range(n), 4)))
-    return _ProductLayout(mask, position, distinct, itemgetter(*base), itemgetter(*left),
-                          itemgetter(*right))
+    return itemgetter(*base), itemgetter(*left), itemgetter(*right)
 
 
 def _product_keys(labels: tuple):
@@ -572,8 +599,25 @@ def check_relations(F: FunctionTable) -> dict[str, RelationCheck]:
     missing entry, is checked on its own with _eq, in the plain scan's
     order, reading F again, so a missing entry raises the scan's KeyError.
     Each result is kept with F, so decompose_g scans no relation again.
+
+    On a table with no missing entry and only int and Fraction values,
+    split_w is settled on three pivots.  Fix (x3, x4); let A(a, b) =
+    F(a, b, x3, x4), 0 when a = b, and S the labels outside {x3, x4}.
+    split_w asks A(x1, x2) = A(x1, w) + A(w, x2) for distinct x1, x2 in S
+    and every label w: trivial for w = x1 or x2, so with four labels only
+    the pivots x3 and x4 remain.  With n >= 5 it holds for every w exactly
+    when it holds for w0 (S's first label), x3 and x4, and A(w0, w) =
+    -A(w, w0) for every w in S.  Only if: with u a third label of S, the
+    equations at (u, w0) through w and at (u, w) through w0 add up to
+    A(w, w0) + A(w0, w) = 0.  If: for w in S outside {x1, x2, w0}, the
+    equations at (x1, w) and (w, x2) through w0 add up to A(x1, w) +
+    A(w, x2) = A(x1, w0) + A(w0, x2) + A(w0, w) + A(w, w0) = A(x1, x2).
+    Exact arithmetic makes equality the test; any miss runs the full scan.
     """
     return _relations(F, cyclic_sum=True)
+
+
+_EXACT = frozenset((int, Fraction))
 
 
 def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
@@ -595,7 +639,6 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
         return {name: kept[name] for name in names}
 
     n = len(F.labels)
-    keys = list(F.distinct_tuples())
     gathers, getters = _gathers(n), _getters(n)
 
     def reads_missing(*sigmas):
@@ -603,11 +646,11 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
         return [] if m is None else [m, *(getters[sigma](m) for sigma in sigmas)]
 
     def read(i, sigma):
-        return F(keys[gathers[sigma][i]])
+        return F(_key(F, gathers[sigma][i]))
 
     def cyclic(i):
-        a, b, c = F(keys[i]), read(i, TAU_CYCLE), read(i, TAU_SQUARED)
-        return None if _eq(a + b + c, 0) else (keys[i], (a, b, c))
+        a, b, c = F(_key(F, i)), read(i, TAU_CYCLE), read(i, TAU_SQUARED)
+        return None if _eq(a + b + c, 0) else (_key(F, i), (a, b, c))
 
     if "cyclic_sum" in todo:
         shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
@@ -615,11 +658,11 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
                  *reads_missing(TAU_CYCLE, TAU_SQUARED)]
         i, witness = _first_failure(_rows(*flags), cyclic)
         kept["cyclic_sum"] = RelationCheck(
-            "cyclic_sum", witness is None, len(keys) if witness is None else i + 1, witness)
+            "cyclic_sum", witness is None, len(col) if witness is None else i + 1, witness)
 
     def swap(i):
-        base, a, b = F(keys[i]), read(i, SIGMA1), read(i, SIGMA3)
-        return None if _eq(a, -base) and _eq(b, -base) else (keys[i], (base, a, b))
+        base, a, b = F(_key(F, i)), read(i, SIGMA1), read(i, SIGMA3)
+        return None if _eq(a, -base) and _eq(b, -base) else (_key(F, i), (base, a, b))
 
     if "swap_sign" in todo:
         first, second = getters[SIGMA1], getters[SIGMA3]
@@ -627,24 +670,29 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
                  *reads_missing(SIGMA1, SIGMA3)]
         i, witness = _first_failure(_rows(*flags), swap)
         kept["swap_sign"] = RelationCheck(
-            "swap_sign", witness is None, len(keys) if witness is None else i + 1, witness)
+            "swap_sign", witness is None, len(col) if witness is None else i + 1, witness)
 
     def split(q):
         i, w = divmod(q, n)
-        here = F(keys[i])
+        here = F(_key(F, i))
         if _eq(here, left[q] + right[q]):
             return None
-        return (keys[i], F.labels[w]), (here, left[q], right[q])
+        return (_key(F, i), F.labels[w]), (here, left[q], right[q])
 
     if "split_w" in todo:
-        layout = _product_layout(n)
         column, missing = F._column()
-        base, left, right = layout.base(column), layout.left(column), layout.right(column)
+        base, left, right = _product_layout(n).pivots
+        if (missing is None and _EXACT.issuperset(map(type, column))
+                and tuple(map(add, left(column), right(column))) == base(column)):
+            kept["split_w"] = RelationCheck("split_w", True, n * len(col))
+            return {name: kept[name] for name in names}
+        scan = _split_scan(n)
+        base, left, right = (gather(column) for gather in scan)
         differs = list(map(sub, base, map(add, left, right)))
         if missing:
             # a pair with a missing side is skipped; a missing F(t) raises
-            valid = list(map(not_, map(or_, layout.left(missing), layout.right(missing))))
-            to_check = map(or_, layout.base(missing), map(ne, differs, itertools.repeat(0)))
+            valid = list(map(not_, map(or_, scan[1](missing), scan[2](missing))))
+            to_check = map(or_, scan[0](missing), map(ne, differs, itertools.repeat(0)))
             flags = [list(map(and_, valid, to_check))]
         else:
             valid = None
@@ -688,54 +736,66 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     triples; the words in tau and sigma3 reach all 24 permutations (see
     _transport).  Exact agreement implies _eq only for finite values (a
     NaN object equals itself in a tuple comparison, and the matrix product
-    turns an infinite entry into NaN).  So with a missing or non-finite
-    entry, or when a generator disagrees, the permutations are compared in
-    full, and each row whose comparison fails, or that reads a missing or
-    non-finite entry, is checked with _eq in the plain scan's order,
-    reading F again, so a missing entry raises the scan's KeyError.
+    turns an infinite entry into NaN).
+
+    When the generators disagree on a table with no missing or non-finite
+    entry, the plain scan's first failure is under sigma3, its second
+    permutation, if anywhere: the identity holds at every row, and so does
+    each row where sigma3's three comparisons agree.  The rows where they
+    differ are checked with _eq in order.  If all hold (a float table within
+    1e-9), or with a missing or non-finite entry, the permutations are
+    compared in full, and each row whose comparison fails, or that reads a
+    missing or non-finite entry, is checked with _eq in the plain scan's
+    order, reading F again, so a missing entry raises the scan's KeyError.
     """
     n = len(F.labels)
     col, missing = _distinct_column(F)
-    getters, transport = _getters(n), _transport()
+    getters, gathers, transport = _getters(n), _gathers(n), _transport()
     shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
     triple = (col, shift(col), twice(col))
-    odd = list(map(ne, map(sub, col, col), itertools.repeat(0)))
-    if missing:
-        odd = list(map(or_, odd, missing))
-    odd_rows = list(map(or_, map(or_, odd, shift(odd)), twice(odd))) if any(odd) else None
+    odd_rows, zeros = None, list(map(sub, col, col))  # x - x is not 0 when x is not finite
+    if missing or zeros.count(0) != len(zeros):
+        odd = list(map(or_, map(ne, zeros, itertools.repeat(0)), missing or itertools.repeat(0)))
+        odd_rows = list(map(or_, map(or_, odd, shift(odd)), twice(odd)))
+
+    def failure(s, sigma, i):
+        """The plain scan's result if it fails at row i of its s-th permutation, sigma."""
+        mat = transport[sigma][0]
+        expected = mat_vec(mat, f_triple(F, _key(F, i)))
+        there = f_triple(F, _key(F, gathers[sigma][i]))
+        if not all(_eq(e, g) for e, g in zip(expected, there)):
+            return SymmetryCheck(False, s * len(col) + i + 1,
+                                 (sigma.cycle_notation(), _key(F, i), expected, there))
+        return None
 
     if odd_rows is None:
         # row 0 of the transport of sigma3 then tau^k is row k of sigma3's:
         # F at sigma x is sign * F at a shift of x, so -F at sigma x is F there
         negated = tuple(map(neg, col))
-        if all(getters[sigma](col if sign > 0 else negated) == triple[p]
-               for sigma, (p, sign) in zip(SIGMA3_WORDS, transport[SIGMA3][1])):
+        sides = [(getters[sigma](col if sign > 0 else negated), triple[p])
+                 for sigma, (p, sign) in zip(SIGMA3_WORDS, transport[SIGMA3][1])]
+        if all(got == want for got, want in sides):
             return SymmetryCheck(True, len(transport) * len(col))
+        rows = set(itertools.chain.from_iterable(
+            itertools.compress(itertools.count(), map(ne, got, want)) for got, want in sides))
+        _, result = _first_failure(sorted(rows), lambda i: failure(1, SIGMA3, i))
+        if result is not None:
+            return result
 
-    keys, gathers = list(F.distinct_tuples()), _gathers(n)
     negated = tuple(tuple(map(neg, x)) for x in triple)
-
-    def column(p, sign):
-        return triple[p] if sign > 0 else negated[p]
-
-    for s, (sigma, (mat, signed)) in enumerate(transport.items()):
+    for s, (sigma, (_, signed)) in enumerate(transport.items()):
         gather = getters[sigma]
         got = tuple(map(gather, triple))
-        want = tuple(column(*row) for row in signed)
+        want = tuple(triple[p] if sign > 0 else negated[p] for p, sign in signed)
         if got == want and odd_rows is None:
             continue
         flags = [list(map(ne, zip(*got), zip(*want)))]
         if odd_rows is not None:
             flags += [odd_rows, gather(odd_rows)]
-        for i in _rows(*flags):
-            expected = mat_vec(mat, f_triple(F, keys[i]))
-            there = f_triple(F, keys[gathers[sigma][i]])
-            if not all(_eq(e, g) for e, g in zip(expected, there)):
-                return SymmetryCheck(
-                    False, s * len(keys) + i + 1,
-                    (sigma.cycle_notation(), keys[i], expected, there),
-                )
-    return SymmetryCheck(True, len(transport) * len(keys))
+        _, result = _first_failure(_rows(*flags), lambda i: failure(s, sigma, i))
+        if result is not None:
+            return result
+    return SymmetryCheck(True, len(transport) * len(col))
 
 
 # ---------------------------------------------------------------------------
@@ -797,9 +857,15 @@ def decompose_g(F: FunctionTable, a=None, b=None) -> dict:
                 f"table fails the {rel} relation at {relations[rel].counterexample!r}"
             )
 
-    direct = {(u, v): F.get((u, a, v, b)) for u in F.labels for v in F.labels}
-    if None not in direct.values():
-        g = direct
+    # the slice F(u, a, v, b), label pairs (u, v) in product order, as one
+    # gather of the column: a zero-convention tuple reads its 0
+    n, ia, ib = len(F.labels), F._index[a], F._index[b]
+    position = _product_layout(n).position
+    at = itemgetter(*(position.get((u, ia, v, ib), len(position))
+                      for u in range(n) for v in range(n)))
+    column, missing = F._column()
+    if not missing or True not in at(missing):
+        g = dict(zip(itertools.product(F.labels, repeat=2), at(column)))
     else:
         if a == b:
             raise ValueError("a partial table needs two distinct anchors")
@@ -837,9 +903,8 @@ def decompose_g(F: FunctionTable, a=None, b=None) -> dict:
     got = _coboundary(g, F.labels, distinct=True)
     for i in _rows(list(map(sub, want, got))):
         if not _eq(want[i], got[i]):
-            t = next(itertools.islice(F.distinct_tuples(), i, None))
             raise RelationViolated(
-                f"decomposition does not reproduce the table at {t!r}: "
+                f"decomposition does not reproduce the table at {_key(F, i)!r}: "
                 f"{want[i]} vs {got[i]}"
             )
     return g

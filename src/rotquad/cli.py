@@ -65,7 +65,7 @@ from .invariant import (
     tuple_terms,
     verify_rf_identities,
 )
-from .maps import Compose, require_fixed
+from .maps import Compose, _require_fixed
 from .report import PASS, Report, _fmt_value, make_record
 from .scenario import Scenario, load_scenario, tolerances_from_json
 
@@ -189,8 +189,9 @@ def cmd_compute(args) -> int:
         "extrapolate": bool(args.extrapolate),
     })
     ev = RfEvaluator(scenario.map_spec, tol, seed)
-    # refused up front, naming the budget: a map whose one evaluation exceeds it
-    require_fixed(scenario.map_spec, (), tol)
+    # refused up front, naming the budget: a map whose one evaluation exceeds
+    # it; the budget, every value and every trace read the evaluator's chart
+    _require_fixed(ev._chart(ev.spec)[2], (), tol)
 
     for names in scenario.tuples:
         label = "(" + ",".join(names) + ")"
@@ -228,7 +229,7 @@ def cmd_compute(args) -> int:
                     values[m] = ev.value(*pts)
                 else:
                     try:
-                        trace = synthesize_twist_trace(scenario.map_spec, t, tol=tol)
+                        trace = synthesize_twist_trace(scenario.map_spec, t, tol=tol, ev=ev)
                     except ScenarioError:
                         if method == "trace":
                             raise

@@ -552,6 +552,11 @@ class RfEvaluator:
             entry = self._charts[key] = twist, steps, CompiledMap(steps), set()
         return entry
 
+    @functools.cached_property
+    def _reduction(self):
+        """twist_chart(self.spec), for synthesize_twist_trace."""
+        return twist_chart(self.spec)
+
     def _checked_steps(self, spec: MapSpec, points) -> list:
         """spec's steps, with points checked fixed under them.  Each point
         is checked once per spec, in order, so the first point that moves
@@ -670,15 +675,19 @@ def synthesize_twist_trace(
     spec: MapSpec,
     t: MarkedTuple,
     tol: Tolerances = DEFAULT_TOL,
+    ev: RfEvaluator | None = None,
 ) -> IsotopyTrace:
     """The canonical isotopy trace of a (conjugated) twist: one stage, the
     twist by t * rho in the chart H that twist_chart reduces spec to.
-    Raises ScenarioError when twist_chart does not reduce spec.
+    Raises ScenarioError when twist_chart does not reduce spec.  t's points
+    are checked fixed in the chart of ev, an evaluator of spec under tol
+    (a new one by default), which reduces spec once, not once per call.
     """
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
-    require_fixed(spec, t.points, tol)
-    reduced = twist_chart(spec)
+    ev = ev or RfEvaluator(spec, tol)
+    ev._checked_steps(spec, t.points)
+    reduced = ev._reduction
     if reduced is None:
         raise ScenarioError("no canonical isotopy known for this map")
     return IsotopyTrace((reduced,), t.x1, t.x2, t.x3, t.x4)
@@ -822,7 +831,7 @@ def verify_rf_identities(
         a = _loop_winding(forward, base, ends, punctures, tol)
         b = _lift_turns(forward, base, punctures, tol)
         try:
-            trace = synthesize_twist_trace(spec, MarkedTuple(*t), tol=tol)
+            trace = synthesize_twist_trace(spec, MarkedTuple(*t), tol=tol, ev=ev)
         except ScenarioError:
             return agreement([a, b])
         return agreement([a, b, rf_trace(trace, tol)])

@@ -10,6 +10,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 TOOL_NAME = "rotquad"
 TOOL_VERSION = "0.1.0"
@@ -52,6 +53,29 @@ def _fmt_value(v) -> str:
     if isinstance(v, float):
         return repr(v)
     return str(v)
+
+
+_encode = json.JSONEncoder().encode
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for keys
+    that are str, int, float, bool or None.  The layout is made here and
+    each leaf and key is encoded by the C encoder (a str as JSONEncoder
+    encodes it): with an indent, json.dumps runs the pure-Python one."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_dumps(v, inner) for v in value]
+    elif isinstance(value, dict):
+        brackets, items = "{}", [_dumps(k if isinstance(k, str) else _encode(k)) + ": "
+                                 + _dumps(v, inner) for k, v in sorted(value.items())]
+    else:
+        return _encode(value)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
 
 
 @dataclass
@@ -100,7 +124,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        return _dumps(self.as_dict()) + "\n"
 
     def write_json(self, path):
         with open(path, "w", encoding="utf-8", newline="\n") as fh:

@@ -12,6 +12,7 @@ exception, on every table kind the library meets.
 
 import itertools
 import math
+import os
 import random
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from rotquad import (
     table_from_function,
     verify_triple_symmetry,
 )
+from rotquad import algebra
 from rotquad.algebra import (
     FLOAT_EQ_TOL,
     SIGMA1,
@@ -422,7 +424,16 @@ def test_mixed_int_float_tables():
             assert_same_outcomes(mixed.perturbed(t, delta))
 
 
-@settings(max_examples=40, deadline=None)
+# a fixed sample in every run, and with ROTQUAD_FUZZ_EXAMPLES set, that many
+# fresh draws from pytest's --hypothesis-seed:
+#   ROTQUAD_FUZZ_EXAMPLES=400 python -m pytest tests/test_algebra_reference.py \
+#       -k random_tables_check --hypothesis-seed=<seed>
+
+_FUZZ_EXAMPLES = os.environ.get("ROTQUAD_FUZZ_EXAMPLES")
+
+
+@settings(max_examples=int(_FUZZ_EXAMPLES or 40), deadline=None,
+          derandomize=_FUZZ_EXAMPLES is None, database=None)
 @given(
     n=st.integers(4, 6),
     seed=st.integers(0, 2**16),
@@ -536,6 +547,95 @@ def test_tables_that_a_weakened_shortcut_would_pass(kind, shape):
     assert not reference_verify_triple_symmetry(F).passed
     assert not verify_triple_symmetry(F).passed
     assert_same_outcomes(F)
+
+
+# ---------------------------------------------------------------------------
+# split_w's pivots and the failing symmetry's stop at (34): each table below
+# fails in the reference, and each test fails with one weakened form of
+# those shortcuts
+
+
+def _at_pair(A: dict) -> FunctionTable:
+    """On labels 0..4: F(a, b, 2, 3) = A[a, b] (0 where A has no entry) and
+    F = 0 at every other second pair.  At (x3, x4) = (2, 3) the labels
+    outside the pair are S = {0, 1, 4}, and split_w's pivot w0 is 0."""
+    zero = 0.0 if any(isinstance(v, float) for v in A.values()) else 0
+    return table_from_function(
+        range(5), lambda a, b, c, d: A.get((a, b), zero) if (c, d) == (2, 3) else zero)
+
+
+def _sum_table(alpha: dict, beta: dict) -> FunctionTable:
+    """A(a, b) = alpha(a) + beta(b): the split equations at (2, 3) through w
+    hold exactly where alpha(w) + beta(w) = 0, and A(0, w) + A(w, 0) is
+    that sum at w plus that at 0."""
+    return _at_pair({(a, b): alpha.get(a, 0) + beta.get(b, 0)
+                     for a in range(5) for b in range(5) if a != b})
+
+
+def _rounding_table() -> FunctionTable:
+    """Floats on which the pivots and the antisymmetry hold exactly, while
+    the split of F(0, 4, 2, 3) = 1 through w = 1 reads -p + (p + 1) = 0:
+    p + 1 rounds to p.  The pivots x3 and x4 read what the pivot 0 reads."""
+    p = 1e16
+    A = {(1, 0): p, (0, 1): -p, (0, 4): 1.0, (4, 0): -1.0, (1, 4): p + 1.0, (4, 1): -1.0 - p}
+    for x in (2, 3):
+        A.update({(a, x): A.get((a, 0), 0.0) for a in (0, 1, 4)})
+        A.update({(x, b): A.get((0, b), 0.0) for b in (0, 1, 4)})
+    return _at_pair(A)
+
+
+def _float_table_moved(*changes) -> FunctionTable:
+    labels = tuple(range(5))
+    F = build_f_from_g({k: v + 0.25 for k, v in cyclic_g(random.Random(31), labels).items()},
+                       labels)
+    for t, delta in changes:
+        F = F.perturbed(t, delta)
+    return F
+
+
+KILL_TABLES = {
+    # an entry F(x1, x3, x3, x4), resp. F(x1, x4, x3, x4), is read by the
+    # split equations through x3, resp. x4, alone
+    "pivot x3 dropped": lambda: quadratic_table(range(5)).perturbed((0, 2, 2, 3), 1),
+    "pivot x4 dropped": lambda: quadratic_table(range(5)).perturbed((1, 3, 2, 3), -1),
+    # alpha + beta is 1 at 0 and -1 at 1 and 4: the pivots x3 and x4 and the
+    # antisymmetry hold, the pivot w0 = 0 does not
+    "pivot w0 dropped": lambda: _sum_table({0: 1}, {1: -1, 4: -1}),
+    # alpha + beta is 1 at 1 alone: every pivot holds, A(0, 1) + A(1, 0) = 1
+    "antisymmetry dropped": lambda: _sum_table({1: 1}, {}),
+    "floats admitted": _rounding_table,
+    # each row of (34) holds within 1e-9, and (23), the next, does not
+    "no float fallback after (34)": lambda: _float_table_moved(
+        ((0, 1, 2, 3), 0.8e-9), ((1, 0, 2, 3), 0.8e-9)),
+    # the first row at which (34)'s comparisons differ holds within 1e-9;
+    # a later one fails
+    "first differing row of (34) as the witness": lambda: _float_table_moved(
+        ((0, 1, 2, 3), 0.5e-9), ((0, 1, 2, 4), 1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", KILL_TABLES)
+def test_tables_that_a_weakened_pivot_or_stop_would_misread(kind):
+    F = KILL_TABLES[kind]()
+    if "(34)" in kind:
+        assert not reference_verify_triple_symmetry(F).passed
+    else:
+        assert not reference_check_relations(F)["split_w"].passed
+    assert_same_outcomes(F)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("kind", ["int", "Fraction"])
+def test_an_exact_table_passes_split_w_on_its_pivots(kind, n, monkeypatch):
+    # the full split scan is not run: its gathers are not even built
+    labels = tuple(range(n))
+    g = cyclic_g(random.Random(43), labels)
+    if kind == "Fraction":
+        g = {k: Fraction(v, 3) for k, v in g.items()}
+    F, R = build_f_from_g(g, labels), reference_build_f_from_g(g, labels)
+    monkeypatch.setattr(algebra, "_split_scan", None)
+    assert check_relations(F) == reference_check_relations(R)
+    assert check_relations(F)["split_w"].passed
 
 
 # ---------------------------------------------------------------------------

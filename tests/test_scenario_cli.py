@@ -4,6 +4,7 @@ import cmath
 import json
 import math
 import os
+import random
 import tempfile
 import time
 from dataclasses import replace
@@ -32,7 +33,9 @@ from rotquad import (
     scenario_to_json,
 )
 from rotquad.catalog import golden_twist_scenario, identity_scenarios
+from rotquad import invariant, maps
 from rotquad.cli import main
+from rotquad.report import Report, _dumps
 from rotquad.geometry import DEFAULT_TOL
 from rotquad.scenario import (
     g_from_json,
@@ -434,3 +437,71 @@ def test_cli_compute_refuses_a_chained_power_past_the_budget(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
         err = capsys.readouterr().err
         assert "BudgetExhausted" in err and "max_refine_points=1048576" in err
+
+
+# ---------------------------------------------------------------------------
+# the report writer, and how often one compute command reads its spec
+
+
+def test_every_catalog_report_is_written_as_json_dumps_writes_it(tmp_path, monkeypatch):
+    written = []
+    to_json = Report.to_json
+
+    def compared(report):
+        text = to_json(report)
+        assert text == json.dumps(report.as_dict(), indent=2, sort_keys=True) + "\n"
+        written.append(report)
+        return text
+
+    monkeypatch.setattr(Report, "to_json", compared)
+    for path in sorted(SCENARIOS.glob("*.json")):
+        assert main(["compute", str(path), "--method", "all",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert len(written) == 27
+
+
+def _json_value(rng: random.Random, depth: int = 0):
+    """A random value json.dumps accepts: nested lists, tuples and dicts
+    (keys of one kind each), and leaves with NaN, infinities, -0.0, big
+    ints and non-ASCII, quote and control characters."""
+    text = lambda: "".join(rng.choice('ab"\\/\n\t\x00é€😀 ') for _ in range(rng.randrange(6)))
+    leaves = (text, lambda: rng.randint(-10**30, 10**30), lambda: rng.randint(-3, 3),
+              lambda: rng.choice([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
+              lambda: rng.uniform(-1e6, 1e6), lambda: rng.choice([None, True, False]))
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind < 6:
+        return leaves[kind]()
+    items = [_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    key = rng.choice([text, lambda: rng.randint(-9, 9), lambda: rng.uniform(-9, 9),
+                      lambda: rng.choice([True, False]), lambda: None])
+    return {key(): v for v in items}
+
+
+def test_the_report_writer_is_json_dumps_on_random_values():
+    rng = random.Random(20250)
+    for _ in range(2000):
+        value = _json_value(rng)
+        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True), value
+
+
+def test_cli_compute_walks_and_compiles_its_spec_once(tmp_path, monkeypatch):
+    # the budget check, every value and every tuple's trace read the one
+    # evaluator's chart; the spec is reduced for the traces once
+    calls = []
+    for module, name in ((invariant, "_charted_steps"), (invariant, "twist_chart"),
+                         (invariant, "require_fixed"), (maps, "compile_map")):
+        def counted(*args, real=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    tuples = (("q1", "q2", "q3", "q4"), ("q2", "q1", "q4", "q3"), ("q1", "q2", "q4", "q5"))
+    path, out = tmp_path / "three.json", tmp_path / "report.json"
+    save_scenario(replace(golden_twist_scenario(2), tuples=tuples), path)
+    assert main(["compute", str(path), "--method", "all", "--out", str(out)]) == 0
+    assert calls == ["_charted_steps", "twist_chart"]
+    records = json.loads(out.read_text())["records"]
+    assert sum(r["name"] == "value[trace]" and r["status"] == "pass" for r in records) == 3
