@@ -27,7 +27,6 @@ function; 0 otherwise.  Uses the ``src/`` tree next to this script.
 import ast
 import contextlib
 import io
-import os
 import runpy
 import sys
 import tempfile
@@ -138,7 +137,6 @@ def main() -> int:
         if event == "call":
             entered.add(frame.f_code)
 
-    os.environ.pop("ROTQUAD_SEED", None)
     sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         sys.setprofile(profile)

@@ -49,7 +49,6 @@ def _report_digests(args, out: Path) -> tuple[str | None, str | None]:
     """Digests of the JSON report and the CSV table of one run (None if unwritten)."""
     table = out.with_suffix(".csv")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("ROTQUAD_SEED", None)
     subprocess.run([sys.executable, "-m", "rotquad", *args, "--out", str(out), "--csv", str(table)],
                    env=env, stdout=subprocess.DEVNULL, check=False)
     return tuple(hashlib.sha256(f.read_bytes()).hexdigest() if f.is_file() else None

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .errors import ParseError, RelationViolated
 from .geometry import DEFAULT_TOL, Tolerances, as_sphere_point
 from .invariant import RfEvaluator
-from .maps import MapSpec, require_fixed
+from .maps import MapSpec
 
 FLOAT_EQ_TOL = 1e-9
 
@@ -805,17 +805,10 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
 def build_f_from_g(g, labels=None) -> FunctionTable:
     """The total table F(x1,x2,x3,x4) = g(x1,x3) - g(x1,x4) - g(x2,x3) + g(x2,x4).
 
-    g is a mapping on ordered label pairs or a two-argument callable.  A
-    mapping is read once, in label-pair order, and F's product column is
-    four gathers of it; the table keeps only that column (see FunctionTable).
+    g is a mapping on ordered label pairs.  It is read once, in label-pair
+    order, and F's product column is four gathers of it; the table keeps
+    only that column (see FunctionTable).
     """
-    if callable(g):
-        if labels is None:
-            raise ValueError("labels are required with a callable g")
-        return table_from_function(
-            labels,
-            lambda x1, x2, x3, x4: g(x1, x3) - g(x1, x4) - g(x2, x3) + g(x2, x4),
-        )
     if labels is None:
         labels = sorted({u for u, _ in g} | {v for _, v in g})
     labels = FunctionTable(labels).labels  # the label checks, before g is read
@@ -931,8 +924,8 @@ def rf_table(
         raise ValueError("need at least four points")
     if len(set(pts)) != len(pts):
         raise ValueError("points must be pairwise distinct")
-    require_fixed(spec, pts, tol)
     ev = RfEvaluator(spec, tol, seed)
+    ev._checked_steps(spec, pts)
     labels = tuple(range(len(pts)))
     values = {t: ev.value(*(pts[i] for i in t)) for t in itertools.permutations(labels, 4)}
     return FunctionTable(labels, values)

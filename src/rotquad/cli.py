@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import os
 import random
 import sys
 
@@ -56,8 +55,9 @@ from .invariant import (
     BlowupEstimate,
     MarkedTuple,
     RfEvaluator,
+    _loop_winding,
     identity_record,
-    rf_loop,
+    rf_loop,  # unused here; kept as the name perfbench's tracer wraps
     rf_mixed,
     rf_trace,
     signed_sum,
@@ -121,18 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_seed(args, scenario: Scenario | None) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("ROTQUAD_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ScenarioError(f"ROTQUAD_SEED must be an integer, got {env!r}")
-    return scenario.seed if scenario is not None else 0
-
-
 def _tol(args, base: Tolerances = DEFAULT_TOL) -> Tolerances:
     """base, with the --tol-winding override when one is given."""
     overrides = None if args.tol_winding is None else {"winding_snap": args.tol_winding}
@@ -176,7 +164,7 @@ def _matching_paths(scenario: Scenario, t: MarkedTuple):
 def cmd_compute(args) -> int:
     scenario = load_scenario(args.scenario)
     tol = _tol(args, scenario.tolerances)
-    seed = _effective_seed(args, scenario)
+    seed = scenario.seed if args.seed is None else args.seed
     method = args.method or scenario.method
     methods = ("loop", "lift", "trace") if method == "all" else (method,)
 
@@ -191,7 +179,7 @@ def cmd_compute(args) -> int:
     ev = RfEvaluator(scenario.map_spec, tol, seed)
     # refused up front, naming the budget: a map whose one evaluation exceeds
     # it; the budget, every value and every trace read the evaluator's chart
-    _require_fixed(ev._chart(ev.spec)[2], (), tol)
+    _require_fixed(ev._chart(ev.spec)[3], (), tol)
 
     for names in scenario.tuples:
         label = "(" + ",".join(names) + ")"
@@ -247,7 +235,7 @@ def cmd_compute(args) -> int:
 
         for pname, path in _matching_paths(scenario, t):
             try:
-                v = rf_loop(scenario.map_spec, t, path, tol)
+                v = _loop_winding(*ev._refined(t, path), tol)
             except GeometryFailure:
                 report.add(make_record(
                     f"declared_path[{pname}]", label, "declared path value", (), None))
@@ -474,8 +462,6 @@ def cmd_verify(args) -> int:
     scenario = load_scenario(args.scenario) if args.scenario else None
     suites = SUITES if args.suite == "all" else (args.suite,)
     seed_override = args.seed
-    if seed_override is None and os.environ.get("ROTQUAD_SEED") is not None:
-        seed_override = _effective_seed(args, scenario)
 
     report = Report(config={
         "command": "verify",

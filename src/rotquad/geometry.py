@@ -31,32 +31,25 @@ TAU = math.tau
 # source path ran into the pole of the chart transform.
 _BLOWUP_MAGNITUDE = 1e100
 
+# A point this close to an edge counts as on it: rounding could flip its side.
+EPS_EDGE = 1e-9
+# Crossing determinants within this times |s1| |s2| are degenerate, at any scale.
+EPS_DEG = 1e-12
+
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds shared across the pipeline.
+    """Numerical thresholds a scenario may override.
 
-    eps_edge   minimum separation between a reference point and a loop edge
-    eps_deg    degeneracy cutoff for the orientation determinants of a
-               segment crossing, relative to the product of the two
-               segments' lengths
     winding_snap  how far an angle sum may sit from an integer turn count
     fixed_tol  residual allowed when validating a declared fixed point
     max_refine_points  pieces a refined path, and step applications one
                map evaluation, may take before BudgetExhausted
-    jitter_magnitude  how far a retry moves the connecting path's control
-               point, times max(|x4 - x3|, 1)
-    jitter_attempts  retries with a moved connecting path after a geometry
-               failure
     """
 
-    eps_edge: float = 1e-9
-    eps_deg: float = 1e-12
     winding_snap: float = 1e-6
     fixed_tol: float = 1e-9
     max_refine_points: int = 1 << 20
-    jitter_magnitude: float = 1e-7
-    jitter_attempts: int = 5
 
 
 DEFAULT_TOL = Tolerances()
@@ -365,11 +358,11 @@ def path_turns(points, centre: complex = 0j) -> float:
 def winding_number(loop: Polyline, p: complex, tol: Tolerances = DEFAULT_TOL) -> int:
     """Winding number of a closed polyline around p: its ``path_turns``
     about p, wrap edge included, in whole turns (``snap_turns``).  p must
-    stay at least ``tol.eps_edge`` away from every edge."""
+    stay at least ``EPS_EDGE`` away from every edge."""
     if not loop.closed:
         raise ValueError("winding number needs a closed polyline")
     p = complex(p)
-    if loop.passes_within(p, tol.eps_edge):
+    if loop.passes_within(p, EPS_EDGE):
         raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
     return snap_turns(path_turns(loop.vertices + loop.vertices[:1], p), tol)
 
@@ -394,11 +387,7 @@ def _within_span(p: complex, a: complex, b: complex) -> bool:
     return 0.0 <= t <= d.real * d.real + d.imag * d.imag
 
 
-def segment_crossing(
-    s1: tuple[complex, complex],
-    s2: tuple[complex, complex],
-    tol: Tolerances = DEFAULT_TOL,
-) -> int | None:
+def segment_crossing(s1: tuple[complex, complex], s2: tuple[complex, complex]) -> int | None:
     """Sign of the transverse crossing of two directed segments.
 
     Returns +1 when the tangent frame (dir s1, dir s2) at the crossing is
@@ -406,14 +395,14 @@ def segment_crossing(
     not meet.  Endpoint touches, collinear overlaps and near-parallel
     crossings raise DegenerateCrossing: those configurations have no
     trustworthy sign and callers are expected to jitter and retry.  Each
-    orientation determinant is compared with ``tol.eps_deg`` times
+    orientation determinant is compared with ``EPS_DEG`` times
     |s1| |s2|, so scaling both segments by one factor changes no outcome.
     """
     p, p2 = complex(s1[0]), complex(s1[1])
     q, q2 = complex(s2[0]), complex(s2[1])
     d1 = p2 - p
     d2 = q2 - q
-    eps = tol.eps_deg * abs(d1) * abs(d2)
+    eps = EPS_DEG * abs(d1) * abs(d2)
 
     o1 = _cross(d1, q - p)
     o2 = _cross(d1, q2 - p)

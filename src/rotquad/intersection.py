@@ -24,7 +24,7 @@ from .geometry import (
 )
 
 
-def signed_crossing_sum(first: Polyline, second: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
+def signed_crossing_sum(first: Polyline, second: Polyline) -> int:
     """Sum of transverse crossing signs over all edge pairs.
 
     Degenerate contacts raise; callers jitter and retry.
@@ -32,7 +32,7 @@ def signed_crossing_sum(first: Polyline, second: Polyline, tol: Tolerances = DEF
     total = 0
     for e1 in first.edges():
         for e2 in second.edges():
-            sign = segment_crossing(e1, e2, tol)
+            sign = segment_crossing(e1, e2)
             if sign is not None:
                 total += sign
     return total

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL,
+    EPS_EDGE,
     INFINITY,
     MOBIUS_IDENTITY,
     MobiusTransform,
@@ -70,6 +71,10 @@ from .maps import (
 from .report import CheckRecord, make_record
 
 TAU = math.tau
+# Retries after a geometry failure: each takes the next path variant, so a few suffice.
+JITTER_ATTEMPTS = 5
+# A retry moves the path's control point by this times max(|x4 - x3|, 1): off a graze only.
+JITTER_MAGNITUDE = 1e-7
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,7 @@ def _require_distinct(t: MarkedTuple):
     return kind
 
 
-def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol: Tolerances):
+def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid):
     if beta.closed:
         raise ValueError("the connecting path must be open")
     if x3.is_infinity or x4.is_infinity:
@@ -151,7 +156,7 @@ def _validate_beta(beta: Polyline, x3: SpherePoint, x4: SpherePoint, avoid, tol:
     if beta.start != x3.value or beta.end != x4.value:
         raise ValueError("the connecting path must run exactly from x3 to x4")
     for p in avoid:
-        if not p.is_infinity and beta.passes_within(p.value, tol.eps_edge):
+        if not p.is_infinity and beta.passes_within(p.value, EPS_EDGE):
             raise PointOnLoop(f"the connecting path passes through {p!r}")
 
 
@@ -172,7 +177,7 @@ def _loop_winding(forward: list[complex], base: float, ends, punctures, tol: Tol
     so only the image side is checked."""
     loop = dedupe_consecutive([ends[0], *forward, ends[1]])
     for p in punctures:
-        if p is not None and any(point_segment_distance(p, a, b) <= tol.eps_edge
+        if p is not None and any(point_segment_distance(p, a, b) <= EPS_EDGE
                                  for a, b in zip(loop, loop[1:])):
             raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
     return snap_turns(_turning(loop, punctures) - base, tol)
@@ -459,14 +464,13 @@ def connecting_path(
     avoid=(),
     variant: int = 0,
     jitter: complex = 0j,
-    tol: Tolerances = DEFAULT_TOL,
 ) -> Polyline:
     """A polyline of four edges from x3 to x4 bowed away from the points to avoid.
 
     Different variants bow to different sides and by different amounts, so
     retrying with the next variant gives a genuinely different path.  The
     path is validated here: it runs exactly from x3 to x4 and keeps at
-    least tol.eps_edge (and 1e-6 of the points' scale) from every point to
+    least EPS_EDGE (and 1e-6 of the points' scale) from every point to
     avoid.  The refinement bisects its edges wherever the map needs it.
     """
     x3 = complex(x3)
@@ -474,7 +478,7 @@ def connecting_path(
     finite_avoid = [p.value for p in map(as_sphere_point, avoid) if not p.is_infinity]
     span = x4 - x3
     scale = max([abs(span)] + [abs(p - x3) for p in finite_avoid] + [1e-9])
-    margin = max(1e-6 * scale, tol.eps_edge)
+    margin = max(1e-6 * scale, EPS_EDGE)
     for k in range(variant, variant + 25):
         side = 1.0 if k % 2 == 0 else -1.0
         bulge = 0.31 + 0.23 * (k // 2)
@@ -533,10 +537,11 @@ class RfEvaluator:
         self.tol = tol
         self.seed = seed
         self._cache: dict[tuple, int | InconclusiveComputation] = {}
-        # chart's spec, None for self.spec (spared hashing) -> (H's point
-        # step, None for the identity, and the twist in H's chart when spec
-        # reduces to one twist in an affine chart H, else None; its steps;
-        # their compiled map; the points checked fixed)
+        # chart's spec, None for self.spec (spared hashing) -> ((H, rho)
+        # when spec reduces to one twist by rho in the chart H, else None;
+        # (H's point step, None for the identity, and the twist in H's
+        # chart) when H is affine, else None; its steps; their compiled
+        # map; the points checked fixed)
         self._charts: dict[MapSpec | None, tuple] = {}
 
     def _chart(self, spec: MapSpec) -> tuple:
@@ -545,23 +550,19 @@ class RfEvaluator:
         key = None if spec is self.spec else spec
         entry = self._charts.get(key)
         if entry is None:
-            h, core, steps = _charted_steps(spec)
+            reduced, core, steps = _charted_steps(spec)
             twist = None
-            if h is not None and h.c == 0:
+            if reduced is not None and reduced[0].c == 0:
+                h = reduced[0]
                 twist = (None if h == MOBIUS_IDENTITY else mobius_step(h)), CompiledMap(core)
-            entry = self._charts[key] = twist, steps, CompiledMap(steps), set()
+            entry = self._charts[key] = reduced, twist, steps, CompiledMap(steps), set()
         return entry
-
-    @functools.cached_property
-    def _reduction(self):
-        """twist_chart(self.spec), for synthesize_twist_trace."""
-        return twist_chart(self.spec)
 
     def _checked_steps(self, spec: MapSpec, points) -> list:
         """spec's steps, with points checked fixed under them.  Each point
         is checked once per spec, in order, so the first point that moves
         raises NotFixed as _require_fixed does."""
-        _, steps, f, fixed = self._chart(spec)
+        _, _, steps, f, fixed = self._chart(spec)
         for p in points:
             if p not in fixed:
                 _require_fixed(f, (p,), self.tol)
@@ -575,7 +576,7 @@ class RfEvaluator:
         exactly.  None too when H's rounding merges two of the points."""
         if t.x3.is_infinity or t.x4.is_infinity:
             return None
-        twist = self._chart(self.spec)[0]
+        twist = self._chart(self.spec)[1]
         if twist is None:
             return None
         move, f = twist
@@ -603,16 +604,15 @@ class RfEvaluator:
         twisted = None
         if beta is not None:
             steps = self._checked_steps(spec, t.points)
-            _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
+            _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2))
         else:
             twisted = self._in_twist_chart(t)
             if twisted is None:
                 spec, t = _prechart(spec, t)
             z1, z2, z3, z4 = twisted[0] if twisted else (p.z for p in t.points)
             if jitter:
-                jitter *= tol.jitter_magnitude * max(abs(z4 - z3), 1.0)
-            beta = connecting_path(z3, z4, avoid=(z1, z2), variant=variant, jitter=jitter,
-                                   tol=tol)
+                jitter *= JITTER_MAGNITUDE * max(abs(z4 - z3), 1.0)
+            beta = connecting_path(z3, z4, avoid=(z1, z2), variant=variant, jitter=jitter)
             steps = self._checked_steps(spec, t.points)
         if twisted is not None:
             punctures = z1, z2
@@ -640,7 +640,7 @@ class RfEvaluator:
                 raise cached.with_traceback(None)
             return cached
         last_error: Exception | None = None
-        for attempt in range(self.tol.jitter_attempts + 1):
+        for attempt in range(JITTER_ATTEMPTS + 1):
             jitter = 0j
             if attempt > 0:
                 rng = random.Random(f"{self.seed}|{key!r}|{attempt}")
@@ -662,7 +662,7 @@ class RfEvaluator:
             except (GeometryFailure, ScenarioError) as err:
                 last_error = err
         raise InconclusiveComputation(
-            f"no admissible geometry after {self.tol.jitter_attempts + 1} attempts: "
+            f"no admissible geometry after {JITTER_ATTEMPTS + 1} attempts: "
             f"{last_error}"
         )
 
@@ -681,13 +681,13 @@ def synthesize_twist_trace(
     twist by t * rho in the chart H that twist_chart reduces spec to.
     Raises ScenarioError when twist_chart does not reduce spec.  t's points
     are checked fixed in the chart of ev, an evaluator of spec under tol
-    (a new one by default), which reduces spec once, not once per call.
+    (a new one by default), whose one walk of spec gives (H, rho).
     """
     if _require_distinct(t) != "distinct":
         raise ScenarioError("traces need four distinct points")
     ev = ev or RfEvaluator(spec, tol)
     ev._checked_steps(spec, t.points)
-    reduced = ev._reduction
+    reduced = ev._chart(spec)[0]
     if reduced is None:
         raise ScenarioError("no canonical isotopy known for this map")
     return IsotopyTrace((reduced,), t.x1, t.x2, t.x3, t.x4)
@@ -762,11 +762,11 @@ def verify_rf_identities(
         raise ScenarioError("the identity suite needs at least five marked points")
     if len(set(pts)) != len(pts):
         raise ScenarioError("marked points must be pairwise distinct")
-    require_fixed(spec, pts, tol)
     ev = RfEvaluator(spec, tol, seed)
+    ev._checked_steps(spec, pts)
     if g_spec is not None:
-        require_fixed(g_spec, pts, tol)
         g_ev = RfEvaluator(g_spec, tol, seed)
+        g_ev._checked_steps(g_spec, pts)
 
     x1, x2, x3, x4, w = x = tuple(pts[:5])
     t = x[:4]

@@ -352,14 +352,15 @@ def _steps(spec: MapSpec) -> list:
     return _charted_steps(spec)[2]
 
 
-def _charted_steps(spec: MapSpec) -> tuple[MobiusTransform | None, list, list]:
-    """_steps(spec) with the chart they run in, from one ``twist_chart`` walk.
+def _charted_steps(spec: MapSpec) -> tuple[tuple[MobiusTransform, RadialProfile] | None,
+                                            list, list]:
+    """_steps(spec) with the twist they run, from one ``twist_chart`` walk.
 
-    Returns (H, core, steps): the steps are H's chart change, the core and
-    its inverse (the core alone when H is the identity), where H is the
-    chart ``twist_chart`` reduces spec to, after the power rewrites, and
-    the core is its one twist (no step for the identity).  A spec that
-    does not reduce gives H = None and its steps as the core.
+    Returns ((H, rho), core, steps): the steps are H's chart change, the
+    core and its inverse (the core alone when H is the identity), where
+    (H, rho) is what ``twist_chart`` reduces spec to, after the power
+    rewrites, and the core is the twist by rho (no step for the identity).
+    A spec that does not reduce gives None and its steps as the core.
     """
     while isinstance(spec, Power):
         inner = spec.inner
@@ -373,15 +374,15 @@ def _charted_steps(spec: MapSpec) -> tuple[MobiusTransform | None, list, list]:
             spec = Power(spec.q * inner.q, inner.inner)
         else:
             break
-    if isinstance(spec, Identity):
-        return MOBIUS_IDENTITY, [], []
     reduced = twist_chart(spec)
+    if isinstance(spec, Identity):
+        return reduced, [], []
     if reduced is not None:
         h, profile = reduced
         core = [(_twist_step(profile), _Deferred(_twist_disk, profile))]
         if h == MOBIUS_IDENTITY:
-            return h, core, core
-        return h, core, [_mobius_pair(h), *core, _mobius_pair(h.inverse())]
+            return reduced, core, core
+        return reduced, core, [_mobius_pair(h), *core, _mobius_pair(h.inverse())]
     if isinstance(spec, MobiusConjugate):
         steps = [_mobius_pair(spec.h), *_steps(spec.inner), _mobius_pair(spec.h.inverse())]
     elif isinstance(spec, Compose):

@@ -182,7 +182,7 @@ def map_from_json(obj) -> MapSpec:
 
 _TOL_TYPES = {f.name: type(f.default) for f in dc_fields(Tolerances)}
 # the least value of each integer field; float fields are non-negative
-_TOL_INT_MIN = {"max_refine_points": 1, "jitter_attempts": 0}
+_TOL_INT_MIN = {"max_refine_points": 1}
 
 
 def tolerances_from_json(obj, base: Tolerances = DEFAULT_TOL) -> Tolerances:

@@ -28,7 +28,7 @@ import rotquad.geometry as geometry
 from rotquad import MarkedTuple, MobiusConjugate, MobiusTransform, Polyline, RfEvaluator
 from rotquad.catalog import identity_scenarios
 from rotquad.geometry import apply_mobius, mobius_normalize, mobius_step, path_turns
-from rotquad.invariant import _prechart, _validate_beta, connecting_path
+from rotquad.invariant import JITTER_MAGNITUDE, _prechart, _validate_beta, connecting_path
 from rotquad.maps import CompiledMap, _mobius_pair
 
 # ---------------------------------------------------------------------------
@@ -43,13 +43,13 @@ class ReferenceEvaluator(RfEvaluator):
         spec, tol = self.spec, self.tol
         if beta is not None:
             steps = self._checked_steps(spec, t.points)
-            _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2), tol)
+            _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2))
         else:
             spec, t = _prechart(spec, t)
             if jitter:
-                jitter *= tol.jitter_magnitude * max(abs(t.x4.value - t.x3.value), 1.0)
+                jitter *= JITTER_MAGNITUDE * max(abs(t.x4.value - t.x3.value), 1.0)
             beta = connecting_path(t.x3.value, t.x4.value, avoid=(t.x1, t.x2),
-                                   variant=variant, jitter=jitter, tol=tol)
+                                   variant=variant, jitter=jitter)
             steps = self._checked_steps(spec, t.points)
         h = mobius_normalize(t.x1, t.x2)
         forward = geometry.refine_path_view(beta.vertices,

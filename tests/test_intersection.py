@@ -55,7 +55,7 @@ def test_segment_crossing_is_scale_invariant():
     # tiny perpendicular crossing is a crossing, not a touch
     assert segment_crossing((0j, 2e-7 + 0j), (1e-7 - 1e-7j, 1e-7 + 1e-7j)) == 1
     # two unit-scale segments crossing at an angle of about 3e-12 cross; at
-    # about 1e-12 their ends sit within eps_deg of each other's line
+    # about 1e-12 their ends sit within EPS_DEG of each other's line
     assert segment_crossing((-1 + 0j, 1 + 0j), (-1 - 3e-12j, 1 + 3e-12j)) == 1
     with pytest.raises(DegenerateCrossing):
         segment_crossing((-1 + 0j, 1 + 0j), (-1 - 1e-12j, 1 + 1e-12j))

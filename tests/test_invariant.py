@@ -372,7 +372,7 @@ def test_geometric_failures_are_retried_on_every_request(monkeypatch):
 
     monkeypatch.setattr(invariant, "refine_path_view", grazing)
     ev = RfEvaluator(golden_twist_spec(2))
-    attempts = ev.tol.jitter_attempts + 1
+    attempts = invariant.JITTER_ATTEMPTS + 1
     for request in (1, 2):
         with pytest.raises(InconclusiveComputation, match="no admissible geometry"):
             ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)

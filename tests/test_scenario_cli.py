@@ -4,7 +4,6 @@ import cmath
 import json
 import math
 import os
-import random
 import tempfile
 import time
 from dataclasses import replace
@@ -35,7 +34,7 @@ from rotquad import (
 from rotquad.catalog import golden_twist_scenario, identity_scenarios
 from rotquad import invariant, maps
 from rotquad.cli import main
-from rotquad.report import Report, _dumps
+from rotquad.report import Report
 from rotquad.geometry import DEFAULT_TOL
 from rotquad.scenario import (
     g_from_json,
@@ -185,6 +184,9 @@ def test_cli_compute_validation_exit(tmp_path, capsys):
     ("name", 7),
     ("paths", {"beta-detour": {"closed": True, "vertices": [[0.5, 0], [0.5, -1.5], [2.5, -1.5],
                                                              [2.5, 0]]}}),
+    # constants, not settings: refused even at their own values
+    ("tolerances", {"eps_deg": 1e-12}),
+    ("tolerances", {"jitter_magnitude": 1e-7}),
 ])
 def test_cli_malformed_scenario_field_exits_2(tmp_path, capsys, field, value):
     blob = json.loads((SCENARIOS / "twist-by-1.json").read_text())
@@ -367,7 +369,7 @@ def test_cli_missing_file_is_validation_error(tmp_path):
     assert main(["compute", str(tmp_path / "absent.json")]) == 2
 
 
-def test_cli_seed_precedence(tmp_path, monkeypatch):
+def test_cli_seed_precedence(tmp_path):
     sc_path = _write_golden(tmp_path)
 
     def seed_of(args):
@@ -376,12 +378,7 @@ def test_cli_seed_precedence(tmp_path, monkeypatch):
         return json.loads(out.read_text())["config"]["seed"]
 
     assert seed_of([]) == 0  # scenario default
-    monkeypatch.setenv("ROTQUAD_SEED", "7")
-    assert seed_of([]) == 7  # environment beats the scenario
-    assert seed_of(["--seed", "11"]) == 11  # flag beats the environment
-    monkeypatch.setenv("ROTQUAD_SEED", "junk")
-    assert main(["compute", str(sc_path)]) == 2  # junk env is a hard error
-    assert seed_of(["--seed", "3"]) == 3  # unless the flag preempts it
+    assert seed_of(["--seed", "11"]) == 11  # flag beats the scenario
 
 
 def test_cli_verify_single_suite(tmp_path):
@@ -460,37 +457,10 @@ def test_every_catalog_report_is_written_as_json_dumps_writes_it(tmp_path, monke
     assert len(written) == 27
 
 
-def _json_value(rng: random.Random, depth: int = 0):
-    """A random value json.dumps accepts: nested lists, tuples and dicts
-    (keys of one kind each), and leaves with NaN, infinities, -0.0, big
-    ints and non-ASCII, quote and control characters."""
-    text = lambda: "".join(rng.choice('ab"\\/\n\t\x00é€😀 ') for _ in range(rng.randrange(6)))
-    leaves = (text, lambda: rng.randint(-10**30, 10**30), lambda: rng.randint(-3, 3),
-              lambda: rng.choice([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300]),
-              lambda: rng.uniform(-1e6, 1e6), lambda: rng.choice([None, True, False]))
-    kind = rng.randrange(9 if depth < 4 else 6)
-    if kind < 6:
-        return leaves[kind]()
-    items = [_json_value(rng, depth + 1) for _ in range(rng.randrange(4))]
-    if kind == 6:
-        return items
-    if kind == 7:
-        return tuple(items)
-    key = rng.choice([text, lambda: rng.randint(-9, 9), lambda: rng.uniform(-9, 9),
-                      lambda: rng.choice([True, False]), lambda: None])
-    return {key(): v for v in items}
-
-
-def test_the_report_writer_is_json_dumps_on_random_values():
-    rng = random.Random(20250)
-    for _ in range(2000):
-        value = _json_value(rng)
-        assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True), value
-
-
 def test_cli_compute_walks_and_compiles_its_spec_once(tmp_path, monkeypatch):
-    # the budget check, every value and every tuple's trace read the one
-    # evaluator's chart; the spec is reduced for the traces once
+    # the budget check, every value, every tuple's trace and every declared
+    # path read the one evaluator's chart, whose one walk also reduces the
+    # spec for the traces
     calls = []
     for module, name in ((invariant, "_charted_steps"), (invariant, "twist_chart"),
                          (invariant, "require_fixed"), (maps, "compile_map")):
@@ -499,9 +469,14 @@ def test_cli_compute_walks_and_compiles_its_spec_once(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
     tuples = (("q1", "q2", "q3", "q4"), ("q2", "q1", "q4", "q3"), ("q1", "q2", "q4", "q5"))
-    path, out = tmp_path / "three.json", tmp_path / "report.json"
-    save_scenario(replace(golden_twist_scenario(2), tuples=tuples), path)
-    assert main(["compute", str(path), "--method", "all", "--out", str(out)]) == 0
-    assert calls == ["_charted_steps", "twist_chart"]
-    records = json.loads(out.read_text())["records"]
-    assert sum(r["name"] == "value[trace]" and r["status"] == "pass" for r in records) == 3
+    three, out = tmp_path / "three.json", tmp_path / "report.json"
+    save_scenario(replace(golden_twist_scenario(2), tuples=tuples), three)
+    for path, traces, declared in ((three, 3, 0),
+                                   (SCENARIOS / "twist-with-declared-path.json", 1, 1)):
+        calls.clear()
+        assert main(["compute", str(path), "--method", "all", "--out", str(out)]) == 0
+        assert calls == ["_charted_steps"]
+        records = json.loads(out.read_text())["records"]
+        assert sum(r["name"] == "value[trace]" and r["status"] == "pass" for r in records) == traces
+        assert sum(r["name"].startswith("declared_path[") and r["status"] == "pass"
+                   for r in records) == declared

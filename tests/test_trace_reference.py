@@ -35,6 +35,7 @@ from rotquad.catalog import identity_scenarios
 from rotquad.errors import InconclusiveComputation, NotFixed, PointOnLoop, ScenarioError
 from rotquad.geometry import (
     DEFAULT_TOL,
+    EPS_EDGE,
     Polyline,
     SpherePoint,
     Tolerances,
@@ -72,7 +73,7 @@ class ReferenceTrace:
         if not self.samples.closed:
             raise ValueError("a trace must be a closed polyline")
         for p in (self.x1, self.x2, self.x3):
-            if not p.is_infinity and self.samples.passes_within(p.value, DEFAULT_TOL.eps_edge):
+            if not p.is_infinity and self.samples.passes_within(p.value, EPS_EDGE):
                 raise PointOnLoop(f"trace passes through the context point {p!r}")
 
 
