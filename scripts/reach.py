@@ -53,10 +53,14 @@ KEPT = {
     # owned by open ROADMAP items
     "invariant:rf_periodic": "ROADMAP item 12: periodic points as rational values",
     "invariant:concatenate_traces": "ROADMAP item 9: the trace for compositions",
-    "invariant:_refined_wrapping": "ROADMAP item 10: every blow-up at its limit",
-    "maps:iterate_spec": "ROADMAP item 10; a perfbench tracer span",
+    "maps:iterate_spec": "a perfbench tracer span; rf_periodic's power",
     "maps:_repeat_step": "ROADMAP item 7: maps that do not reduce",
     "maps:_repeat_step.<locals>.step": "ROADMAP item 7, with _repeat_step",
+    # the limit of a blow-up of a map that does not reduce: no command or
+    # workload makes one (ROADMAP item 1 adds one to the benchmark)
+    "invariant:_refined_limit": "the blow-up limit of a map that does not reduce",
+    "maps:_rigid_radius": "the certified rigid radius of such a blow-up's germ",
+    "maps:_rigid_radius.<locals>.certified": "with _rigid_radius",
     # failure witnesses: a relation scan reads them only on a failing row
     "algebra:_relations.<locals>.read": "reads a failing row's witness values",
     "algebra:_relations.<locals>.cyclic": "the cyclic-sum witness of a failing row",

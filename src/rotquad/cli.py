@@ -104,9 +104,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--method", choices=("loop", "lift", "trace", "all"),
                            default=None, help="override the scenario method")
     p_compute.add_argument("--iters", type=int, default=10_000,
-                           help="iterations for blow-up estimates")
+                           help="n for the 2/n bound reported with each blow-up, "
+                                "whose value is its limit")
     p_compute.add_argument("--extrapolate", action="store_true",
-                           help="apply one extrapolation step to blow-ups")
+                           help="mark blow-ups extrapolated; their values are "
+                                "limits and do not change")
     common(p_compute)
 
     p_verify = sub.add_parser("verify", help="run verification suites")

@@ -11,6 +11,7 @@ periodic points, plus the full identity-verification suite.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import random
@@ -59,6 +60,7 @@ from .maps import (
     _mobius_pair,
     _charted_steps,
     _require_fixed,
+    _rigid_germ,
     _structural_rotation,
     compile_map,
     eval_map,  # unused here; kept as the name perfbench's tracer wraps
@@ -66,7 +68,6 @@ from .maps import (
     iterate_spec,
     require_fixed,
     rigid_rotation_angle,  # unused here; kept as the name perfbench's tracer wraps
-    twist_chart,
 )
 from .report import CheckRecord, make_record
 
@@ -104,10 +105,14 @@ class MarkedTuple:
         return "distinct"
 
 
-def _modulus(chart: MobiusTransform, p: SpherePoint) -> float:
-    """|H(p)| for the chart H, infinite at the point at infinity."""
-    q = apply_mobius(chart, p)
-    return math.inf if q.is_infinity else abs(q.value)
+def _moduli(chart: MobiusTransform, points) -> list[float]:
+    """|H(p)| for the chart H at each of points, infinite at H's pole."""
+    at = mobius_step(chart)
+    radii = []
+    for p in points:
+        w = at(p.z)
+        radii.append(math.inf if w is None else abs(w))
+    return radii
 
 
 @dataclass(frozen=True)
@@ -242,28 +247,38 @@ def _stage_class(chart: MobiusTransform, profile: RadialProfile, points, tol: To
     2**52 turns or more has no fractional bits left, so its whole-turn
     count may be rounded: that raises InconclusiveComputation.
     """
-    radii = [_modulus(chart, p) for p in points]
+    radii = _moduli(chart, points)
     r1, r2, r3, r4 = radii
     coefficients = ((r1 < r3) - (r1 < r4), (r2 < r4) - (r2 < r3),
                     (r2 < r3) - (r1 < r3), (r1 < r4) - (r2 < r4))
+    turns = functools.cache(lambda j: _whole_turns(profile, radii[j], points[j], tol))
+    _require_order(radii, points, turns)
+    return sum(c * turns(j) for j, c in enumerate(coefficients) if c)
 
-    @functools.cache
-    def turns(j: int) -> int:
-        value = profile.value(radii[j])
-        if abs(value) >= 2**52:
-            raise InconclusiveComputation(
-                f"profile value {value!r} is too large to count whole turns exactly")
-        whole = round(value)
-        if abs(value - whole) > tol.fixed_tol:
-            raise NotFixed(points[j], abs(value - whole))
-        return whole
 
+def _whole_turns(profile: RadialProfile, r: float, point: SpherePoint, tol: Tolerances) -> int:
+    """rho(r) in whole turns, at a point that must turn a whole number of
+    times: NotFixed beyond fixed_tol of an integer, and
+    InconclusiveComputation from 2**52 turns up."""
+    value = profile.value(r)
+    if abs(value) >= 2**52:
+        raise InconclusiveComputation(
+            f"profile value {value!r} is too large to count whole turns exactly")
+    whole = round(value)
+    if abs(value - whole) > tol.fixed_tol:
+        raise NotFixed(point, abs(value - whole))
+    return whole
+
+
+def _require_order(radii, points, turns) -> None:
+    """PointOnLoop when a point of the first pair and one of the second
+    have moduli within a relative 1e-12 of each other and different
+    turns(j): the g-form's term between them depends on their order."""
     for a in (0, 1):
         for b in (2, 3):
             if math.isclose(radii[a], radii[b], rel_tol=1e-12) and turns(a) != turns(b):
                 raise PointOnLoop(
                     f"{points[a]!r} and {points[b]!r} sit on one circle with different turns")
-    return sum(c * turns(j) for j, c in enumerate(coefficients) if c)
 
 
 def concatenate_traces(first: IsotopyTrace, second: IsotopyTrace) -> IsotopyTrace:
@@ -292,16 +307,19 @@ def rf_blowup(
     tol: Tolerances = DEFAULT_TOL,
     extrapolate: bool = False,
 ) -> BlowupEstimate:
-    """The invariant with the third point blown up at the fixed point p.
+    """The invariant with the third point blown up at the fixed point p:
+    R(p, x2, p, x4), read at its limit.
 
-    Averages the extra wrapping of the n-th iterate's image of a radial
-    path from (a truncation of) p to x4, in the chart sending p to 0 and
-    x2 to infinity.  The germ at p must be a rigid rotation; the reported
-    bound |estimate - limit| <= 2 / n_iters is rigorous for such germs.
-    With extrapolate, one Richardson step halves the work per digit and
-    the estimate at n and n/2 is combined.  A twist whose axis is the
-    chart's is read exactly from its profile at the path's ends (see
-    _blowup_wrapping); every other map refines the path.
+    The blow-up is the limit, as n grows, of the extra wrapping per iterate
+    of the n-th iterate's image of a radial path from p to x4, in the
+    chart sending p to 0 and x2 to infinity; the germ at p must be a rigid
+    rotation (TangentCondition otherwise).  A spec that twist_chart
+    reduces is read from its one walk, as the paper's g-form
+    (_blowup_g_form); any other from one certified refinement of the map
+    itself (_refined_limit).  Either way the value is the limit, which the
+    n-th iterate's wrapping is within 2 / n_iters of: n_iters sets only
+    that reported error_bound, and extrapolate only marks the estimate
+    extrapolated (from n_iters >= 2).
     """
     if n_iters < 1:
         raise ValueError("n_iters must be positive")
@@ -310,78 +328,82 @@ def rf_blowup(
     x4 = as_sphere_point(x4)
     if len({p, x2, x4}) != 3:
         raise ValueError("p, x2, x4 must be pairwise distinct")
-    require_fixed(spec, (p, x2, x4), tol)
-    # rigid_rotation_angle, less its second check that p is fixed
-    if _structural_rotation(spec, p, tol) is None:
+    reduced, _, steps = _charted_steps(spec)
+    _require_fixed(CompiledMap(steps), (p, x2, x4), tol)
+    if reduced is None:
+        value = _refined_limit(spec, p, x2, x4, tol)
+    else:
+        value = _blowup_g_form(*reduced, p, x2, x4, tol)
+    if value is None:
         raise TangentCondition(
             f"the germ at {p!r} is not an exact rigid rotation; "
             "the tangent-circle dynamics cannot be certified"
         )
-
-    h = mobius_normalize(p, x2)
-    y4 = apply_mobius(h, x4)
-    assert not y4.is_infinity and y4.value != 0
-    extrapolated = extrapolate and n_iters >= 2
-    return BlowupEstimate(_blowup_wrapping(spec, h, y4.value, n_iters, extrapolated, tol),
-                          2.0 / n_iters, n_iters, extrapolated)
+    return BlowupEstimate(value, 2.0 / n_iters, n_iters, extrapolate and n_iters >= 2)
 
 
-def _blowup_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex, n_iters: int,
-                     extrapolate: bool, tol: Tolerances) -> float:
-    """rf_blowup's estimate: the extra turns of the n-th iterate's image of
-    the radial path from y4 * 1e-6 to y4, per iterate, in the chart h
-    (p -> 0, x2 -> infinity); with extrapolate, 2 E(n) - E(n / 2).
+def _blowup_g_form(chart: MobiusTransform, profile: RadialProfile, p: SpherePoint,
+                   x2: SpherePoint, x4: SpherePoint, tol: Tolerances) -> float | None:
+    """rf_blowup's value for a spec that twist_chart reduces to (chart H,
+    profile rho): _stage_class's g-form at (p, x2, p, x4); None when rho
+    is not constant about |H(p)|.
 
-    When twist_chart reduces spec to (H, rho), the n-th iterate is
-    m^-1 o T o m in the chart h, with m = H o h^-1 and T the twist by
-    n rho.  T adds n (rho(|end|) - rho(|start|)) turns to a path that
-    misses 0 and infinity, and a Mobius map that fixes both keeps
-    turnings, one that swaps them negates them.  So when m fixes or swaps
-    0 and infinity (exactly, not within a tolerance), the estimate is read
-    at its limit as the path's start approaches p: rho at m(y4) less rho
-    at the axis end that m takes p to, negated when m swaps the axis.  It
-    is the same for every n, and no path is refined.
+    rho at p is the germ angle, read unrounded: rho's constant value about
+    |H(p)|, rho at infinity when H(p) is infinity.  rho at x2 and x4 is
+    read in whole turns, as _stage_class reads it, and two moduli within a
+    relative 1e-12 of each other with different readings raise
+    PointOnLoop (_require_order).  The coefficients of the two p terms
+    add to one in {-1, 0, 1}, so rho at p enters once, after the whole
+    turns are summed exactly.
     """
-    exact = _axis_wrapping(spec, h, y4)
-    if exact is not None:
-        return exact
-    if extrapolate:
-        coarse = _refined_wrapping(spec, h, y4, n_iters // 2, tol)
-        return 2.0 * _refined_wrapping(spec, h, y4, n_iters, tol) - coarse
-    return _refined_wrapping(spec, h, y4, n_iters, tol)
-
-
-def _axis_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex) -> float | None:
-    """_blowup_wrapping read from the profile, or None when spec is not a
-    twist whose chart m = H o h^-1 fixes or swaps 0 and infinity."""
-    reduced = twist_chart(spec)
-    if reduced is None:
+    rp, r2, r4 = _moduli(chart, (p, x2, x4))
+    germ = profile.locally_constant_value(rp)
+    if germ is None:
         return None
-    chart, profile = reduced
-    m = chart.compose(h.inverse())
-    fixes = m.b == 0 and m.c == 0
-    if not (fixes or m.a == 0 and m.d == 0):
+    if (math.isclose(r2, rp, rel_tol=1e-12) or math.isclose(rp, r4, rel_tol=1e-12)
+            or math.isclose(r2, r4, rel_tol=1e-12)):
+        points, radii = (p, x2, p, x4), (rp, r2, rp, r4)
+        _require_order(radii, points, lambda j: germ if j % 2 == 0 else _whole_turns(
+            profile, radii[j], points[j], tol))
+    # _stage_class's coefficients at r1 = r3 = rp: c2 and c4 at x2 and x4,
+    # and the two p terms' add to -(c2 + c4)
+    c2, c4 = (r2 < r4) - (r2 < rp), (rp < r4) - (r2 < r4)
+    whole = ((c2 * _whole_turns(profile, r2, x2, tol) if c2 else 0)
+             + (c4 * _whole_turns(profile, r4, x4, tol) if c4 else 0))
+    return whole - (c2 + c4) * germ
+
+
+def _refined_limit(spec: MapSpec, p: SpherePoint, x2: SpherePoint, x4: SpherePoint,
+                   tol: Tolerances) -> float | None:
+    """rf_blowup's value from one certified refinement of g = h o f o h^-1,
+    in the chart h (p -> 0, x2 -> infinity); None when the germ at p is
+    not rigid or has no certified rigid zone.
+
+    Let theta be g's germ angle at 0 (_rigid_germ), q the point at half
+    its certified rigid radius on the segment beta from 0 to y4 = h(x4)
+    (at y4 / 2 when y4 is nearer), and sigma the germ's arc from q to
+    g(q), which turns T(sigma) = 2 pi theta + remainder(arg(g(q) / q) -
+    2 pi theta, 2 pi) about 0.  The loop sigma . g(beta[q, y4]) .
+    beta[q, y4]^-1 is closed, so it winds a whole w times about 0, and so
+    does its image under each iterate g^j, which fixes 0 and infinity.
+    The orbit of q stays in the rigid zone, so summed over j < n the
+    iterates' extra turning is 2 pi n (w - theta) + O(1): the limit is
+    w - theta.
+    """
+    h = mobius_normalize(p, x2)
+    g = spec if h == MOBIUS_IDENTITY else MobiusConjugate(h.inverse(), spec)
+    germ = _rigid_germ(g, SpherePoint(0j), MOBIUS_IDENTITY, tol)
+    if germ is None or not germ[1] > 0.0:
         return None
-    end = mobius_step(m)(y4)
-    if not end:
-        return None  # the end underflowed onto the axis
-    if fixes:
-        return profile.value(abs(end)) - profile.value_at_zero
-    # the turning is negated: take the difference the other way round,
-    # which keeps the sign of a zero
-    return profile.value_at_infinity - profile.value(abs(end))
-
-
-def _refined_wrapping(spec: MapSpec, h: MobiusTransform, y4: complex, n_iters: int,
-                      tol: Tolerances) -> float:
-    """The unextrapolated estimate at n_iters, by refining the image path."""
-    iterated = iterate_spec(spec, n_iters)
-    if h != MOBIUS_IDENTITY:
-        iterated = MobiusConjugate(h.inverse(), iterated)
-    beta = [y4 * 1e-6, y4]
-    forward = refine_path_view(beta, compile_map(iterated), tol=tol)
-    turns = (path_turns(forward) - path_turns(beta)) / TAU
-    return turns / n_iters
+    theta, radius = germ
+    y4 = mobius_step(h)(x4.z)
+    if not y4:
+        raise PointOnLoop(f"{x4!r} underflows onto {p!r} in the blow-up chart")
+    q = y4 * (0.5 * min(radius, abs(y4)) / abs(y4))
+    beta = (q, y4)
+    forward = refine_path_view(beta, compile_map(g), tol=tol)
+    arc = TAU * theta + math.remainder(cmath.phase(forward[0] / q) - TAU * theta, TAU)
+    return snap_turns(arc + path_turns(forward) - path_turns(beta), tol) - theta
 
 
 def rf_double_blowup(spec: MapSpec, p1, p2, tol: Tolerances = DEFAULT_TOL) -> float:

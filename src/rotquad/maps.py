@@ -83,10 +83,6 @@ class RadialProfile:
         return v0 + dv * (r - r0) / dr
 
     @property
-    def value_at_zero(self) -> float:
-        return self.breakpoints[0][1]
-
-    @property
     def value_at_infinity(self) -> float:
         return self.breakpoints[-1][1]
 
@@ -610,7 +606,15 @@ def iterate_spec(spec: MapSpec, n: int) -> MapSpec:
 def _structural_rotation(spec: MapSpec, p: SpherePoint,
                          tol: Tolerances = DEFAULT_TOL) -> float | None:
     """The exact local rotation angle at a fixed point when the germ there is
-    a rigid rotation, else None.
+    a rigid rotation, else None: the angle _rigid_germ reads."""
+    germ = _rigid_germ(spec, p, None, tol)
+    return None if germ is None else germ[0]
+
+
+def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
+                tol: Tolerances) -> tuple[float, float | None] | None:
+    """(angle, radius) when the germ at the fixed point p is a rigid
+    rotation, else None.
 
     A spec that twist_chart reduces to (H, rho) is read off the profile at
     q = H(p): rho at infinity when q is infinity, else rho's constant value
@@ -621,42 +625,102 @@ def _structural_rotation(spec: MapSpec, p: SpherePoint,
     report profile values at both ends of the axis.  Any other spec is
     walked: conjugates move p, compositions sum their parts' angles when
     every part fixes p, inverses negate and powers scale.
+
+    With a chart that sends p to 0, the radius is that of a disk |z| <= R
+    of the chart on which the germ is certified rigid: for a spec that
+    reduces, the largest disk that H o chart^-1 maps into rho's constant
+    zone about |q| (_rigid_radius); for a walked spec, the smallest of its
+    parts' radii, each read in the chart carried through the conjugations.
+    Without a chart the radius is None.
     """
     reduced = twist_chart(spec)
     if reduced is not None:
-        chart, profile = reduced
-        q = p if chart == MOBIUS_IDENTITY else apply_mobius(chart, p)
-        if q.is_infinity:
-            angle = profile.value_at_infinity
-        else:
-            angle = profile.locally_constant_value(abs(q.value))
-            if angle is None:
-                return None
-        return -angle if p.is_infinity != q.is_infinity else angle
+        h, profile = reduced
+        q = p if h == MOBIUS_IDENTITY else apply_mobius(h, p)
+        r = math.inf if q.is_infinity else abs(q.value)
+        angle = profile.locally_constant_value(r)
+        if angle is None:
+            return None
+        radius = None if chart is None else _rigid_radius(
+            h.compose(chart.inverse()), profile, r, angle)
+        return (-angle if p.is_infinity != q.is_infinity else angle), radius
     if isinstance(spec, MobiusConjugate):
         q = apply_mobius(spec.h, p)
-        inner = _structural_rotation(spec.inner, q, tol)
+        moved = None if chart is None else chart.compose(spec.h.inverse())
+        inner = _rigid_germ(spec.inner, q, moved, tol)
         if inner is None:
             return None
         flip = -1.0 if (p.is_infinity != q.is_infinity) else 1.0
-        return flip * inner
+        return flip * inner[0], inner[1]
     if isinstance(spec, Compose):
-        total = 0.0
+        total, radius = 0.0, (None if chart is None else math.inf)
         for part in spec.parts:
             if fixed_residual(part, p) >= tol.fixed_tol:
                 return None
-            a = _structural_rotation(part, p, tol)
-            if a is None:
+            germ = _rigid_germ(part, p, chart, tol)
+            if germ is None:
                 return None
-            total += a
-        return total
+            total += germ[0]
+            if chart is not None:
+                radius = min(radius, germ[1])
+        return total, radius
     if isinstance(spec, Inverse):
-        inner = _structural_rotation(spec.inner, p, tol)
-        return None if inner is None else -inner
+        inner = _rigid_germ(spec.inner, p, chart, tol)
+        return None if inner is None else (-inner[0], inner[1])
     if isinstance(spec, Power):
-        inner = _structural_rotation(spec.inner, p, tol)
-        return None if inner is None else spec.q * inner
+        inner = _rigid_germ(spec.inner, p, chart, tol)
+        return None if inner is None else (spec.q * inner[0], inner[1])
     raise TypeError(f"not a map spec: {spec!r}")
+
+
+def _rigid_radius(m: MobiusTransform, profile: RadialProfile, r: float, value: float) -> float:
+    """The radius R of the largest disk |z| <= R that m's enclosure
+    (mobius_disk) certifies to map into the widest closed zone about r
+    where profile is constant at value, to within a relative 2**-20.
+
+    The power of two is found by doubling or halving from 1, then 20
+    bisection steps below the next one; every radius returned was
+    certified.  0.0 when no disk of radius 2**-1022 or more is certified,
+    infinite when the profile is constant everywhere.
+    """
+    lo, hi = 0.0, math.inf
+    bps = profile.breakpoints
+    for i, (rb, vb) in enumerate(bps):
+        if vb != value:
+            # rho is constant about r, so no breakpoint at r differs
+            if rb < r:
+                lo = bps[i + 1][0]
+            elif hi == math.inf:
+                hi = bps[i - 1][0]
+    if lo == 0.0 and hi == math.inf:
+        return math.inf
+    enclose = mobius_disk(m)
+
+    def certified(radius: float) -> bool:
+        disk = enclose((0j, radius, False))
+        if disk is None:
+            return False
+        c, s, outside = disk
+        if outside:  # a disk complement: the points with |u| >= s - |c|
+            return hi == math.inf and s - abs(c) >= lo
+        return abs(c) + s <= hi and (not lo or abs(c) - s >= lo)
+
+    radius = 1.0
+    if certified(radius):
+        while radius < 2.0 ** 1022 and certified(2.0 * radius):
+            radius *= 2.0
+    else:
+        radius = 0.5
+        while not certified(radius):
+            if radius < 2.0 ** -1022:
+                return 0.0
+            radius *= 0.5
+    step = radius
+    for _ in range(20):
+        step *= 0.5
+        if certified(radius + step):
+            radius += step
+    return radius
 
 
 def rigid_rotation_angle(spec: MapSpec, p, tol: Tolerances = DEFAULT_TOL) -> float | None:

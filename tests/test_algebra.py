@@ -18,7 +18,6 @@ from rotquad import (
     normalize_g,
     parse_cycles,
     quadratic_table,
-    table_from_function,
     theta,
     theta_action,
     theta_kernel_image,

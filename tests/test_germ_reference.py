@@ -43,7 +43,7 @@ def reference_rotation(spec, p: SpherePoint, tol=DEFAULT_TOL):
             return prof.value_at_infinity
         z = p.value
         if z == 0:
-            return prof.value_at_zero
+            return prof.breakpoints[0][1]
         return prof.locally_constant_value(abs(z))
     if isinstance(spec, MobiusConjugate):
         q = apply_mobius(spec.h, p)

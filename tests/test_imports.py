@@ -1,10 +1,11 @@
-"""Every name a rotquad module imports is used there.
+"""Every name a rotquad module or a test file imports is used there.
 
-The one exception is a name that perfbench's tracer wraps in that module:
-it is imported only so that the tracer finds it there, and says so with the
-comment KEPT on its line.  Such a name must then be one of the tracer's
-SPANS or LEAVES for that module, so that a deletion cannot leave a dead
-import behind under the comment.
+The one exception is a name that perfbench's tracer wraps in a rotquad
+module: it is imported only so that the tracer finds it there, and says so
+with the comment KEPT on its line.  Such a name must then be one of the
+tracer's SPANS or LEAVES for that module, so that a deletion cannot leave a
+dead import behind under the comment.  A test file has no such exception;
+a name it uses only as a test's parameter (a pytest fixture) is used.
 """
 
 import ast
@@ -14,6 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "rotquad").glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 KEPT = "kept as the name perfbench's tracer wraps"
 
 
@@ -52,3 +54,12 @@ def test_every_import_is_used_or_traced(path):
             assert (f"rotquad.{path.stem}", name) in traced, f"{name} is not traced"
         else:
             assert name in used, f"{name} is imported but not used"
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.stem)
+def test_every_test_import_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    for name, _ in _imported(tree):
+        assert name in used, f"{name} is imported but not used"

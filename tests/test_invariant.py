@@ -27,6 +27,7 @@ from rotquad import (
     RadialTwist,
     RfEvaluator,
     ScenarioError,
+    SpherePoint,
     TangentCondition,
     Tolerances,
     BlowupEstimate,
@@ -550,8 +551,17 @@ def _inline_seeded_blowup(spec, n_iters: int) -> float:
                          ids=["sqrt2", "quarter"])
 @pytest.mark.parametrize("n_iters", [250, 2000])
 def test_blowup_estimate_is_bit_identical_to_inline_seeding(spec, n_iters):
+    # on a rigid rotation's axis the n-th iterate's estimate is the limit
+    # itself, which rf_blowup reads off the profile, and the one-refinement
+    # rule for maps that do not reduce reads from one refinement of the map
+    import rotquad.invariant as invariant
+
+    seeded = _inline_seeded_blowup(spec, n_iters)
     est = rf_blowup(spec, 0j, INFINITY, 3 + 0j, n_iters)
-    assert abs(est.value - _inline_seeded_blowup(spec, n_iters)) <= 1e-12
+    assert abs(est.value - seeded) <= 1e-12
+    refined = invariant._refined_limit(spec, SpherePoint(0j), INFINITY, SpherePoint(3 + 0j),
+                                       DEFAULT_TOL)
+    assert abs(refined - seeded) <= 1e-12
 
 
 def test_blowup_validation():

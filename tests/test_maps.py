@@ -59,7 +59,6 @@ def test_profile_plateaus_are_exact():
     assert p.value(1.0) == 0.25
     assert p.value(2.0) == 0.75
     assert p.value(100.0) == 0.75
-    assert p.value_at_zero == 0.25
     assert p.value_at_infinity == 0.75
     assert p.value(1.5) == pytest.approx(0.5)
 

@@ -23,8 +23,10 @@ from hypothesis import strategies as st
 
 import rotquad.invariant as invariant
 from rotquad import (
-    INFINITY,
     DEFAULT_TOL,
+    Compose,
+    MobiusConjugate,
+    MobiusTransform,
     RadialProfile,
     RadialTwist,
     RfEvaluator,
@@ -454,14 +456,20 @@ def test_every_catalog_value_refines_as_the_reference(recorder):
 
 @pytest.mark.parametrize("n_iters", (250, 4000))
 def test_blowup_sweep_rotations_refine_as_the_reference(recorder, n_iters):
-    # x2 off the twist's axis: a blow-up read against 0 and infinity is
-    # exact and refines nothing
+    # a rotation reduces, and its blow-up refines nothing, off its axis
+    # too; composed with a twist about 10 it does not reduce, and its
+    # blow-up refines the map once, whatever n_iters, piece for piece as
+    # the reference
+    away = MobiusConjugate(MobiusTransform(1, -10, 0, 1),
+                           RadialTwist(RadialProfile(((0.5, -0.375), (1.0, 0.0)))))
     for alpha in (0.125, 0.625, 0.875):
         spec = RadialTwist(RadialProfile(((1.0, alpha), (2.0, 0.0))))
         for x2 in (3 + 0j, -5j):
-            rf_blowup(spec, SpherePoint(0j), SpherePoint(x2), SpherePoint(4 + 1j), n_iters,
-                      extrapolate=True)
-    assert len(recorder.paths) == 12
+            for f in (spec, Compose((spec, away))):
+                est = rf_blowup(f, SpherePoint(0j), SpherePoint(x2), SpherePoint(4 + 1j), n_iters,
+                                extrapolate=True)
+                assert est.value == -alpha
+    assert len(recorder.paths) == 6
 
 
 # ---------------------------------------------------------------------------

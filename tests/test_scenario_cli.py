@@ -20,7 +20,6 @@ from rotquad import (
     Inverse,
     MobiusConjugate,
     MobiusTransform,
-    Polyline,
     Power,
     RadialProfile,
     RadialTwist,
@@ -462,8 +461,8 @@ def test_cli_compute_walks_and_compiles_its_spec_once(tmp_path, monkeypatch):
     # path read the one evaluator's chart, whose one walk also reduces the
     # spec for the traces
     calls = []
-    for module, name in ((invariant, "_charted_steps"), (invariant, "twist_chart"),
-                         (invariant, "require_fixed"), (maps, "compile_map")):
+    for module, name in ((invariant, "_charted_steps"), (invariant, "require_fixed"),
+                         (maps, "compile_map")):
         def counted(*args, real=getattr(module, name), name=name, **kwargs):
             calls.append(name)
             return real(*args, **kwargs)
