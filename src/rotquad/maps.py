@@ -653,7 +653,7 @@ def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
         flip = -1.0 if (p.is_infinity != q.is_infinity) else 1.0
         return flip * inner[0], inner[1]
     if isinstance(spec, Compose):
-        total, radius = 0.0, (None if chart is None else math.inf)
+        total, radii = 0.0, []
         for part in spec.parts:
             if fixed_residual(part, p) >= tol.fixed_tol:
                 return None
@@ -661,9 +661,8 @@ def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
             if germ is None:
                 return None
             total += germ[0]
-            if chart is not None:
-                radius = min(radius, germ[1])
-        return total, radius
+            radii.append(germ[1])
+        return total, None if chart is None else min(radii)
     if isinstance(spec, Inverse):
         inner = _rigid_germ(spec.inner, p, chart, tol)
         return None if inner is None else (-inner[0], inner[1])
