@@ -49,13 +49,13 @@ from .errors import (
     ScenarioError,
     TangentCondition,
 )
-from .geometry import DEFAULT_TOL, Tolerances
+from .geometry import DEFAULT_TOL, Tolerances, snap_turns
 from .invariant import (
     TUPLE_IDENTITIES,
     BlowupEstimate,
     MarkedTuple,
     RfEvaluator,
-    _loop_winding,
+    _loop_and_lift,
     identity_record,
     rf_loop,  # unused here; kept as the name perfbench's tracer wraps
     rf_mixed,
@@ -237,7 +237,7 @@ def cmd_compute(args) -> int:
 
         for pname, path in _matching_paths(scenario, t):
             try:
-                v = _loop_winding(*ev._refined(t, path), tol)
+                v = snap_turns(_loop_and_lift(*ev._refined(t, path))[0], tol)
             except GeometryFailure:
                 report.add(make_record(
                     f"declared_path[{pname}]", label, "declared path value", (), None))

@@ -355,6 +355,30 @@ def path_turns(points, centre: complex = 0j) -> float:
     return total
 
 
+def closed_path_turns(start: complex, points, end: complex, centre: complex = 0j):
+    """(path_turns of [start, *points, end], path_turns of points) about
+    centre, in one pass that reads each phase once: every edge term and
+    every partial sum is the float path_turns forms."""
+    if centre:
+        start, end, points = start - centre, end - centre, [w - centre for w in points]
+    phase, atan2, remainder = cmath.phase, math.atan2, math.remainder
+    closed = path = 0.0
+    w0 = a0 = None
+    last = len(points)
+    for i, w1 in enumerate([start, *points, end]):
+        try:
+            a1 = phase(w1)
+        except OverflowError:
+            a1 = atan2(w1.imag, w1.real)
+        if w0 is not None and w1 != w0:
+            turn = remainder(a1 - a0, TAU)
+            closed += turn
+            if 1 < i <= last:  # an edge between two of points
+                path += turn
+        w0, a0 = w1, a1
+    return closed, path
+
+
 def winding_number(loop: Polyline, p: complex, tol: Tolerances = DEFAULT_TOL) -> int:
     """Winding number of a closed polyline around p: its ``path_turns``
     about p, wrap edge included, in whole turns (``snap_turns``).  p must
@@ -424,6 +448,22 @@ def segment_crossing(s1: tuple[complex, complex], s2: tuple[complex, complex]) -
     return 1 if denom > 0 else -1
 
 
+def _image_point(w, p: complex, q: complex) -> complex:
+    """An image point of a refinement, checked: PointOnLoop at the chart's
+    pole (None), past 1e100 (the source ran into a pole) or on a puncture."""
+    if w is None:
+        raise PointOnLoop("image path passes through the chart pole")
+    w = complex(w)
+    # |w| <= 1e100 fails on a non-finite w (|w| is inf or NaN) and on an
+    # escaped one
+    if not abs(w) <= _BLOWUP_MAGNITUDE:
+        raise PointOnLoop("image path escapes the chart (source hits a pole)")
+    if w == p or w == q:
+        raise PointOnLoop("image path passes through the chart origin" if w == 0
+                          else f"image path passes through the puncture {w!r}")
+    return w
+
+
 def refine_path_view(
     vertices,
     view,
@@ -460,18 +500,7 @@ def refine_path_view(
     enclose = view.enclose
 
     def evaluate(z: complex) -> complex:
-        w = view(z)
-        if w is None:
-            raise PointOnLoop("image path passes through the chart pole")
-        w = complex(w)
-        # |w| <= 1e100 fails on a non-finite w (|w| is inf or NaN) and on
-        # an escaped one
-        if not abs(w) <= _BLOWUP_MAGNITUDE:
-            raise PointOnLoop("image path escapes the chart (source hits a pole)")
-        if w == p or w == q:
-            raise PointOnLoop("image path passes through the chart origin" if w == 0
-                              else f"image path passes through the puncture {w!r}")
-        return w
+        return _image_point(view(z), p, q)
 
     def certified(za: complex, zb: complex, wa: complex, wb: complex) -> bool:
         disk = enclose((0.5 * (za + zb), 0.5625 * abs(zb - za), False))
@@ -512,6 +541,74 @@ def refine_path_view(
             push((mid, sb, wm, swb, depth))
             sb, swb = mid, wm
     return out
+
+
+# A piece's disk (c, r) holds its chord, and keeps it clear of a puncture p
+# for the point-on-loop check when |c - p| - r exceeds EPS_EDGE by this times
+# |c - p| + r + |p|: twice a bound on the rounding of the distances compared.
+_CLEAR_ROUNDING = 1e-14
+
+
+def refine_twist_view(
+    vertices,
+    view,
+    tol: Tolerances = DEFAULT_TOL,
+    punctures=(0j, None),
+) -> tuple[list[complex], list[tuple[complex, complex]]]:
+    """refine_path_view through a view whose enclosure of a proper disk is
+    None or a proper disk centred on the view's image of its centre, as a
+    lone radial twist's is (``maps._twist_disk``): the same pieces, points
+    and failures, float for float, but a rejected piece's midpoint image is
+    its enclosure's centre, not a second evaluation.  Also returns the
+    chords (wa, wb) whose piece's disk does not clear both punctures by
+    more than EPS_EDGE and the rounding term (_CLEAR_ROUNDING): every other
+    chord is further than EPS_EDGE from both, in floats too."""
+    verts = [complex(v) for v in vertices]
+    if len(verts) < 2:
+        raise ValueError("need at least two vertices")
+    finite = [complex(p) for p in punctures if p is not None]
+    if not finite:
+        raise ValueError("need a finite puncture")
+    p, q = finite[0], finite[-1]
+    slack_p = EPS_EDGE + _CLEAR_ROUNDING * abs(p)
+    slack_q = EPS_EDGE + _CLEAR_ROUNDING * abs(q)
+    enclose = view.enclose
+
+    budget = tol.max_refine_points
+    out = [_image_point(view(verts[0]), p, q)]
+    emit = out.append
+    uncleared = []
+    stack = []
+    push, pop = stack.append, stack.pop
+    for a, b in zip(verts, verts[1:]):
+        sa, sb, swa, swb, depth = a, b, out[-1], _image_point(view(b), p, q), 0
+        while True:
+            mid = 0.5 * (sa + sb)
+            disk = enclose((mid, 0.5625 * abs(sb - sa), False))
+            if disk is not None:
+                c, r, outside = disk
+                if (not outside and (dp := abs(c - p)) > r and abs(swa - c) <= r
+                        and abs(swb - c) <= r and (dq := abs(c - q)) > r):
+                    budget -= 1
+                    if budget < 0:
+                        raise BudgetExhausted(
+                            f"refinement budget exhausted: more than "
+                            f"max_refine_points={tol.max_refine_points} pieces")
+                    emit(swb)
+                    if not (dp - r > slack_p + _CLEAR_ROUNDING * (dp + r)
+                            and dq - r > slack_q + _CLEAR_ROUNDING * (dq + r)):
+                        uncleared.append((swa, swb))
+                    if not stack:
+                        break
+                    sa, sb, swa, swb, depth = pop()
+                    continue
+            if depth > 60:
+                raise SamplingFailure("edge cannot be refined further")
+            wm = _image_point(view(mid) if disk is None else disk[0], p, q)
+            depth += 1
+            push((mid, sb, wm, swb, depth))
+            sb, swb = mid, wm
+    return out, uncleared
 
 
 def dedupe_consecutive(points, closed: bool = False) -> list[complex]:

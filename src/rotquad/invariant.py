@@ -39,12 +39,14 @@ from .geometry import (
     Tolerances,
     apply_mobius,
     as_sphere_point,
+    closed_path_turns,
     dedupe_consecutive,
     mobius_normalize,
     mobius_step,
     path_turns,
     point_segment_distance,
     refine_path_view,
+    refine_twist_view,
     snap_turns,
     winding_number,  # unused here; kept as the name perfbench's tracer wraps
 )
@@ -175,23 +177,30 @@ def _turning(points, punctures) -> float:
     return turning if second is None else turning - path_turns(points, second)
 
 
-def _loop_winding(forward: list[complex], base: float, ends, punctures, tol: Tolerances) -> int:
-    """Winding about the punctures (_turning) of the loop (image path) *
-    (path reversed): the image path joined to the path's ends by straight
-    edges, less the path's exact turning.  The path avoids the punctures,
-    so only the image side is checked."""
-    loop = dedupe_consecutive([ends[0], *forward, ends[1]])
+def _loop_and_lift(forward: list[complex], base: float, ends, punctures,
+                   uncleared=None) -> tuple[float, float]:
+    """The turning about the punctures (_turning) of the loop (image path) *
+    (path reversed), the image path joined to the path's ends by straight
+    edges, and of the image path alone, each less the path's exact turning
+    base: in whole turns, the loop and lift values.  Both are read in one
+    pass per puncture, summed as _turning sums them.  The path avoids the
+    punctures, so only the image side is checked: PointOnLoop when a
+    puncture lies within EPS_EDGE of a closing edge or of a chord in
+    uncleared (every chord when None)."""
+    start, end = ends
+    chords = zip(forward, forward[1:]) if uncleared is None else uncleared
+    edges = [(start, forward[0]), *chords, (forward[-1], end)]
     for p in punctures:
-        if p is not None and any(point_segment_distance(p, a, b) <= EPS_EDGE
-                                 for a, b in zip(loop, loop[1:])):
+        # a repeated point is no edge of the loop
+        if p is not None and any(a != b and point_segment_distance(p, a, b) <= EPS_EDGE
+                                 for a, b in edges):
             raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
-    return snap_turns(_turning(loop, punctures) - base, tol)
-
-
-def _lift_turns(forward: list[complex], base: float, punctures, tol: Tolerances) -> int:
-    """Whole turns between the arguments swept by the image path and the
-    path, about the punctures (_turning)."""
-    return snap_turns(_turning(forward, punctures) - base, tol)
+    first, second = punctures
+    loop, lift = (0.0, 0.0) if first is None else closed_path_turns(start, forward, end, first)
+    if second is not None:
+        about_second = closed_path_turns(start, forward, end, second)
+        loop, lift = loop - about_second[0], lift - about_second[1]
+    return loop - base, lift - base
 
 
 def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -204,7 +213,7 @@ def rf_loop(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    return _loop_winding(*RfEvaluator(spec, tol)._refined(t, beta), tol)
+    return snap_turns(_loop_and_lift(*RfEvaluator(spec, tol)._refined(t, beta))[0], tol)
 
 
 def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -216,8 +225,8 @@ def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    forward, base, _, punctures = RfEvaluator(spec, tol)._refined(t, beta)
-    return _lift_turns(forward, base, punctures, tol)
+    forward, base, _, punctures, _ = RfEvaluator(spec, tol)._refined(t, beta)
+    return snap_turns(_turning(forward, punctures) - base, tol)
 
 
 def rf_trace(trace: IsotopyTrace, tol: Tolerances = DEFAULT_TOL) -> int:
@@ -421,8 +430,9 @@ def rf_double_blowup(spec: MapSpec, p1, p2, tol: Tolerances = DEFAULT_TOL) -> fl
     require_fixed(spec, (p1, p2), tol)
     h = mobius_normalize(p1, p2)
     normalized = spec if h == MOBIUS_IDENTITY else MobiusConjugate(h.inverse(), spec)
-    inner = _structural_rotation(normalized, SpherePoint(0j), tol)
-    outer = _structural_rotation(normalized, INFINITY, tol)
+    compiled = {}  # both germ reads check each part on one compiled map
+    inner = _structural_rotation(normalized, SpherePoint(0j), tol, compiled)
+    outer = _structural_rotation(normalized, INFINITY, tol, compiled)
     if inner is None or outer is None:
         raise TangentCondition("both germs must be exact rigid rotations")
     return outer - inner
@@ -495,27 +505,34 @@ def connecting_path(
     least EPS_EDGE (and 1e-6 of the points' scale) from every point to
     avoid.  The refinement bisects its edges wherever the map needs it.
     """
-    x3 = complex(x3)
-    x4 = complex(x4)
     finite_avoid = [p.value for p in map(as_sphere_point, avoid) if not p.is_infinity]
+    return Polyline(tuple(_path_vertices(complex(x3), complex(x4), finite_avoid, variant, jitter)))
+
+
+# The quadratic Bezier weights ((1 - s)^2, 2 s (1 - s), s^2) at s = j / 4, exact in floats
+_BEZIER = tuple(((1 - j / 4) ** 2, 2 * (j / 4) * (1 - j / 4), (j / 4) ** 2) for j in range(5))
+
+
+def _path_vertices(x3: complex, x4: complex, avoid: list[complex], variant: int,
+                   jitter: complex) -> list[complex]:
+    """connecting_path's vertices, avoiding the finite points avoid, checked
+    finite as a Polyline checks them."""
     span = x4 - x3
-    scale = max([abs(span)] + [abs(p - x3) for p in finite_avoid] + [1e-9])
+    scale = max([abs(span)] + [abs(p - x3) for p in avoid] + [1e-9])
     margin = max(1e-6 * scale, EPS_EDGE)
     for k in range(variant, variant + 25):
         side = 1.0 if k % 2 == 0 else -1.0
         bulge = 0.31 + 0.23 * (k // 2)
         ctrl = 0.5 * (x3 + x4) + side * bulge * (1j * span) + jitter
-        n = 4
-        verts = []
-        for j in range(n + 1):
-            s = j / n
-            verts.append((1 - s) ** 2 * x3 + 2 * s * (1 - s) * ctrl + s**2 * x4)
-        verts = dedupe_consecutive(verts)
+        verts = dedupe_consecutive([a * x3 + b * ctrl + c * x4 for a, b, c in _BEZIER])
         if len(verts) < 2:
             continue
-        poly = Polyline(tuple(verts))
-        if not any(poly.passes_within(p, margin) for p in finite_avoid):
-            return poly
+        for v in verts:
+            if not cmath.isfinite(v):
+                raise ValueError(f"non-finite vertex {v!r}")
+        edges = list(zip(verts, verts[1:]))
+        if not any(point_segment_distance(p, a, b) <= margin for p in avoid for a, b in edges):
+            return verts
     raise ScenarioError("no admissible connecting path found")
 
 
@@ -559,6 +576,9 @@ class RfEvaluator:
         self.tol = tol
         self.seed = seed
         self._cache: dict[tuple, int | InconclusiveComputation] = {}
+        # tuple -> its first attempt's refinement, kept for the tuples a
+        # caller puts here (None until refined)
+        self._kept: dict[tuple, tuple | None] = {}
         # chart's spec, None for self.spec (spared hashing) -> ((H, rho)
         # when spec reduces to one twist by rho in the chart H, else None;
         # (H's point step, None for the identity, and the twist in H's
@@ -608,25 +628,27 @@ class RfEvaluator:
     def _refined(self, t: MarkedTuple, beta: Polyline | None = None, variant: int = 0,
                  jitter: complex = 0j):
         """The refined image of a connecting path, the path's own exact
-        turning, its ends in the image's chart, and the two punctures both
-        turnings are read about (_turning).
+        turning, its ends in the image's chart, the two punctures both
+        turnings are read about (_turning), and the chords whose piece's
+        disk did not clear the punctures (None: not known, every chord).
 
         Without a beta, a tuple with x3 and x4 finite of a spec that
         twist_chart reduces to one twist in an affine chart H is read in
         H's chart: the path runs from H(x3) to H(x4) and avoids the
-        punctures H(x1) and H(x2), and its image is the twist alone.  Any
-        other tuple, precharted, and a caller's beta, which is validated
-        after t's points are checked fixed, is read through the spec's
-        steps and then the chart h (x1 -> 0, x2 -> inf), about 0 and
-        infinity.  Without a beta the path is the variant's
-        connecting_path, jitter scaled to the distance between its ends,
-        and t's points are then checked fixed in the spec's (or the
-        prechart's) chart."""
+        punctures H(x1) and H(x2), and its image is the twist alone,
+        refined by refine_twist_view.  Any other tuple, precharted, and a
+        caller's beta, which is validated after t's points are checked
+        fixed, is read through the spec's steps and then the chart h
+        (x1 -> 0, x2 -> inf), about 0 and infinity.  Without a beta the
+        path is the variant's connecting_path, jitter scaled to the
+        distance between its ends, and t's points are then checked fixed
+        in the spec's (or the prechart's) chart."""
         spec, tol = self.spec, self.tol
         twisted = None
         if beta is not None:
             steps = self._checked_steps(spec, t.points)
             _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2))
+            vertices = beta.vertices
         else:
             twisted = self._in_twist_chart(t)
             if twisted is None:
@@ -634,17 +656,18 @@ class RfEvaluator:
             z1, z2, z3, z4 = twisted[0] if twisted else (p.z for p in t.points)
             if jitter:
                 jitter *= JITTER_MAGNITUDE * max(abs(z4 - z3), 1.0)
-            beta = connecting_path(z3, z4, avoid=(z1, z2), variant=variant, jitter=jitter)
+            vertices = _path_vertices(z3, z4, [z for z in (z1, z2) if z is not None],
+                                      variant, jitter)
             steps = self._checked_steps(spec, t.points)
         if twisted is not None:
             punctures = z1, z2
-            forward = refine_path_view(beta.vertices, twisted[1], tol=tol, punctures=punctures)
-            return forward, _turning(beta.vertices, punctures), (z3, z4), punctures
+            forward, uncleared = refine_twist_view(vertices, twisted[1], tol, punctures)
+            return forward, _turning(vertices, punctures), (z3, z4), punctures, uncleared
         h = mobius_normalize(t.x1, t.x2)
-        forward = refine_path_view(beta.vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
+        forward = refine_path_view(vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
         at = mobius_step(h)
-        base = _turning(beta.vertices, (t.x1.z, t.x2.z))
-        return forward, base, (at(t.x3.value), at(t.x4.value)), (0j, None)
+        base = _turning(vertices, (t.x1.z, t.x2.z))
+        return forward, base, (at(t.x3.value), at(t.x4.value)), (0j, None), None
 
     def value(self, x1, x2, x3, x4) -> int:
         t = MarkedTuple(x1, x2, x3, x4)
@@ -668,9 +691,12 @@ class RfEvaluator:
                 rng = random.Random(f"{self.seed}|{key!r}|{attempt}")
                 jitter = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
             try:
-                forward, base, ends, punctures = self._refined(t, variant=attempt, jitter=jitter)
-                value = _loop_winding(forward, base, ends, punctures, self.tol)
-                check = _lift_turns(forward, base, punctures, self.tol)
+                refinement = self._refined(t, variant=attempt, jitter=jitter)
+                if not attempt and key in self._kept:
+                    self._kept[key] = refinement
+                loop, lift = _loop_and_lift(*refinement)
+                value = snap_turns(loop, self.tol)
+                check = snap_turns(lift, self.tol)
                 if check != value:
                     raise InconclusiveComputation(
                         f"loop and lift methods disagree: {value} vs {check}"
@@ -792,6 +818,7 @@ def verify_rf_identities(
 
     x1, x2, x3, x4, w = x = tuple(pts[:5])
     t = x[:4]
+    ev._kept[t] = None  # the first record's first value refines variant 0
     inputs = "x=(p1,p2,p3,p4)"  # the i-th point is labelled p<i>
     records = [
         identity_record(name, inputs + (" w=p5" if any(4 in ix for ix in indices) else ""),
@@ -834,24 +861,26 @@ def verify_rf_identities(
     @functools.cache
     def refined(variant: int):
         """ev's refinement along the variant's connecting path: variant 0's
+        is the one ev.value(*t) kept, when its first attempt refined, and
         serves both probes below.  A failure is not cached, so each probe
         meets it on its own."""
-        return ev._refined(MarkedTuple(*t), variant=variant)
+        kept = ev._kept[t] if variant == 0 else None
+        return kept or ev._refined(MarkedTuple(*t), variant=variant)
 
     def agreement(values):
         return tuple(values), len(set(values)) == 1, float(max(values) - min(values))
 
     def probe_path_choice():
-        return agreement([_loop_winding(*refined(variant), tol) for variant in (0, 2, 4)])
+        return agreement([snap_turns(_loop_and_lift(*refined(variant))[0], tol)
+                          for variant in (0, 2, 4)])
 
     records.append(identity_record(
         "path_choice_irrelevant", inputs,
         "rf_loop agrees across three different connecting paths", probe_path_choice))
 
     def probe_methods():
-        forward, base, ends, punctures = refined(0)
-        a = _loop_winding(forward, base, ends, punctures, tol)
-        b = _lift_turns(forward, base, punctures, tol)
+        loop, lift = _loop_and_lift(*refined(0))
+        a, b = snap_turns(loop, tol), snap_turns(lift, tol)
         try:
             trace = synthesize_twist_trace(spec, MarkedTuple(*t), tol=tol, ev=ev)
         except ScenarioError:

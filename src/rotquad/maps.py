@@ -603,16 +603,16 @@ def iterate_spec(spec: MapSpec, n: int) -> MapSpec:
     return Power(n, spec)
 
 
-def _structural_rotation(spec: MapSpec, p: SpherePoint,
-                         tol: Tolerances = DEFAULT_TOL) -> float | None:
+def _structural_rotation(spec: MapSpec, p: SpherePoint, tol: Tolerances = DEFAULT_TOL,
+                         compiled: dict | None = None) -> float | None:
     """The exact local rotation angle at a fixed point when the germ there is
     a rigid rotation, else None: the angle _rigid_germ reads."""
-    germ = _rigid_germ(spec, p, None, tol)
+    germ = _rigid_germ(spec, p, None, tol, compiled)
     return None if germ is None else germ[0]
 
 
 def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
-                tol: Tolerances) -> tuple[float, float | None] | None:
+                tol: Tolerances, compiled: dict | None = None) -> tuple[float, float | None] | None:
     """(angle, radius) when the germ at the fixed point p is a rigid
     rotation, else None.
 
@@ -624,7 +624,10 @@ def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
     the 1/z chart; this is the bookkeeping under which same-axis twists
     report profile values at both ends of the axis.  Any other spec is
     walked: conjugates move p, compositions sum their parts' angles when
-    every part fixes p, inverses negate and powers scale.
+    every part fixes p, inverses negate and powers scale.  A part is
+    checked fixed on its compiled map, kept in compiled (part -> map; a
+    new dict by default), so germ reads that share it compile each part
+    once.
 
     With a chart that sends p to 0, the radius is that of a disk |z| <= R
     of the chart on which the germ is certified rigid: for a spec that
@@ -633,6 +636,8 @@ def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
     parts' radii, each read in the chart carried through the conjugations.
     Without a chart the radius is None.
     """
+    if compiled is None:
+        compiled = {}
     reduced = twist_chart(spec)
     if reduced is not None:
         h, profile = reduced
@@ -647,7 +652,7 @@ def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
     if isinstance(spec, MobiusConjugate):
         q = apply_mobius(spec.h, p)
         moved = None if chart is None else chart.compose(spec.h.inverse())
-        inner = _rigid_germ(spec.inner, q, moved, tol)
+        inner = _rigid_germ(spec.inner, q, moved, tol, compiled)
         if inner is None:
             return None
         flip = -1.0 if (p.is_infinity != q.is_infinity) else 1.0
@@ -655,19 +660,22 @@ def _rigid_germ(spec: MapSpec, p: SpherePoint, chart: MobiusTransform | None,
     if isinstance(spec, Compose):
         total, radii = 0.0, []
         for part in spec.parts:
-            if fixed_residual(part, p) >= tol.fixed_tol:
+            f = compiled.get(part)
+            if f is None:
+                f = compiled[part] = compile_map(part)
+            if _residual(f, p) >= tol.fixed_tol:
                 return None
-            germ = _rigid_germ(part, p, chart, tol)
+            germ = _rigid_germ(part, p, chart, tol, compiled)
             if germ is None:
                 return None
             total += germ[0]
             radii.append(germ[1])
         return total, None if chart is None else min(radii)
     if isinstance(spec, Inverse):
-        inner = _rigid_germ(spec.inner, p, chart, tol)
+        inner = _rigid_germ(spec.inner, p, chart, tol, compiled)
         return None if inner is None else (-inner[0], inner[1])
     if isinstance(spec, Power):
-        inner = _rigid_germ(spec.inner, p, chart, tol)
+        inner = _rigid_germ(spec.inner, p, chart, tol, compiled)
         return None if inner is None else (spec.q * inner[0], inner[1])
     raise TypeError(f"not a map spec: {spec!r}")
 

@@ -12,6 +12,8 @@ The invariant does not depend on the chart, so on the ordered distinct
 seven more, the evaluator must give the reference's integer or raise the
 same exception class: on every tuple it reads in a twist's chart, and on a
 seeded eighth of the rest, which it reads with the reference's own code.
+In a twist's chart the path is refined by refine_twist_view, which must
+give refine_path_view's pieces through the same view, float for float.
 """
 
 import cmath
@@ -25,6 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rotquad.geometry as geometry
+import rotquad.invariant as invariant
 from rotquad import MarkedTuple, MobiusConjugate, MobiusTransform, Polyline, RfEvaluator
 from rotquad.catalog import identity_scenarios
 from rotquad.geometry import apply_mobius, mobius_normalize, mobius_step, path_turns
@@ -126,8 +129,37 @@ def compare(sc, m, tuples=None, others=1.0):
     return mismatches, twisted
 
 
+@pytest.fixture
+def flat_refinements(monkeypatch) -> list:
+    """invariant's refine_twist_view, each call required to give
+    refine_path_view's outcome through the same view, piece for piece and
+    float for float, and to certify clear only chords further than
+    EPS_EDGE from both punctures; the list of calls."""
+    calls = []
+    real = invariant.refine_twist_view
+
+    def flat(vertices, view, tol, punctures):
+        calls.append(vertices)
+        try:
+            want = geometry.refine_path_view(vertices, view, tol=tol, punctures=punctures)
+        except Exception as exc:  # compared by class and message
+            with pytest.raises(type(exc)) as raised:
+                real(vertices, view, tol, punctures)
+            assert str(raised.value) == str(exc)
+            raise
+        forward, uncleared = real(vertices, view, tol, punctures)
+        assert repr(forward) == repr(want), vertices
+        for chord in set(zip(forward, forward[1:])) - set(uncleared):
+            for p in punctures:
+                assert p is None or geometry.point_segment_distance(p, *chord) > geometry.EPS_EDGE
+        return forward, uncleared
+
+    monkeypatch.setattr(invariant, "refine_twist_view", flat)
+    return calls
+
+
 @pytest.mark.parametrize("chart", CHARTS)
-def test_every_catalog_tuple_reads_as_the_reference(chart):
+def test_every_catalog_tuple_reads_as_the_reference(chart, flat_refinements):
     # every tuple read in its twist's chart, and an eighth of the rest
     twisted = 0
     for sc in SCENARIOS:
@@ -135,8 +167,9 @@ def test_every_catalog_tuple_reads_as_the_reference(chart):
         assert not mismatches, (sc.name, mismatches[:3])
         twisted += n
     # every tuple with x3 and x4 finite of the 24 scenarios whose map
-    # reduces, when the chart is affine
+    # reduces, when the chart is affine; each refined at least once
     assert twisted == (3096 if CHARTS[chart] is None or CHARTS[chart].c == 0 else 0)
+    assert len(flat_refinements) >= twisted
 
 
 # ---------------------------------------------------------------------------

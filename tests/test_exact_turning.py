@@ -98,7 +98,7 @@ def _normalized_view(x1, x2):
 def test_exact_base_turning_matches_the_refined_image(config):
     beta, x1, x2 = config
     t = MarkedTuple(x1, x2, beta.start, beta.end)
-    _, base, ends, _ = RfEvaluator(Identity())._refined(t, beta)
+    _, base, ends, *_ = RfEvaluator(Identity())._refined(t, beta)
     image = refine_path_view(_dense(beta.vertices, closed=False), _normalized_view(x1, x2))
     assert abs(base - path_turns(image)) / math.tau < 1e-9
     assert ends == (image[0], image[-1])

@@ -47,9 +47,21 @@ from rotquad import (
     verify_rf_identities,
 )
 from rotquad.catalog import golden_twist_spec, homomorphism_pairs, sqrt2_blowup_spec
-from rotquad.geometry import DEFAULT_TOL, apply_mobius, refine_path_view
-from rotquad.maps import compile_map, twist_chart
+from rotquad.geometry import (
+    DEFAULT_TOL,
+    EPS_EDGE,
+    _CLEAR_ROUNDING,
+    apply_mobius,
+    dedupe_consecutive,
+    point_segment_distance,
+    refine_path_view,
+    refine_twist_view,
+)
+from rotquad.invariant import _loop_and_lift, _turning
+from rotquad.maps import CompiledMap, _charted_steps, compile_map, twist_chart
 from rotquad.report import PASS
+
+from test_enclosure import _SCENARIOS, _default_tuples
 
 from helpers import (
     blowup_consistency_spec,
@@ -199,17 +211,23 @@ def test_evaluator_rejects_unfixed_points():
         ev.value(0j, INFINITY, 1.5 + 0j, 3 + 0j)
 
 
-def test_evaluator_refines_once_per_value(monkeypatch):
+def _count_refiner_calls(monkeypatch) -> list:
+    """The names of invariant's refiners called, in order: the chain's
+    refine_path_view and the twist chart's refine_twist_view."""
     import rotquad.invariant as invariant
 
     calls = []
-    real = invariant.refine_path_view
+    for name in ("refine_path_view", "refine_twist_view"):
+        def counting(*args, _name=name, _real=getattr(invariant, name), **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        monkeypatch.setattr(invariant, name, counting)
+    return calls
 
-    monkeypatch.setattr(invariant, "refine_path_view", counting)
+
+def test_evaluator_refines_once_per_value(monkeypatch):
+    calls = _count_refiner_calls(monkeypatch)
     ev = RfEvaluator(golden_twist_spec(2))
     assert ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j) == 2
     assert len(calls) == 1  # the image path; the path's own turning is exact
@@ -217,6 +235,8 @@ def test_evaluator_refines_once_per_value(monkeypatch):
     assert len(calls) == 1  # a cached value costs nothing
     assert ev.value(0j, INFINITY, 3 + 0j, 4j) == 0
     assert len(calls) == 2
+    # both in the twist's own chart (the identity)
+    assert calls == ["refine_twist_view"] * 2
 
 
 def _count_refinements(monkeypatch) -> list:
@@ -234,13 +254,14 @@ def _count_refinements(monkeypatch) -> list:
 
 
 def test_identity_suite_refines_the_first_path_once(monkeypatch):
-    # 14 distinct cached values, and path variants 0, 2 and 4 shared by the
-    # path-choice and methods probes
+    # 14 distinct cached values, and path variants 2 and 4 for the
+    # path-choice probe; variant 0, which it shares with the methods probe,
+    # is the refinement the first value made
     calls = _count_refinements(monkeypatch)
     points = [0j, INFINITY, 0.5 + 0j, 3 + 0j, 4j]
     records = verify_rf_identities(scenario_by_name("twist-by-2").map_spec, None, points)
     assert all(r.status == PASS for r in records)
-    assert len(calls) == 17
+    assert len(calls) == 16
 
 
 class _WorkView:
@@ -267,34 +288,30 @@ def test_verify_battery_refinement_count(monkeypatch, capsys):
 
     calls = _count_refinements(monkeypatch)
     work = dict.fromkeys(("evaluations", "certifications", "point steps", "enclosure steps"), 0)
-    real = invariant.refine_path_view
-    monkeypatch.setattr(invariant, "refine_path_view",
-                        lambda vertices, view, **k: real(vertices, _WorkView(view, work), **k))
+    for name in ("refine_path_view", "refine_twist_view"):
+        monkeypatch.setattr(invariant, name, lambda vertices, view, *a, _real=getattr(
+            invariant, name), **k: _real(vertices, _WorkView(view, work), *a, **k))
     assert main(["verify"]) == 0
-    assert len(calls) == 855
+    assert len(calls) == 828
     # read through the whole chain in the normalizing chart, the same
     # refinements took 53,018 point-step and 90,388 enclosure-step
-    # applications; a twist's own chart takes one step
-    assert work["evaluations"] <= 17_197 and work["certifications"] <= 29_264, work
-    assert work["point steps"] <= 40_800 and work["enclosure steps"] <= 69_700, work
+    # applications; a twist's own chart takes one step.  There a rejected
+    # piece's midpoint image is its enclosure's centre, so a refinement
+    # evaluates its path's vertices alone: the 855 refinements the
+    # battery made before it shared the suite's first took 17,197
+    # evaluations and 29,264 certifications
+    assert work["evaluations"] <= 9_782 and work["certifications"] <= 28_452, work
+    assert work["point steps"] <= 32_824 and work["enclosure steps"] <= 68_012, work
 
 
 def test_exhausted_budget_is_inconclusive_after_one_attempt(monkeypatch):
-    import rotquad.invariant as invariant
-
-    calls = []
-    real = invariant.refine_path_view
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(invariant, "refine_path_view", counting)
-    # the twist by 2 needs 19 certified pieces on its connecting path
+    calls = _count_refiner_calls(monkeypatch)
+    # the twist by 2 needs 19 certified pieces on its connecting path, in
+    # its own chart
     ev = RfEvaluator(golden_twist_spec(2), Tolerances(max_refine_points=12))
     with pytest.raises(InconclusiveComputation, match="max_refine_points=12"):
         ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
-    assert len(calls) == 1
+    assert calls == ["refine_twist_view"]
     # the failure is cached like a value: asking again refines nothing
     with pytest.raises(InconclusiveComputation, match="max_refine_points=12"):
         ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
@@ -371,7 +388,8 @@ def test_geometric_failures_are_retried_on_every_request(monkeypatch):
         calls.append(1)
         raise PointOnLoop("image path through the origin")
 
-    monkeypatch.setattr(invariant, "refine_path_view", grazing)
+    # the tuple is read in the twist's own chart
+    monkeypatch.setattr(invariant, "refine_twist_view", grazing)
     ev = RfEvaluator(golden_twist_spec(2))
     attempts = invariant.JITTER_ATTEMPTS + 1
     for request in (1, 2):
@@ -387,10 +405,36 @@ def test_points_closer_than_1e_12_have_a_value():
 def test_evaluator_cross_checks_loop_against_lift(monkeypatch):
     import rotquad.invariant as invariant
 
-    real = invariant._lift_turns
-    monkeypatch.setattr(invariant, "_lift_turns", lambda *a, **k: real(*a, **k) + 1)
+    # one more turn on the image path's own sum, the lift's, alone
+    real = invariant.closed_path_turns
+    monkeypatch.setattr(invariant, "closed_path_turns",
+                        lambda *a: (lambda loop, lift: (loop, lift + math.tau))(*real(*a)))
     with pytest.raises(InconclusiveComputation, match="disagree"):
         RfEvaluator(golden_twist_spec(2)).value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
+
+
+def test_identity_suite_reads_only_a_first_attempt_refinement_again(monkeypatch):
+    import rotquad.invariant as invariant
+
+    # the suite's first value fails its first attempt once, and its first
+    # retry (variant 1, jittered) refines: the probes must refine variant 0
+    # anew, not read the retry's refinement
+    variants = []
+    real = invariant.RfEvaluator._refined
+
+    def refined(ev, t, beta=None, variant=0, jitter=0j):
+        variants.append(variant)
+        if len(variants) == 1:
+            raise PointOnLoop("a graze on the first attempt")
+        return real(ev, t, beta, variant, jitter)
+
+    monkeypatch.setattr(invariant.RfEvaluator, "_refined", refined)
+    points = [0j, INFINITY, 0.5 + 0j, 3 + 0j, 4j]
+    records = verify_rf_identities(scenario_by_name("twist-by-2").map_spec, None, points)
+    assert all(r.status == PASS for r in records)
+    # the failed attempt, the retry, the 13 other values, and the probes'
+    # variants 0, 2 and 4
+    assert variants == [0, 1] + [0] * 13 + [0, 2, 4]
 
 
 def test_identity_suite_all_pass_on_twist():
@@ -406,6 +450,117 @@ def test_identity_suite_all_pass_on_twist():
                      "iterate_scales_linearly", "path_choice_irrelevant",
                      "methods_agree"):
         assert expected in names
+
+
+# ---------------------------------------------------------------------------
+# loop and lift read in one pass off one refinement
+
+
+def reference_loop_and_lift(forward, base, ends, punctures):
+    """The loop's and the image path's turnings less base, each its own
+    sums (path_turns over the loop without repeated points, then over the
+    image path), after the point-on-loop check of every loop edge."""
+    loop = dedupe_consecutive([ends[0], *forward, ends[1]])
+    for p in punctures:
+        if p is not None and any(point_segment_distance(p, a, b) <= EPS_EDGE
+                                 for a, b in zip(loop, loop[1:])):
+            raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
+
+    def turning(points):
+        first, second = punctures
+        total = 0.0 if first is None else path_turns(points, first)
+        return total if second is None else total - path_turns(points, second)
+
+    return turning(loop) - base, turning(forward) - base
+
+
+def _reading(read, *args):
+    """A reading's floats (repr: exact, signed zeros included), or the
+    class and message of what it raised."""
+    try:
+        return repr(read(*args))
+    except PointOnLoop as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("punctures", [(0j, None), (None, 0.2 + 0.1j), (0.1j, 2 + 0j)])
+def test_loop_and_lift_sum_as_the_separate_readings(punctures):
+    # closing edges that turn, and a repeated point on the image path
+    forward = [1.05 + 0.02j, 1j, -1 + 0j, -1 + 0j, -0.3j, 0.9 - 0.2j]
+    ends = (1 + 0j, 0.95 - 0.1j)
+    got = _loop_and_lift(forward, 0.25, ends, punctures)
+    assert repr(got) == repr(reference_loop_and_lift(forward, 0.25, ends, punctures))
+    assert got[0] != got[1]
+
+
+@pytest.mark.parametrize("on", [(1 + 0j, 1.05 + 0.02j), (0.9 - 0.2j, 0.95 - 0.1j)])
+def test_a_puncture_on_a_closing_edge_is_on_the_loop(on):
+    # every chord's disk cleared the punctures; a closing edge is checked anyway
+    forward = [1.05 + 0.02j, 1j, -1 + 0j, -0.3j, 0.9 - 0.2j]
+    ends = (1 + 0j, 0.95 - 0.1j)
+    punctures = (0.5 * (on[0] + on[1]), None)
+    with pytest.raises(PointOnLoop):
+        reference_loop_and_lift(forward, 0.0, ends, punctures)
+    with pytest.raises(PointOnLoop):
+        _loop_and_lift(forward, 0.0, ends, punctures, [])
+
+
+def test_every_catalog_refinement_reads_as_the_separate_readings():
+    read = 0
+    for sc in _SCENARIOS:
+        for t in _default_tuples(sc):
+            ev = RfEvaluator(sc.map_spec, sc.tolerances, sc.seed)
+            refinement = ev._refined(t)
+            assert (_reading(_loop_and_lift, *refinement)
+                    == _reading(reference_loop_and_lift, *refinement[:4]))
+            read += refinement[4] is not None
+    assert read > 0  # some read in a twist's own chart, with cleared chords
+
+
+def _twist_by_zero():
+    """A twist's compiled map, the twist by 0: every point and disk is its own image."""
+    return CompiledMap(_charted_steps(RadialTwist(RadialProfile(((1.0, 0.0),))))[1])
+
+
+def test_a_disk_within_the_rounding_term_of_clearing_is_checked(monkeypatch):
+    import rotquad.invariant as invariant
+
+    view = _twist_by_zero()
+    _, r, _ = view.enclose((0j, 0.5625 * 2, False))
+    # the puncture clears the one piece's disk by EPS_EDGE and half the
+    # rounding term, so that disk does not certify the chord clear
+    y = r + EPS_EDGE + 0.5 * _CLEAR_ROUNDING * (3 * r)
+    punctures = (y * 1j, None)
+    forward, uncleared = refine_twist_view([-1 + 0j, 1 + 0j], view, punctures=punctures)
+    assert forward == [-1 + 0j, 1 + 0j] and uncleared == [(-1 + 0j, 1 + 0j)]
+    checked = []
+    real = invariant.point_segment_distance
+    monkeypatch.setattr(invariant, "point_segment_distance",
+                        lambda p, a, b: checked.append((p, a, b)) or real(p, a, b))
+    refinement = (forward, 0.0, (-1 + 0j, 1 + 0j), punctures, uncleared)
+    assert _reading(_loop_and_lift, *refinement) == _reading(reference_loop_and_lift,
+                                                              *refinement[:4])
+    assert checked == [(y * 1j, -1 + 0j, 1 + 0j)]
+    # a disk that clears it by more is not checked
+    forward, uncleared = refine_twist_view([-1 + 0j, 1 + 0j], view, punctures=(2 * y * 1j, None))
+    assert forward == [-1 + 0j, 1 + 0j] and uncleared == []
+
+
+@pytest.mark.parametrize("height", [5e-10, 1e-9, 1.01e-9, 3e-9, 1e-8])
+@pytest.mark.parametrize("second", [False, True])
+def test_a_puncture_near_a_certified_chord_is_on_the_loop_as_before(height, second):
+    # bisected until each disk misses the puncture, a piece's chord can
+    # still pass within EPS_EDGE of it: the one-pass reading raises
+    # PointOnLoop exactly where the separate readings do, whichever
+    # puncture it is
+    view, vertices = _twist_by_zero(), [-1 + 0j, 1 + 0j]
+    near = 0.25 + height * 1j
+    punctures = (3j, near) if second else (near, None)
+    forward, uncleared = refine_twist_view(vertices, view, punctures=punctures)
+    refinement = (forward, _turning(vertices, punctures), (-1 + 0j, 1 + 0j), punctures, uncleared)
+    got = _reading(_loop_and_lift, *refinement)
+    assert got == _reading(reference_loop_and_lift, *refinement[:4])
+    assert isinstance(got, tuple) == (height <= EPS_EDGE)
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +759,23 @@ def test_double_blowup_compiles_its_spec_once(monkeypatch):
     assert rf_double_blowup(golden_twist_spec(2), 0j, INFINITY) == 2.0
     assert rf_double_blowup(golden_twist_spec(2), 0.5 + 0j, 3 + 0j) == -2.0
     assert len(calls) == 2  # one per double blow-up: the fixed-point check
+
+
+def test_double_blowup_compiles_each_part_once(monkeypatch):
+    import rotquad.maps as maps
+
+    calls = []
+    real = maps.compile_map
+    monkeypatch.setattr(maps, "compile_map", lambda *a, **k: calls.append(a) or real(*a, **k))
+    away = MobiusConjugate(MobiusTransform(1, -10, 0, 1),
+                           RadialTwist(RadialProfile(((0.5, -0.375), (1.0, 0.0)))))
+    spec = Compose((golden_twist_spec(2), away))
+    assert twist_chart(spec) is None  # walked: its two parts are checked fixed at each germ
+    for request in (1, 2):
+        assert rf_double_blowup(spec, 0j, 10 + 0j) == -1.625
+        # the fixed-point check, then each part once for both germs; a
+        # call keeps no compiled part for the next
+        assert [a[0] for a in calls] == [spec, *spec.parts] * request
 
 
 def test_double_blowup_rejects_shear_germ():

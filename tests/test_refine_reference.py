@@ -51,6 +51,7 @@ from rotquad.geometry import (
     mobius_step,
     path_turns,
     refine_path_view,
+    refine_twist_view,
 )
 from rotquad.invariant import _prechart
 from rotquad.maps import _TAU_I, TAU, compile_map
@@ -378,11 +379,13 @@ _REFINED = RfEvaluator._refined
 
 class _Recorder:
     """Wraps invariant's view builders (RfEvaluator._refined for a tuple's
-    value, compile_map for a blow-up) and invariant.refine_path_view: each
+    value, compile_map for a blow-up) and invariant's refiners: each
     refinement also runs through the reference view of the spec and chart
     last built, and both must agree, on the image path and on its turning.
-    A tuple the evaluator reads in its twist's chart has no such reference
-    view: its refinements are recorded in ``twisted`` and not compared."""
+    A tuple the evaluator reads in its twist's chart is refined through the
+    twist alone by refine_twist_view: its reference is refine_path_view
+    through the reference twist, with the tuple's punctures, and its paths
+    are recorded in ``twisted``."""
 
     def __init__(self):
         self.source = None
@@ -394,17 +397,27 @@ class _Recorder:
         spec, moved = (ev.spec, t) if beta is not None else _prechart(ev.spec, t)
         self.source = (spec, mobius_normalize(moved.x1, moved.x2))
         if beta is None and ev._in_twist_chart(t) is not None:
-            self.source = None
+            # the twist in its own chart H
+            self.source = (RadialTwist(ev._chart(ev.spec)[0][1]), None)
         return _REFINED(ev, t, beta, variant, jitter)
 
     def compile_map(self, spec, then=None):
         self.source = (spec, then)
         return compile_map(spec, then)
 
+    def refine_twist_view(self, vertices, view, tol, punctures):
+        spec, then = self.source
+        self.twisted.append(list(vertices))
+        got, out = _outcome(refine_twist_view, vertices, view, tol, punctures)
+        expect, _ = _outcome(refine_path_view, vertices, reference_compile_map(spec, then), tol,
+                             punctures)
+        if isinstance(out, Exception):
+            assert got == expect, (spec, vertices)
+            raise out
+        assert ("ok", repr(out[0])) == expect, (spec, vertices)
+        return out
+
     def refine_path_view(self, vertices, view, tol=DEFAULT_TOL, punctures=(0j, None)):
-        if self.source is None:
-            self.twisted.append(list(vertices))
-            return refine_path_view(vertices, view, tol, punctures)
         spec, then = self.source
         self.paths.append(list(vertices))
         got, out = _outcome(refine_path_view, vertices, view, tol)
@@ -424,6 +437,7 @@ def recorder(monkeypatch):
                         lambda ev, *args, **kwargs: rec.refined(ev, *args, **kwargs))
     monkeypatch.setattr(invariant, "compile_map", rec.compile_map)
     monkeypatch.setattr(invariant, "refine_path_view", rec.refine_path_view)
+    monkeypatch.setattr(invariant, "refine_twist_view", rec.refine_twist_view)
     return rec
 
 
@@ -438,8 +452,9 @@ def test_every_catalog_value_refines_as_the_reference(recorder):
             except (InconclusiveComputation, GeometryFailure) as exc:
                 value = type(exc)
             if recorder.twisted:
-                # read in its twist's chart: its pieces differ from the
-                # chain's, so the value is compared, not the pieces
+                # read in its twist's chart: its pieces, compared above,
+                # differ from the chain's, so the value is compared with
+                # the chain reading's
                 assert not recorder.paths
                 assert value == chart_outcome(
                     ReferenceEvaluator(sc.map_spec, sc.tolerances, sc.seed), t.points)
