@@ -61,11 +61,6 @@ KEPT = {
     "invariant:_refined_limit": "the blow-up limit of a map that does not reduce",
     "maps:_rigid_radius": "the certified rigid radius of such a blow-up's germ",
     "maps:_rigid_radius.<locals>.certified": "with _rigid_radius",
-    # failure witnesses: a relation scan reads them only on a failing row
-    "algebra:_relations.<locals>.read": "reads a failing row's witness values",
-    "algebra:_relations.<locals>.cyclic": "the cyclic-sum witness of a failing row",
-    "algebra:_relations.<locals>.swap": "the swap-sign witness of a failing row",
-    "algebra:_relations.<locals>.split": "the split witness of a failing row",
     # a table's values made on first read: no command reads a built table's values
     "algebra:FunctionTable.__getattr__": "makes a column-built table's values on first read",
     # error and repr helpers: no passing run raises or prints them

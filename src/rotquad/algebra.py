@@ -8,7 +8,9 @@ determined by a two-variable table g via
 
 and the triple (F(x), F of the two cyclic shifts) transforms under tuple
 permutation through an integer matrix representation whose kernel is the
-Klein four-group.  Everything here is exact arithmetic.
+Klein four-group.  Everything here is exact arithmetic: a table's values
+are int or Fraction, and any other value (a float, a bool, None) raises
+ValueError, so every check compares with ==.
 """
 
 from __future__ import annotations
@@ -26,15 +28,6 @@ from .errors import ParseError, RelationViolated
 from .geometry import DEFAULT_TOL, Tolerances, as_sphere_point
 from .invariant import RfEvaluator
 from .maps import MapSpec
-
-FLOAT_EQ_TOL = 1e-9
-
-
-def _eq(a, b) -> bool:
-    if isinstance(a, float) or isinstance(b, float):
-        return abs(a - b) <= FLOAT_EQ_TOL
-    return a == b
-
 
 # ---------------------------------------------------------------------------
 # permutations
@@ -230,6 +223,9 @@ class FunctionTable:
     map invariant have no values on the remaining repeated-entry tuples
     (get returns None there); tables built from a two-variable g are total.
 
+    Each value is an int or a Fraction; any other value raises ValueError
+    (_require_exact).  A missing entry is an absent key.
+
     A table is read-only.  get and the checks read its product column (see
     _ProductLayout).  A table made from a mapping keeps a copy of it, keys
     validated in bulk, and reads the column from it on first use, one
@@ -263,6 +259,7 @@ class FunctionTable:
             for t in values:
                 if len(t) != 4 or not label_set.issuperset(t):
                     raise ValueError(f"bad tuple key {t!r}")
+        _require_exact(values.values())
         object.__setattr__(self, "values", MappingProxyType(values))
         self._keep(labels, None)
 
@@ -322,16 +319,18 @@ class FunctionTable:
         """A copy with one entry shifted; for fault-injection tests.
 
         A tuple that is zero by convention has no entry to shift (get never
-        reads one there), so it raises ValueError, as does a tuple that is
-        not a key of this table.  The copy keeps a copy of the product
-        column with one slot changed; its values dict, when read, is this
-        table's with that entry set.
+        reads one there), so it raises ValueError, as do a tuple that is
+        not a key of this table and a delta that is not an int or a
+        Fraction.  The copy keeps a copy of the product column with one
+        slot changed; its values dict, when read, is this table's with that
+        entry set.
         """
         t = tuple(t)
         if len(t) == 4 and (t[0] == t[1] or t[2] == t[3]):
             raise ValueError(f"{t!r} is zero by convention; there is no entry to perturb")
         if len(t) != 4 or not set(self.labels).issuperset(t):
             raise ValueError(f"bad tuple key {t!r}")
+        _require_exact((delta,))
         i = _product_layout(len(self.labels)).position[tuple(map(self._index.get, t))]
         column, missing = self._column()
         column = column.copy()
@@ -346,6 +345,17 @@ class FunctionTable:
         value = column[i]
         return FunctionTable._with_column(
             self.labels, lambda: {**self.values, t: value}, column, missing)
+
+
+_EXACT = frozenset((int, Fraction))
+
+
+def _require_exact(values) -> None:
+    """Raise ValueError naming the first value whose type is not int or
+    Fraction (a bool is refused too).  values must be iterable twice."""
+    if not _EXACT.issuperset(map(type, values)):
+        bad = next(v for v in values if type(v) not in _EXACT)
+        raise ValueError(f"a table value must be an int or a Fraction, not {bad!r}")
 
 
 def table_from_function(labels, fn) -> FunctionTable:
@@ -527,6 +537,7 @@ def _coboundary(g, labels: tuple, distinct: bool = False) -> list:
     """g(x1,x3) - g(x1,x4) - g(x2,x3) + g(x2,x4) as a product column, or at
     the distinct tuples, with the operations of the formula in its order."""
     values = list(map(g.__getitem__, itertools.product(labels, repeat=2)))
+    _require_exact(values)
     g13, g14, g23, g24 = (get(values) for get in _coboundary_getters(len(labels), distinct))
     return list(map(add, map(sub, map(sub, g13, g14), g23), g24))
 
@@ -553,25 +564,17 @@ def _distinct_column(F: FunctionTable) -> tuple[tuple, tuple | None]:
     return distinct(column), (m if m is not None and True in m else None)
 
 
-def _rows(*columns):
-    """The positions, in order, at which any of the columns is not exactly 0.
+def _first_row(*columns):
+    """The first position at which any of the columns is not exactly 0, or
+    None when there is none.
 
     The columns are lists of differences or of flags (False is 0); the
     common case, all zero, is settled by list.count at C speed.
     """
     if all(column.count(0) == len(column) for column in columns):
-        return ()
+        return None
     nonzero = (map(ne, column, itertools.repeat(0)) for column in columns)
-    return itertools.compress(itertools.count(), map(any, zip(*nonzero)))
-
-
-def _first_failure(rows, rule):
-    """The first row at which rule returns a witness, and that witness."""
-    for i in rows:
-        witness = rule(i)
-        if witness is not None:
-            return i, witness
-    return None, None
+    return next(itertools.compress(itertools.count(), map(any, zip(*nonzero))))
 
 
 @dataclass(frozen=True)
@@ -593,31 +596,27 @@ def check_relations(F: FunctionTable) -> dict[str, RelationCheck]:
     F is read once, as its product column: split_w reads F at tuples with
     an entry repeated across the pairs, which are not distinct tuples.  Each
     relation's sides are index gathers of that column, and their
-    difference is formed for all rows at once.  An exact zero difference
-    implies _eq for every value type (equal infinities differ by NaN).
-    Only a row whose difference is not exactly zero, or that reads a
-    missing entry, is checked on its own with _eq, in the plain scan's
-    order, reading F again, so a missing entry raises the scan's KeyError.
-    Each result is kept with F, so decompose_g scans no relation again.
+    difference is formed for all rows at once.  With exact values a row
+    fails exactly when its difference is not 0, so the first such row, or
+    an earlier one that reads a missing entry, ends the scan: its witness
+    is read from F again, in the plain scan's order, so a missing entry
+    raises the scan's KeyError.  Each result is kept with F, so
+    decompose_g scans no relation again.
 
-    On a table with no missing entry and only int and Fraction values,
-    split_w is settled on three pivots.  Fix (x3, x4); let A(a, b) =
-    F(a, b, x3, x4), 0 when a = b, and S the labels outside {x3, x4}.
-    split_w asks A(x1, x2) = A(x1, w) + A(w, x2) for distinct x1, x2 in S
-    and every label w: trivial for w = x1 or x2, so with four labels only
-    the pivots x3 and x4 remain.  With n >= 5 it holds for every w exactly
+    On a table with no missing entry, split_w is settled on three pivots.
+    Fix (x3, x4); let A(a, b) = F(a, b, x3, x4), 0 when a = b, and S the
+    labels outside {x3, x4}.  split_w asks A(x1, x2) = A(x1, w) + A(w, x2)
+    for distinct x1, x2 in S and every label w: trivial for w = x1 or x2,
+    so with four labels only the pivots x3 and x4 remain.  With n >= 5 it holds for every w exactly
     when it holds for w0 (S's first label), x3 and x4, and A(w0, w) =
     -A(w, w0) for every w in S.  Only if: with u a third label of S, the
     equations at (u, w0) through w and at (u, w) through w0 add up to
     A(w, w0) + A(w0, w) = 0.  If: for w in S outside {x1, x2, w0}, the
     equations at (x1, w) and (w, x2) through w0 add up to A(x1, w) +
     A(w, x2) = A(x1, w0) + A(w0, x2) + A(w0, w) + A(w, w0) = A(x1, x2).
-    Exact arithmetic makes equality the test; any miss runs the full scan.
+    Any miss runs the full scan, for the first counterexample.
     """
     return _relations(F, cyclic_sum=True)
-
-
-_EXACT = frozenset((int, Fraction))
 
 
 def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
@@ -639,51 +638,37 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
         return {name: kept[name] for name in names}
 
     n = len(F.labels)
-    gathers, getters = _gathers(n), _getters(n)
+    getters = _getters(n)
 
     def reads_missing(*sigmas):
         """Flags of the rows that read a missing entry, at a row or its images."""
         return [] if m is None else [m, *(getters[sigma](m) for sigma in sigmas)]
 
-    def read(i, sigma):
-        return F(_key(F, gathers[sigma][i]))
-
-    def cyclic(i):
-        a, b, c = F(_key(F, i)), read(i, TAU_CYCLE), read(i, TAU_SQUARED)
-        return None if _eq(a + b + c, 0) else (_key(F, i), (a, b, c))
+    def result(name, i, values):
+        """name's result, failed at row i unless i is None, with values(x)
+        read at row i's tuple x as the counterexample."""
+        if i is None:
+            return RelationCheck(name, True, len(col))
+        x = _key(F, i)
+        return RelationCheck(name, False, i + 1, (x, values(x)))
 
     if "cyclic_sum" in todo:
         shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
-        flags = [list(map(add, map(add, col, shift(col)), twice(col))),
-                 *reads_missing(TAU_CYCLE, TAU_SQUARED)]
-        i, witness = _first_failure(_rows(*flags), cyclic)
-        kept["cyclic_sum"] = RelationCheck(
-            "cyclic_sum", witness is None, len(col) if witness is None else i + 1, witness)
-
-    def swap(i):
-        base, a, b = F(_key(F, i)), read(i, SIGMA1), read(i, SIGMA3)
-        return None if _eq(a, -base) and _eq(b, -base) else (_key(F, i), (base, a, b))
+        i = _first_row(list(map(add, map(add, col, shift(col)), twice(col))),
+                       *reads_missing(TAU_CYCLE, TAU_SQUARED))
+        kept["cyclic_sum"] = result("cyclic_sum", i, lambda x: f_triple(F, x))
 
     if "swap_sign" in todo:
         first, second = getters[SIGMA1], getters[SIGMA3]
-        flags = [list(map(add, first(col), col)), list(map(add, second(col), col)),
-                 *reads_missing(SIGMA1, SIGMA3)]
-        i, witness = _first_failure(_rows(*flags), swap)
-        kept["swap_sign"] = RelationCheck(
-            "swap_sign", witness is None, len(col) if witness is None else i + 1, witness)
-
-    def split(q):
-        i, w = divmod(q, n)
-        here = F(_key(F, i))
-        if _eq(here, left[q] + right[q]):
-            return None
-        return (_key(F, i), F.labels[w]), (here, left[q], right[q])
+        i = _first_row(list(map(add, first(col), col)), list(map(add, second(col), col)),
+                       *reads_missing(SIGMA1, SIGMA3))
+        kept["swap_sign"] = result("swap_sign", i, lambda x: (
+            F(x), F(act_on_tuple(x, SIGMA1)), F(act_on_tuple(x, SIGMA3))))
 
     if "split_w" in todo:
         column, missing = F._column()
         base, left, right = _product_layout(n).pivots
-        if (missing is None and _EXACT.issuperset(map(type, column))
-                and tuple(map(add, left(column), right(column))) == base(column)):
+        if missing is None and tuple(map(add, left(column), right(column))) == base(column):
             kept["split_w"] = RelationCheck("split_w", True, n * len(col))
             return {name: kept[name] for name in names}
         scan = _split_scan(n)
@@ -693,16 +678,17 @@ def _relations(F: FunctionTable, cyclic_sum: bool) -> dict[str, RelationCheck]:
             # a pair with a missing side is skipped; a missing F(t) raises
             valid = list(map(not_, map(or_, scan[1](missing), scan[2](missing))))
             to_check = map(or_, scan[0](missing), map(ne, differs, itertools.repeat(0)))
-            flags = [list(map(and_, valid, to_check))]
+            q = _first_row(list(map(and_, valid, to_check)))
+            checked = valid.count(True) if q is None else valid[:q + 1].count(True)
         else:
-            valid = None
-            flags = [differs]
-        q, witness = _first_failure(_rows(*flags), split)
-        if valid is None:
-            checked = len(base) if witness is None else q + 1
-        else:
-            checked = valid.count(True) if witness is None else valid[:q + 1].count(True)
-        kept["split_w"] = RelationCheck("split_w", witness is None, checked, witness)
+            q = _first_row(differs)
+            checked = len(base) if q is None else q + 1
+        witness = None
+        if q is not None:
+            i, w = divmod(q, n)
+            x = _key(F, i)
+            witness = (x, F.labels[w]), (F(x), left[q], right[q])
+        kept["split_w"] = RelationCheck("split_w", q is None, checked, witness)
     return {name: kept[name] for name in names}
 
 
@@ -716,17 +702,19 @@ class SymmetryCheck:
 def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     """The triple at a permuted tuple is the matrix transport of the triple.
 
-    Checked for all 24 permutations against every distinct-entry tuple;
-    equality is exact (or within 1e-9 for float tables).  The witness on
-    failure is (cycle notation, tuple, expected, got).
+    Checked for all 24 permutations against every distinct-entry tuple,
+    with exact equality.  The result is the plain scan's, which takes the
+    permutations in all_permutations() order and the tuples in
+    distinct_tuples() order: the witness on failure is (cycle notation,
+    tuple, expected, got) at its first failing pair.
 
     F is read as its kept column, over distinct_tuples(); the triples are
     that column and two gathers of it.  Each transport matrix is a signed
     permutation, so each component of a transported triple is plus or
     minus a triple column, compared at once with a gather of one.
 
-    Exact agreement is settled on the generators tau = (123) and sigma3 =
-    (34).  tau's equation holds by definition: its matrix shifts the triple
+    Agreement is settled on the generators tau = (123) and sigma3 = (34).
+    tau's equation holds by definition: its matrix shifts the triple
     cyclically, as acting by tau does.  sigma3's three components are the
     first components under sigma3 then tau^k, k = 0, 1, 2 (row k of sigma's
     matrix is row 0 of that of sigma then tau^k): three gathers.  Equations
@@ -734,68 +722,35 @@ def verify_triple_symmetry(F: FunctionTable) -> SymmetryCheck:
     then the generator, whose matrix is the generator's times sigma's, and
     exactly so, since a signed permutation of equal triples gives equal
     triples; the words in tau and sigma3 reach all 24 permutations (see
-    _transport).  Exact agreement implies _eq only for finite values (a
-    NaN object equals itself in a tuple comparison, and the matrix product
-    turns an infinite entry into NaN).
+    _transport).
 
-    When the generators disagree on a table with no missing or non-finite
-    entry, the plain scan's first failure is under sigma3, its second
-    permutation, if anywhere: the identity holds at every row, and so does
-    each row where sigma3's three comparisons agree.  The rows where they
-    differ are checked with _eq in order.  If all hold (a float table within
-    1e-9), or with a missing or non-finite entry, the permutations are
-    compared in full, and each row whose comparison fails, or that reads a
-    missing or non-finite entry, is checked with _eq in the plain scan's
-    order, reading F again, so a missing entry raises the scan's KeyError.
+    The plain scan's first permutation is the identity, which holds at
+    every row it can read, and its second is sigma3.  So a table with a
+    missing distinct entry raises the KeyError of the first row whose
+    triple reads one, and any other table fails, if at all, under sigma3
+    at the first row where sigma3's three comparisons differ.
     """
     n = len(F.labels)
     col, missing = _distinct_column(F)
-    getters, gathers, transport = _getters(n), _gathers(n), _transport()
+    getters, transport = _getters(n), _transport()
     shift, twice = getters[TAU_CYCLE], getters[TAU_SQUARED]
+    if missing:
+        reads = list(map(or_, map(or_, missing, shift(missing)), twice(missing)))
+        f_triple(F, _key(F, reads.index(True)))  # raises the scan's KeyError
     triple = (col, shift(col), twice(col))
-    odd_rows, zeros = None, list(map(sub, col, col))  # x - x is not 0 when x is not finite
-    if missing or zeros.count(0) != len(zeros):
-        odd = list(map(or_, map(ne, zeros, itertools.repeat(0)), missing or itertools.repeat(0)))
-        odd_rows = list(map(or_, map(or_, odd, shift(odd)), twice(odd)))
-
-    def failure(s, sigma, i):
-        """The plain scan's result if it fails at row i of its s-th permutation, sigma."""
-        mat = transport[sigma][0]
-        expected = mat_vec(mat, f_triple(F, _key(F, i)))
-        there = f_triple(F, _key(F, gathers[sigma][i]))
-        if not all(_eq(e, g) for e, g in zip(expected, there)):
-            return SymmetryCheck(False, s * len(col) + i + 1,
-                                 (sigma.cycle_notation(), _key(F, i), expected, there))
-        return None
-
-    if odd_rows is None:
-        # row 0 of the transport of sigma3 then tau^k is row k of sigma3's:
-        # F at sigma x is sign * F at a shift of x, so -F at sigma x is F there
-        negated = tuple(map(neg, col))
-        sides = [(getters[sigma](col if sign > 0 else negated), triple[p])
-                 for sigma, (p, sign) in zip(SIGMA3_WORDS, transport[SIGMA3][1])]
-        if all(got == want for got, want in sides):
-            return SymmetryCheck(True, len(transport) * len(col))
-        rows = set(itertools.chain.from_iterable(
-            itertools.compress(itertools.count(), map(ne, got, want)) for got, want in sides))
-        _, result = _first_failure(sorted(rows), lambda i: failure(1, SIGMA3, i))
-        if result is not None:
-            return result
-
-    negated = tuple(tuple(map(neg, x)) for x in triple)
-    for s, (sigma, (_, signed)) in enumerate(transport.items()):
-        gather = getters[sigma]
-        got = tuple(map(gather, triple))
-        want = tuple(triple[p] if sign > 0 else negated[p] for p, sign in signed)
-        if got == want and odd_rows is None:
-            continue
-        flags = [list(map(ne, zip(*got), zip(*want)))]
-        if odd_rows is not None:
-            flags += [odd_rows, gather(odd_rows)]
-        _, result = _first_failure(_rows(*flags), lambda i: failure(s, sigma, i))
-        if result is not None:
-            return result
-    return SymmetryCheck(True, len(transport) * len(col))
+    # row 0 of the transport of sigma3 then tau^k is row k of sigma3's:
+    # F at sigma x is sign * F at a shift of x, so -F at sigma x is F there
+    negated = tuple(map(neg, col))
+    mat, signed = transport[SIGMA3]
+    sides = [(getters[sigma](col if sign > 0 else negated), triple[p])
+             for sigma, (p, sign) in zip(SIGMA3_WORDS, signed)]
+    if all(got == want for got, want in sides):
+        return SymmetryCheck(True, len(transport) * len(col))
+    i = _first_row(*(list(map(ne, got, want)) for got, want in sides))
+    x = _key(F, i)
+    return SymmetryCheck(False, len(col) + i + 1, (
+        SIGMA3.cycle_notation(), x, mat_vec(mat, f_triple(F, x)),
+        f_triple(F, act_on_tuple(x, SIGMA3))))
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +762,8 @@ def build_f_from_g(g, labels=None) -> FunctionTable:
 
     g is a mapping on ordered label pairs.  It is read once, in label-pair
     order, and F's product column is four gathers of it; the table keeps
-    only that column (see FunctionTable).
+    only that column (see FunctionTable).  A g value read that is not an
+    int or a Fraction raises ValueError.
     """
     if labels is None:
         labels = sorted({u for u, _ in g} | {v for _, v in g})
@@ -889,17 +845,16 @@ def decompose_g(F: FunctionTable, a=None, b=None) -> dict:
             t0 = next(l for l in ordered if l not in (b, v, v0))
             g[(b, v)] = F((b, t0, v, v0)) + g[(t0, v)] - g[(t0, v0)]
 
-    # g's table at the distinct tuples, against F's, where only an entry
-    # that differs exactly is looked at on its own.  The swap_sign check has
-    # read every distinct entry, so none is missing.
+    # g's table at the distinct tuples, against F's.  The swap_sign check
+    # has read every distinct entry, so none is missing.
     want, _ = _distinct_column(F)
     got = _coboundary(g, F.labels, distinct=True)
-    for i in _rows(list(map(sub, want, got))):
-        if not _eq(want[i], got[i]):
-            raise RelationViolated(
-                f"decomposition does not reproduce the table at {_key(F, i)!r}: "
-                f"{want[i]} vs {got[i]}"
-            )
+    i = _first_row(list(map(sub, want, got)))
+    if i is not None:
+        raise RelationViolated(
+            f"decomposition does not reproduce the table at {_key(F, i)!r}: "
+            f"{want[i]} vs {got[i]}"
+        )
     return g
 
 

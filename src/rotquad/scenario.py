@@ -339,8 +339,18 @@ def g_to_json(g: dict) -> dict:
 
 
 def g_from_json(obj) -> dict:
+    """The g-table of g_to_json's object.  A value must be an int or a
+    string that Fraction reads, such as "p/q"; any other value, a float or a
+    bool, raises ScenarioError naming its entry."""
     try:
-        return {(u, v): Fraction(val) if isinstance(val, str) else val
-                for u, v, val in obj["entries"]}
+        g = {}
+        for u, v, val in obj["entries"]:
+            if isinstance(val, str):
+                val = Fraction(val)
+            elif type(val) is not int:
+                raise ScenarioError(f"bad g-table entry {[u, v, val]!r}: "
+                                    "the value is neither an int nor a 'p/q' string")
+            g[u, v] = val
+        return g
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"bad g-table object: {exc}") from exc

@@ -1,5 +1,8 @@
 """Permutation action, the 3x3 integer representation, and table decomposition."""
 
+import math
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +21,7 @@ from rotquad import (
     normalize_g,
     parse_cycles,
     quadratic_table,
+    table_from_function,
     theta,
     theta_action,
     theta_kernel_image,
@@ -254,6 +258,28 @@ def test_decompose_after_check_relations_scans_no_relation_again(monkeypatch):
 def test_perturbing_a_tuple_that_is_no_key_is_refused(t):
     with pytest.raises(ValueError, match="bad tuple key"):
         quadratic_table(range(4)).perturbed(t, 1)
+
+
+@pytest.mark.parametrize("value, exact", [
+    (0.5, False), (math.nan, False), (True, False), (None, False), (1j, False), ("1", False),
+    (3, True), (Fraction(1, 3), True),
+], ids=["float", "nan", "bool", "None", "complex", "str", "int", "Fraction"])
+def test_a_table_takes_int_and_fraction_values_only(value, exact):
+    # each way to put a value into a table
+    labels, t = tuple(range(4)), (0, 1, 2, 3)
+    zero_g = {(u, v): 0 for u in labels for v in labels}
+    makes = [
+        lambda: FunctionTable(labels, {t: value}),
+        lambda: build_f_from_g({**zero_g, (1, 2): value}, labels),
+        lambda: table_from_function(labels, lambda *x: value),
+        lambda: quadratic_table(labels).perturbed(t, value),
+    ]
+    if exact:
+        assert [make()(t) for make in makes] == [value, -value, value, 1 + value]
+        return
+    for make in makes:
+        with pytest.raises(ValueError, match="must be an int or a Fraction"):
+            make()
 
 
 @pytest.mark.parametrize("t", [(0, 0, 1, 2), (1, 2, 3, 3), (2, 2, 3, 3)])

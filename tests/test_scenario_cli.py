@@ -111,6 +111,10 @@ def test_table_codec_with_fractions():
     assert g_from_json(g_to_json(g)) == g
     with pytest.raises(ScenarioError):
         g_from_json({"entries": [[0, 1, "not a fraction"]]})
+    # a table holds exact values only: a float or a bool is refused, by entry
+    for val in (1.5, 2.0, True, None):
+        with pytest.raises(ScenarioError, match=rf"entry \[1, 0, {val!r}\]"):
+            g_from_json({"entries": [[0, 1, 2], [1, 0, val]]})
 
 
 # ---------------------------------------------------------------------------
