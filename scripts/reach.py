@@ -52,7 +52,7 @@ KEPT = {
     "geometry:winding_number": "the pairing oracle; a perfbench tracer span",
     # owned by open ROADMAP items
     "invariant:rf_periodic": "ROADMAP item 12: periodic points as rational values",
-    "invariant:concatenate_traces": "ROADMAP item 9: the trace for compositions",
+    "invariant:concatenate_traces": "ROADMAP item 24: one trace for every spec",
     "maps:iterate_spec": "a perfbench tracer span; rf_periodic's power",
     "maps:_repeat_step": "ROADMAP item 7: maps that do not reduce",
     "maps:_repeat_step.<locals>.step": "ROADMAP item 7, with _repeat_step",

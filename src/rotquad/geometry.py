@@ -3,9 +3,9 @@
 Points live in one affine chart of the sphere at a time: a finite complex
 number, or the single point at infinity.  Paths and loops are polylines with
 straight edges.  The chart carries the standard counterclockwise orientation,
-and the two workhorse quantities are the winding number of a closed polyline
-around a point (accumulated signed angle over 2*pi, snapped to an integer)
-and the sign of a transverse segment crossing.
+and the workhorse quantity is the turning of a polyline about a point
+(accumulated signed angle; snapped to whole turns for a closed one, its
+winding number).  Segment crossing signs serve only the pairing oracle.
 """
 
 from __future__ import annotations
@@ -464,6 +464,12 @@ def _image_point(w, p: complex, q: complex) -> complex:
     return w
 
 
+# A piece's disk (c, r) holds its chord, and keeps it clear of a puncture p
+# for the point-on-loop check when |c - p| - r exceeds EPS_EDGE by this times
+# |c - p| + r + |p|: twice a bound on the rounding of the distances compared.
+_CLEAR_ROUNDING = 1e-14
+
+
 def refine_path_view(
     vertices,
     view,
@@ -474,20 +480,24 @@ def refine_path_view(
 
     ``view(z)`` is the image of a point: a complex number, or None for the
     point at infinity.  ``view.enclose(disk)`` is a disk containing the
-    image of a disk (``mobius_disk`` gives the form), or None.  The two
-    punctures are points of the image chart, None for infinity; at most
-    one may be None.  A piece [za, zb] is accepted only when the enclosure
-    of its source disk, centred at its midpoint with 1.125 times its
-    half-chord as radius (so an end on a pole lies strictly inside), is a
-    proper disk (so it misses infinity) that excludes both punctures and
-    contains both computed end images.  The image arc and the chord then
-    lie in one disk that misses the punctures, so they are homotopic in
-    the twice-punctured sphere and the returned points' ``path_turns``
-    about each finite puncture is the image curve's turning, certified
-    piece by piece.  Raises PointOnLoop when the image hits a puncture or
-    escapes the chart (None, or a magnitude past 1e100: the source ran
-    into a pole), BudgetExhausted when the point budget runs out,
-    SamplingFailure when a piece is not certified after 60 bisections.
+    image of a disk (``mobius_disk`` gives the form), or None; when
+    ``view.centred`` (``maps.CompiledMap``) it is None or centred on the
+    view's image of the disk's centre, which a rejected piece reuses.  The
+    punctures are points of the image chart, at most one None (infinity).
+    A piece [za, zb] is accepted only when the enclosure of its source
+    disk, centred at its midpoint with 1.125 times its half-chord as
+    radius (so an end on a pole lies strictly inside), is a proper disk
+    (so it misses infinity) that excludes both punctures and contains both
+    computed end images.  The image arc and the chord then lie in one disk
+    that misses the punctures, so they are homotopic in the
+    twice-punctured sphere and the returned points' ``path_turns`` about
+    each finite puncture is the image curve's turning, certified piece by
+    piece.  Raises PointOnLoop when the image hits a puncture or escapes
+    the chart (None, or a magnitude past 1e100: the source ran into a
+    pole), BudgetExhausted when the point budget runs out, SamplingFailure
+    when a piece is not certified after 60 bisections; then PointOnLoop
+    for a chord with distinct ends within EPS_EDGE of a puncture, measured
+    only if its disk does not clear both by EPS_EDGE and _CLEAR_ROUNDING.
     """
     verts = [complex(v) for v in vertices]
     if len(verts) < 2:
@@ -497,87 +507,16 @@ def refine_path_view(
         raise ValueError("need a finite puncture")
     # a lone finite puncture is tested twice, which costs less than a branch
     p, q = finite[0], finite[-1]
-    enclose = view.enclose
-
-    def evaluate(z: complex) -> complex:
-        return _image_point(view(z), p, q)
-
-    def certified(za: complex, zb: complex, wa: complex, wb: complex) -> bool:
-        disk = enclose((0.5 * (za + zb), 0.5625 * abs(zb - za), False))
-        if disk is None:
-            return False
-        c, r, outside = disk
-        return (not outside and abs(c - p) > r and abs(wa - c) <= r and abs(wb - c) <= r
-                and abs(c - q) > r)
+    slack_p, slack_q = (EPS_EDGE + _CLEAR_ROUNDING * abs(x) for x in (p, q))
+    enclose, centred = view.enclose, getattr(view, "centred", False)
 
     # each edge is bisected on the actual segment until every piece is
     # certified; out holds the images of the vertices and inserted points
     budget = tol.max_refine_points
-    out = [evaluate(verts[0])]
-    emit = out.append
-    # pieces still to emit after the current one, nearest last
-    stack = []
-    push, pop = stack.append, stack.pop
-    for a, b in zip(verts, verts[1:]):
-        sa, sb, swa, swb, depth = a, b, out[-1], evaluate(b), 0
-        while True:
-            if certified(sa, sb, swa, swb):
-                budget -= 1
-                if budget < 0:
-                    raise BudgetExhausted(
-                        f"refinement budget exhausted: more than "
-                        f"max_refine_points={tol.max_refine_points} pieces")
-                emit(swb)
-                if not stack:
-                    break
-                sa, sb, swa, swb, depth = pop()
-                continue
-            if depth > 60:
-                raise SamplingFailure("edge cannot be refined further")
-            # go on with the near half; the far half waits on the stack
-            mid = 0.5 * (sa + sb)
-            wm = evaluate(mid)
-            depth += 1
-            push((mid, sb, wm, swb, depth))
-            sb, swb = mid, wm
-    return out
-
-
-# A piece's disk (c, r) holds its chord, and keeps it clear of a puncture p
-# for the point-on-loop check when |c - p| - r exceeds EPS_EDGE by this times
-# |c - p| + r + |p|: twice a bound on the rounding of the distances compared.
-_CLEAR_ROUNDING = 1e-14
-
-
-def refine_twist_view(
-    vertices,
-    view,
-    tol: Tolerances = DEFAULT_TOL,
-    punctures=(0j, None),
-) -> tuple[list[complex], list[tuple[complex, complex]]]:
-    """refine_path_view through a view whose enclosure of a proper disk is
-    None or a proper disk centred on the view's image of its centre, as a
-    lone radial twist's is (``maps._twist_disk``): the same pieces, points
-    and failures, float for float, but a rejected piece's midpoint image is
-    its enclosure's centre, not a second evaluation.  Also returns the
-    chords (wa, wb) whose piece's disk does not clear both punctures by
-    more than EPS_EDGE and the rounding term (_CLEAR_ROUNDING): every other
-    chord is further than EPS_EDGE from both, in floats too."""
-    verts = [complex(v) for v in vertices]
-    if len(verts) < 2:
-        raise ValueError("need at least two vertices")
-    finite = [complex(p) for p in punctures if p is not None]
-    if not finite:
-        raise ValueError("need a finite puncture")
-    p, q = finite[0], finite[-1]
-    slack_p = EPS_EDGE + _CLEAR_ROUNDING * abs(p)
-    slack_q = EPS_EDGE + _CLEAR_ROUNDING * abs(q)
-    enclose = view.enclose
-
-    budget = tol.max_refine_points
     out = [_image_point(view(verts[0]), p, q)]
     emit = out.append
     uncleared = []
+    # pieces still to emit after the current one, nearest last
     stack = []
     push, pop = stack.append, stack.pop
     for a, b in zip(verts, verts[1:]):
@@ -604,11 +543,16 @@ def refine_twist_view(
                     continue
             if depth > 60:
                 raise SamplingFailure("edge cannot be refined further")
-            wm = _image_point(view(mid) if disk is None else disk[0], p, q)
+            # go on with the near half; the far half waits on the stack
+            wm = _image_point(disk[0] if centred and disk is not None else view(mid), p, q)
             depth += 1
             push((mid, sb, wm, swb, depth))
             sb, swb = mid, wm
-    return out, uncleared
+    for x in finite:
+        # a repeated point is no edge of the path
+        if any(a != b and point_segment_distance(x, a, b) <= EPS_EDGE for a, b in uncleared):
+            raise PointOnLoop(f"reference point {x!r} lies on a loop edge")
+    return out
 
 
 def dedupe_consecutive(points, closed: bool = False) -> list[complex]:

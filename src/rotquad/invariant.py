@@ -46,7 +46,6 @@ from .geometry import (
     path_turns,
     point_segment_distance,
     refine_path_view,
-    refine_twist_view,
     snap_turns,
     winding_number,  # unused here; kept as the name perfbench's tracer wraps
 )
@@ -177,23 +176,20 @@ def _turning(points, punctures) -> float:
     return turning if second is None else turning - path_turns(points, second)
 
 
-def _loop_and_lift(forward: list[complex], base: float, ends, punctures,
-                   uncleared=None) -> tuple[float, float]:
+def _loop_and_lift(forward: list[complex], base: float, ends, punctures) -> tuple[float, float]:
     """The turning about the punctures (_turning) of the loop (image path) *
     (path reversed), the image path joined to the path's ends by straight
     edges, and of the image path alone, each less the path's exact turning
     base: in whole turns, the loop and lift values.  Both are read in one
     pass per puncture, summed as _turning sums them.  The path avoids the
-    punctures, so only the image side is checked: PointOnLoop when a
-    puncture lies within EPS_EDGE of a closing edge or of a chord in
-    uncleared (every chord when None)."""
+    punctures, and refine_path_view kept the image path's chords off them,
+    so only the two closing edges are checked: PointOnLoop when a puncture
+    lies within EPS_EDGE of one."""
     start, end = ends
-    chords = zip(forward, forward[1:]) if uncleared is None else uncleared
-    edges = [(start, forward[0]), *chords, (forward[-1], end)]
     for p in punctures:
         # a repeated point is no edge of the loop
         if p is not None and any(a != b and point_segment_distance(p, a, b) <= EPS_EDGE
-                                 for a, b in edges):
+                                 for a, b in ((start, forward[0]), (forward[-1], end))):
             raise PointOnLoop(f"reference point {p!r} lies on a loop edge")
     first, second = punctures
     loop, lift = (0.0, 0.0) if first is None else closed_path_turns(start, forward, end, first)
@@ -225,7 +221,7 @@ def rf_lift(spec: MapSpec, t: MarkedTuple, beta: Polyline, tol: Tolerances = DEF
     """
     if _require_distinct(t) == "degenerate_pair":
         return 0
-    forward, base, _, punctures, _ = RfEvaluator(spec, tol)._refined(t, beta)
+    forward, base, _, punctures = RfEvaluator(spec, tol)._refined(t, beta)
     return snap_turns(_turning(forward, punctures) - base, tol)
 
 
@@ -627,47 +623,44 @@ class RfEvaluator:
 
     def _refined(self, t: MarkedTuple, beta: Polyline | None = None, variant: int = 0,
                  jitter: complex = 0j):
-        """The refined image of a connecting path, the path's own exact
-        turning, its ends in the image's chart, the two punctures both
-        turnings are read about (_turning), and the chords whose piece's
-        disk did not clear the punctures (None: not known, every chord).
+        """The refined image of a connecting path (refine_path_view), the
+        path's own exact turning, its ends in the image's chart, and the
+        two punctures both turnings are read about (_turning).
 
         Without a beta, a tuple with x3 and x4 finite of a spec that
         twist_chart reduces to one twist in an affine chart H is read in
         H's chart: the path runs from H(x3) to H(x4) and avoids the
-        punctures H(x1) and H(x2), and its image is the twist alone,
-        refined by refine_twist_view.  Any other tuple, precharted, and a
-        caller's beta, which is validated after t's points are checked
-        fixed, is read through the spec's steps and then the chart h
-        (x1 -> 0, x2 -> inf), about 0 and infinity.  Without a beta the
-        path is the variant's connecting_path, jitter scaled to the
-        distance between its ends, and t's points are then checked fixed
-        in the spec's (or the prechart's) chart."""
-        spec, tol = self.spec, self.tol
-        twisted = None
+        punctures H(x1) and H(x2), and its image is the twist alone.  Any
+        other tuple, precharted, and a caller's beta, which is validated
+        after t's points are checked fixed, is read through the spec's
+        steps and then the chart h (x1 -> 0, x2 -> inf), about 0 and
+        infinity.  Without a beta the path is the variant's
+        connecting_path, jitter scaled to the distance between its ends,
+        and t's points are then checked fixed in the spec's (or the
+        prechart's) chart."""
+        spec = self.spec
+        twisted = None if beta is not None else self._in_twist_chart(t)
+        if beta is None and twisted is None:
+            spec, t = _prechart(spec, t)
+        z1, z2, z3, z4 = twisted[0] if twisted else (p.z for p in t.points)
         if beta is not None:
             steps = self._checked_steps(spec, t.points)
             _validate_beta(beta, t.x3, t.x4, (t.x1, t.x2))
             vertices = beta.vertices
         else:
-            twisted = self._in_twist_chart(t)
-            if twisted is None:
-                spec, t = _prechart(spec, t)
-            z1, z2, z3, z4 = twisted[0] if twisted else (p.z for p in t.points)
             if jitter:
                 jitter *= JITTER_MAGNITUDE * max(abs(z4 - z3), 1.0)
             vertices = _path_vertices(z3, z4, [z for z in (z1, z2) if z is not None],
                                       variant, jitter)
             steps = self._checked_steps(spec, t.points)
         if twisted is not None:
-            punctures = z1, z2
-            forward, uncleared = refine_twist_view(vertices, twisted[1], tol, punctures)
-            return forward, _turning(vertices, punctures), (z3, z4), punctures, uncleared
-        h = mobius_normalize(t.x1, t.x2)
-        forward = refine_path_view(vertices, CompiledMap([*steps, _mobius_pair(h)]), tol=tol)
-        at = mobius_step(h)
-        base = _turning(vertices, (t.x1.z, t.x2.z))
-        return forward, base, (at(t.x3.value), at(t.x4.value)), (0j, None), None
+            view, punctures = twisted[1], (z1, z2)
+        else:
+            h = mobius_normalize(t.x1, t.x2)
+            view, punctures = CompiledMap([*steps, _mobius_pair(h)]), (0j, None)
+            z3, z4 = map(mobius_step(h), (z3, z4))
+        base = _turning(vertices, (z1, z2))
+        return refine_path_view(vertices, view, self.tol, punctures), base, (z3, z4), punctures
 
     def value(self, x1, x2, x3, x4) -> int:
         t = MarkedTuple(x1, x2, x3, x4)

@@ -454,16 +454,19 @@ class CompiledMap:
     ``f.enclose(disk)`` a disk (``geometry.mobius_disk`` gives the form).
     The enclosure chain is built when ``enclose`` is first read.
     ``f.applications`` is the number of step applications one evaluation
-    takes."""
+    takes.  ``f.centred``: one twist step or none, whose enclosure of a
+    proper disk is None or centred on ``f`` of its centre (``_twist_disk``)."""
 
-    __slots__ = ("_point", "_disks", "_enclose", "applications")
+    __slots__ = ("_point", "_disks", "_enclose", "applications", "centred")
 
     def __init__(self, steps: list):
         points = tuple(point for point, _ in steps)
         self.applications = sum(map(_applications, points))
         self._point = _chain(points)
-        self._disks = tuple(disk for _, disk in steps)
+        disks = self._disks = tuple(disk for _, disk in steps)
         self._enclose = None
+        self.centred = not disks or (len(disks) == 1
+                                     and getattr(disks[0], "_build", None) is _twist_disk)
 
     @property
     def enclose(self):

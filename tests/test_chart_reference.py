@@ -12,8 +12,9 @@ The invariant does not depend on the chart, so on the ordered distinct
 seven more, the evaluator must give the reference's integer or raise the
 same exception class: on every tuple it reads in a twist's chart, and on a
 seeded eighth of the rest, which it reads with the reference's own code.
-In a twist's chart the path is refined by refine_twist_view, which must
-give refine_path_view's pieces through the same view, float for float.
+In a twist's chart the refinement reuses each enclosure's centre as its
+midpoint's image, and must give the pieces of the same view with no centre
+reuse, float for float.
 """
 
 import cmath
@@ -129,32 +130,45 @@ def compare(sc, m, tuples=None, others=1.0):
     return mismatches, twisted
 
 
+class _Uncentred:
+    """A view as it is, but not centred: each midpoint is evaluated."""
+
+    def __init__(self, view):
+        self.view, self.enclose = view, view.enclose
+
+    def __call__(self, z):
+        return self.view(z)
+
+
 @pytest.fixture
 def flat_refinements(monkeypatch) -> list:
-    """invariant's refine_twist_view, each call required to give
-    refine_path_view's outcome through the same view, piece for piece and
-    float for float, and to certify clear only chords further than
-    EPS_EDGE from both punctures; the list of calls."""
+    """invariant's refinements through a centred view (a twist's chart),
+    each required to give the outcome of the same view with no centre
+    reuse, piece for piece and float for float, and to keep every chord
+    further than EPS_EDGE from both punctures; the list of those calls."""
     calls = []
-    real = invariant.refine_twist_view
+    real = invariant.refine_path_view
 
-    def flat(vertices, view, tol, punctures):
+    def flat(vertices, view, tol=geometry.DEFAULT_TOL, punctures=(0j, None)):
+        if not view.centred:
+            return real(vertices, view, tol, punctures)
         calls.append(vertices)
         try:
-            want = geometry.refine_path_view(vertices, view, tol=tol, punctures=punctures)
+            want = real(vertices, _Uncentred(view), tol, punctures)
         except Exception as exc:  # compared by class and message
             with pytest.raises(type(exc)) as raised:
                 real(vertices, view, tol, punctures)
             assert str(raised.value) == str(exc)
             raise
-        forward, uncleared = real(vertices, view, tol, punctures)
+        forward = real(vertices, view, tol, punctures)
         assert repr(forward) == repr(want), vertices
-        for chord in set(zip(forward, forward[1:])) - set(uncleared):
+        for chord in set(zip(forward, forward[1:])):
             for p in punctures:
-                assert p is None or geometry.point_segment_distance(p, *chord) > geometry.EPS_EDGE
-        return forward, uncleared
+                assert (p is None or chord[0] == chord[1]
+                        or geometry.point_segment_distance(p, *chord) > geometry.EPS_EDGE)
+        return forward
 
-    monkeypatch.setattr(invariant, "refine_twist_view", flat)
+    monkeypatch.setattr(invariant, "refine_path_view", flat)
     return calls
 
 

@@ -46,6 +46,7 @@ from rotquad import (
     synthesize_twist_trace,
     verify_rf_identities,
 )
+import rotquad.geometry as geometry
 from rotquad.catalog import golden_twist_spec, homomorphism_pairs, sqrt2_blowup_spec
 from rotquad.geometry import (
     DEFAULT_TOL,
@@ -55,7 +56,6 @@ from rotquad.geometry import (
     dedupe_consecutive,
     point_segment_distance,
     refine_path_view,
-    refine_twist_view,
 )
 from rotquad.invariant import _loop_and_lift, _turning
 from rotquad.maps import CompiledMap, _charted_steps, compile_map, twist_chart
@@ -212,17 +212,19 @@ def test_evaluator_rejects_unfixed_points():
 
 
 def _count_refiner_calls(monkeypatch) -> list:
-    """The names of invariant's refiners called, in order: the chain's
-    refine_path_view and the twist chart's refine_twist_view."""
+    """invariant's refinements, in order, each named by its view: "twist"
+    for a twist's own chart (a lone twist, its enclosures centred), "chain"
+    for the chain in the normalizing chart."""
     import rotquad.invariant as invariant
 
     calls = []
-    for name in ("refine_path_view", "refine_twist_view"):
-        def counting(*args, _name=name, _real=getattr(invariant, name), **kwargs):
-            calls.append(_name)
-            return _real(*args, **kwargs)
+    real = invariant.refine_path_view
 
-        monkeypatch.setattr(invariant, name, counting)
+    def counting(vertices, view, *args, **kwargs):
+        calls.append("twist" if view.centred else "chain")
+        return real(vertices, view, *args, **kwargs)
+
+    monkeypatch.setattr(invariant, "refine_path_view", counting)
     return calls
 
 
@@ -236,7 +238,7 @@ def test_evaluator_refines_once_per_value(monkeypatch):
     assert ev.value(0j, INFINITY, 3 + 0j, 4j) == 0
     assert len(calls) == 2
     # both in the twist's own chart (the identity)
-    assert calls == ["refine_twist_view"] * 2
+    assert calls == ["twist"] * 2
 
 
 def _count_refinements(monkeypatch) -> list:
@@ -266,10 +268,10 @@ def test_identity_suite_refines_the_first_path_once(monkeypatch):
 
 class _WorkView:
     """A refinement's view, counting evaluations, certification calls and
-    the step applications each of them takes."""
+    the step applications each of them takes; centred as the view is."""
 
     def __init__(self, view, work):
-        self.view, self.work = view, work
+        self.view, self.work, self.centred = view, work, view.centred
 
     def __call__(self, z):
         self.work["evaluations"] += 1
@@ -288,9 +290,9 @@ def test_verify_battery_refinement_count(monkeypatch, capsys):
 
     calls = _count_refinements(monkeypatch)
     work = dict.fromkeys(("evaluations", "certifications", "point steps", "enclosure steps"), 0)
-    for name in ("refine_path_view", "refine_twist_view"):
-        monkeypatch.setattr(invariant, name, lambda vertices, view, *a, _real=getattr(
-            invariant, name), **k: _real(vertices, _WorkView(view, work), *a, **k))
+    real = invariant.refine_path_view
+    monkeypatch.setattr(invariant, "refine_path_view", lambda vertices, view, *a, **k: real(
+        vertices, _WorkView(view, work), *a, **k))
     assert main(["verify"]) == 0
     assert len(calls) == 828
     # read through the whole chain in the normalizing chart, the same
@@ -311,7 +313,7 @@ def test_exhausted_budget_is_inconclusive_after_one_attempt(monkeypatch):
     ev = RfEvaluator(golden_twist_spec(2), Tolerances(max_refine_points=12))
     with pytest.raises(InconclusiveComputation, match="max_refine_points=12"):
         ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
-    assert calls == ["refine_twist_view"]
+    assert calls == ["twist"]
     # the failure is cached like a value: asking again refines nothing
     with pytest.raises(InconclusiveComputation, match="max_refine_points=12"):
         ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
@@ -384,18 +386,19 @@ def test_geometric_failures_are_retried_on_every_request(monkeypatch):
 
     calls = []
 
-    def grazing(*args, **kwargs):
-        calls.append(1)
+    def grazing(vertices, view, *args, **kwargs):
+        calls.append(view.centred)
         raise PointOnLoop("image path through the origin")
 
-    # the tuple is read in the twist's own chart
-    monkeypatch.setattr(invariant, "refine_twist_view", grazing)
+    monkeypatch.setattr(invariant, "refine_path_view", grazing)
     ev = RfEvaluator(golden_twist_spec(2))
     attempts = invariant.JITTER_ATTEMPTS + 1
     for request in (1, 2):
         with pytest.raises(InconclusiveComputation, match="no admissible geometry"):
             ev.value(0j, INFINITY, 0.5 + 0j, 3 + 0j)
         assert len(calls) == request * attempts
+    # the tuple is read in the twist's own chart
+    assert all(calls)
 
 
 def test_points_closer_than_1e_12_have_a_value():
@@ -495,14 +498,14 @@ def test_loop_and_lift_sum_as_the_separate_readings(punctures):
 
 @pytest.mark.parametrize("on", [(1 + 0j, 1.05 + 0.02j), (0.9 - 0.2j, 0.95 - 0.1j)])
 def test_a_puncture_on_a_closing_edge_is_on_the_loop(on):
-    # every chord's disk cleared the punctures; a closing edge is checked anyway
+    # the refinement checked the chords; the closing edges are checked here
     forward = [1.05 + 0.02j, 1j, -1 + 0j, -0.3j, 0.9 - 0.2j]
     ends = (1 + 0j, 0.95 - 0.1j)
     punctures = (0.5 * (on[0] + on[1]), None)
     with pytest.raises(PointOnLoop):
         reference_loop_and_lift(forward, 0.0, ends, punctures)
     with pytest.raises(PointOnLoop):
-        _loop_and_lift(forward, 0.0, ends, punctures, [])
+        _loop_and_lift(forward, 0.0, ends, punctures)
 
 
 def test_every_catalog_refinement_reads_as_the_separate_readings():
@@ -512,9 +515,9 @@ def test_every_catalog_refinement_reads_as_the_separate_readings():
             ev = RfEvaluator(sc.map_spec, sc.tolerances, sc.seed)
             refinement = ev._refined(t)
             assert (_reading(_loop_and_lift, *refinement)
-                    == _reading(reference_loop_and_lift, *refinement[:4]))
-            read += refinement[4] is not None
-    assert read > 0  # some read in a twist's own chart, with cleared chords
+                    == _reading(reference_loop_and_lift, *refinement))
+            read += ev._in_twist_chart(t) is not None
+    assert read > 0  # some read in a twist's own chart
 
 
 def _twist_by_zero():
@@ -522,44 +525,108 @@ def _twist_by_zero():
     return CompiledMap(_charted_steps(RadialTwist(RadialProfile(((1.0, 0.0),))))[1])
 
 
-def test_a_disk_within_the_rounding_term_of_clearing_is_checked(monkeypatch):
-    import rotquad.invariant as invariant
+def _measured(monkeypatch) -> list:
+    """The (puncture, a, b) of each chord refine_path_view measures, in order."""
+    checked = []
+    real = geometry.point_segment_distance
+    monkeypatch.setattr(geometry, "point_segment_distance",
+                        lambda p, a, b: checked.append((p, a, b)) or real(p, a, b))
+    return checked
 
+
+def _unmeasured(monkeypatch, vertices, view, punctures) -> list:
+    """refine_path_view's points with its chord check off: every chord
+    measures as far from the punctures."""
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "point_segment_distance", lambda p, a, b: math.inf)
+        return refine_path_view(vertices, view, punctures=punctures)
+
+
+def test_a_disk_within_the_rounding_term_of_clearing_is_checked(monkeypatch):
     view = _twist_by_zero()
     _, r, _ = view.enclose((0j, 0.5625 * 2, False))
     # the puncture clears the one piece's disk by EPS_EDGE and half the
     # rounding term, so that disk does not certify the chord clear
     y = r + EPS_EDGE + 0.5 * _CLEAR_ROUNDING * (3 * r)
     punctures = (y * 1j, None)
-    forward, uncleared = refine_twist_view([-1 + 0j, 1 + 0j], view, punctures=punctures)
-    assert forward == [-1 + 0j, 1 + 0j] and uncleared == [(-1 + 0j, 1 + 0j)]
-    checked = []
-    real = invariant.point_segment_distance
-    monkeypatch.setattr(invariant, "point_segment_distance",
-                        lambda p, a, b: checked.append((p, a, b)) or real(p, a, b))
-    refinement = (forward, 0.0, (-1 + 0j, 1 + 0j), punctures, uncleared)
-    assert _reading(_loop_and_lift, *refinement) == _reading(reference_loop_and_lift,
-                                                              *refinement[:4])
-    assert checked == [(y * 1j, -1 + 0j, 1 + 0j)]
+    checked = _measured(monkeypatch)
+    forward = refine_path_view([-1 + 0j, 1 + 0j], view, punctures=punctures)
+    assert forward == [-1 + 0j, 1 + 0j] and checked == [(y * 1j, -1 + 0j, 1 + 0j)]
+    refinement = (forward, 0.0, (-1 + 0j, 1 + 0j), punctures)
+    assert _reading(_loop_and_lift, *refinement) == _reading(reference_loop_and_lift, *refinement)
     # a disk that clears it by more is not checked
-    forward, uncleared = refine_twist_view([-1 + 0j, 1 + 0j], view, punctures=(2 * y * 1j, None))
-    assert forward == [-1 + 0j, 1 + 0j] and uncleared == []
+    checked.clear()
+    forward = refine_path_view([-1 + 0j, 1 + 0j], view, punctures=(2 * y * 1j, None))
+    assert forward == [-1 + 0j, 1 + 0j] and checked == []
+
+
+class _DiskView:
+    """The identity, every disk enclosed in one fixed disk; not centred."""
+
+    def __init__(self, disk):
+        self.disk = disk
+
+    def __call__(self, z):
+        return z
+
+    def enclose(self, disk):
+        return self.disk
+
+
+class _Shift:
+    """z -> z - s, and each disk moved alike; not centred."""
+
+    def __init__(self, s):
+        self.s = s
+
+    def __call__(self, z):
+        return z - self.s
+
+    def enclose(self, disk):
+        c, r, outside = disk
+        return c - self.s, r, outside
+
+
+def test_a_disk_that_clears_by_exactly_the_margin_is_checked(monkeypatch):
+    # in floats the puncture y i clears the disk |w| <= r by EPS_EDGE and
+    # the rounding term exactly, not by more, so the chord is measured
+    r, y = 1.5e-9, 2.500000000000065e-09
+    assert y - r == EPS_EDGE + _CLEAR_ROUNDING * y + _CLEAR_ROUNDING * (y + r)
+    checked = _measured(monkeypatch)
+    ends = [-0.5 * r + 0j, 0.5 * r + 0j]
+    assert refine_path_view(ends, _DiskView((0j, r, False)), punctures=(y * 1j, None)) == ends
+    assert checked == [(y * 1j, *ends)]
 
 
 @pytest.mark.parametrize("height", [5e-10, 1e-9, 1.01e-9, 3e-9, 1e-8])
 @pytest.mark.parametrize("second", [False, True])
-def test_a_puncture_near_a_certified_chord_is_on_the_loop_as_before(height, second):
+def test_a_puncture_near_a_certified_chord_is_on_the_loop_as_before(height, second, monkeypatch):
     # bisected until each disk misses the puncture, a piece's chord can
-    # still pass within EPS_EDGE of it: the one-pass reading raises
-    # PointOnLoop exactly where the separate readings do, whichever
-    # puncture it is
+    # still pass within EPS_EDGE of it: the refinement and the one-pass
+    # reading raise PointOnLoop exactly where the separate readings of the
+    # same pieces do, whichever puncture it is
     view, vertices = _twist_by_zero(), [-1 + 0j, 1 + 0j]
     near = 0.25 + height * 1j
     punctures = (3j, near) if second else (near, None)
-    forward, uncleared = refine_twist_view(vertices, view, punctures=punctures)
-    refinement = (forward, _turning(vertices, punctures), (-1 + 0j, 1 + 0j), punctures, uncleared)
-    got = _reading(_loop_and_lift, *refinement)
-    assert got == _reading(reference_loop_and_lift, *refinement[:4])
+    base, ends = _turning(vertices, punctures), (-1 + 0j, 1 + 0j)
+    forward = _unmeasured(monkeypatch, vertices, view, punctures)
+    got = _reading(lambda: _loop_and_lift(refine_path_view(vertices, view, punctures=punctures),
+                                          base, ends, punctures))
+    assert got == _reading(reference_loop_and_lift, forward, base, ends, punctures)
+    assert isinstance(got, tuple) == (height <= EPS_EDGE)
+
+
+@pytest.mark.parametrize("height", [5e-10, 1e-9, 1.01e-9, 3e-9, 1e-8])
+def test_a_puncture_near_a_chain_chord_is_on_the_loop_as_before(height, monkeypatch):
+    # the chain's view is not centred and its punctures are 0 and infinity:
+    # here a translation, whose image path passes height below 0
+    near = 0.25 + height * 1j
+    view, vertices, punctures = _Shift(near), [-1 + 0j, 1 + 0j], (0j, None)
+    ends = (-1 - near, 1 - near)
+    forward = _unmeasured(monkeypatch, vertices, view, punctures)
+    assert len(forward) > 2 and not hasattr(view, "centred")
+    got = _reading(lambda: _loop_and_lift(refine_path_view(vertices, view), 0.0, ends, punctures))
+    assert got == _reading(reference_loop_and_lift, forward, 0.0, ends, punctures)
     assert isinstance(got, tuple) == (height <= EPS_EDGE)
 
 

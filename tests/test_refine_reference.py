@@ -51,7 +51,6 @@ from rotquad.geometry import (
     mobius_step,
     path_turns,
     refine_path_view,
-    refine_twist_view,
 )
 from rotquad.invariant import _prechart
 from rotquad.maps import _TAU_I, TAU, compile_map
@@ -379,16 +378,18 @@ _REFINED = RfEvaluator._refined
 
 class _Recorder:
     """Wraps invariant's view builders (RfEvaluator._refined for a tuple's
-    value, compile_map for a blow-up) and invariant's refiners: each
-    refinement also runs through the reference view of the spec and chart
-    last built, and both must agree, on the image path and on its turning.
-    A tuple the evaluator reads in its twist's chart is refined through the
-    twist alone by refine_twist_view: its reference is refine_path_view
-    through the reference twist, with the tuple's punctures, and its paths
+    value, compile_map for a blow-up) and invariant's refine_path_view:
+    each refinement also runs through the reference view of the spec and
+    chart last built, and both must agree, on the image path and on its
+    turning.  A tuple the evaluator reads in its twist's chart is refined
+    through the twist alone, reusing its enclosures' centres: its
+    reference is refine_path_view through the reference twist, which
+    evaluates every midpoint, with the tuple's punctures, and its paths
     are recorded in ``twisted``."""
 
     def __init__(self):
         self.source = None
+        self.twist = False
         self.paths = []
         self.twisted = []
 
@@ -396,29 +397,28 @@ class _Recorder:
         # the spec and tuple _refined refines: precharted without a beta
         spec, moved = (ev.spec, t) if beta is not None else _prechart(ev.spec, t)
         self.source = (spec, mobius_normalize(moved.x1, moved.x2))
-        if beta is None and ev._in_twist_chart(t) is not None:
+        self.twist = beta is None and ev._in_twist_chart(t) is not None
+        if self.twist:
             # the twist in its own chart H
             self.source = (RadialTwist(ev._chart(ev.spec)[0][1]), None)
         return _REFINED(ev, t, beta, variant, jitter)
 
     def compile_map(self, spec, then=None):
-        self.source = (spec, then)
+        self.source, self.twist = (spec, then), False
         return compile_map(spec, then)
-
-    def refine_twist_view(self, vertices, view, tol, punctures):
-        spec, then = self.source
-        self.twisted.append(list(vertices))
-        got, out = _outcome(refine_twist_view, vertices, view, tol, punctures)
-        expect, _ = _outcome(refine_path_view, vertices, reference_compile_map(spec, then), tol,
-                             punctures)
-        if isinstance(out, Exception):
-            assert got == expect, (spec, vertices)
-            raise out
-        assert ("ok", repr(out[0])) == expect, (spec, vertices)
-        return out
 
     def refine_path_view(self, vertices, view, tol=DEFAULT_TOL, punctures=(0j, None)):
         spec, then = self.source
+        if self.twist:
+            assert view.centred
+            self.twisted.append(list(vertices))
+            got, out = _outcome(refine_path_view, vertices, view, tol, punctures)
+            expect, _ = _outcome(refine_path_view, vertices, reference_compile_map(spec, then),
+                                 tol, punctures)
+            assert got == expect, (spec, vertices)
+            if isinstance(out, Exception):
+                raise out
+            return out
         self.paths.append(list(vertices))
         got, out = _outcome(refine_path_view, vertices, view, tol)
         expect, _ = _outcome(reference_refine_path_view, vertices,
@@ -437,7 +437,6 @@ def recorder(monkeypatch):
                         lambda ev, *args, **kwargs: rec.refined(ev, *args, **kwargs))
     monkeypatch.setattr(invariant, "compile_map", rec.compile_map)
     monkeypatch.setattr(invariant, "refine_path_view", rec.refine_path_view)
-    monkeypatch.setattr(invariant, "refine_twist_view", rec.refine_twist_view)
     return rec
 
 
